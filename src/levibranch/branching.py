@@ -250,8 +250,7 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     code = kernels.FAMILY_CODE[datum.family]
     dom = kernels.dominant_rows(rows, code)
     urows, sums = signed_bucket(dom, eps)
-    coeffs = tuple((Weight(r), int(s)) for r, s in
-                   sorted(zip(map(Weight, urows), map(int, sums))) if s)
+    coeffs = tuple((Weight(r), s) for r, s in zip(urows.tolist(), sums.tolist()) if s)
     fn = MFunction(levi, mu, coeffs)
     lam_top, lead = leading_term(levi, mu)
     table = dict(coeffs)

@@ -324,12 +324,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
+    except (GroupSizeError, BudgetError, kernels.PackRangeError) as exc:
+        sys.stderr.write(f"guard: {exc}\n")
+        return EXIT_GUARD
     except (WeightError, RootSystemError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (GroupSizeError, BudgetError) as exc:
-        sys.stderr.write(f"guard: {exc}\n")
-        return EXIT_GUARD
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO

@@ -1,8 +1,8 @@
 """Hot array kernels: a numba-jitted path and a pure-numpy/python fallback.
 
-Set ``LEVIBRANCH_NUMBA=0`` to force the fallback; ``benchmarks/bench_kernels.py``
-compares the two.  The twin implementations must agree exactly -- values are
-integers throughout and the tests exercise both backends.
+Set ``LEVIBRANCH_NUMBA=0`` to force the fallback.  The twin implementations
+must agree exactly -- values are integers throughout and the tests exercise
+both backends.
 
 Kernels:
 
@@ -10,8 +10,8 @@ Kernels:
 * ``dominant_rows``  -- per-row dominant representative (sort normal form),
 * ``kostant_batch``  -- memoised vector-partition counts over a root list.
 
-Row packing (``pack_rows``) encodes small integer rows into int64 keys and is
-shared by both paths.
+Row packing (``pack_rows``) encodes small integer rows into int64 keys whose
+order is the lexicographic order of the rows; it is shared by both paths.
 """
 
 from __future__ import annotations
@@ -54,7 +54,11 @@ def pack_spec(n: int) -> tuple[int, int]:
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Encode integer rows into distinct int64 keys (exact, order-free)."""
+    """Encode integer rows into distinct nonnegative int64 keys (exact).
+
+    Coordinate 0 is the most significant field, so sorting the keys sorts
+    the rows lexicographically.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[1]
     bits, offset = pack_spec(n)
@@ -63,15 +67,8 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
             f"|coordinate| >= {offset} cannot be packed at rank {n}")
     keys = np.zeros(rows.shape[0], dtype=np.int64)
     for i in range(n):
-        keys |= (rows[:, i] + offset) << (bits * i)
+        keys |= (rows[:, i] + offset) << (bits * (n - 1 - i))
     return keys
-
-
-def pack_one(vec, bits: int, offset: int) -> int:
-    key = 0
-    for i, c in enumerate(vec):
-        key |= (int(c) + offset) << (bits * i)
-    return key
 
 
 def key3_py(vec, k: int) -> tuple[int, int, int]:

@@ -1,9 +1,9 @@
 """Sparse exact weight polynomials, partition functions and characters.
 
-Everything here is integer-exact: polynomials map weights to nonzero
-integer coefficients, partition functions are memoised integer DP, and
-characters come from the Freudenthal recursion with the alternating-sum
-formula retained as an independent cross-check.
+Everything here is integer-exact: polynomials are sorted int64 row blocks
+of weights with nonzero integer coefficients, partition functions are
+memoised integer DP, and characters come from the Freudenthal recursion
+with the alternating-sum formula retained as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,27 +30,52 @@ class BudgetError(RuntimeError):
 class WeightPolynomial:
     """Finite formal sum of exponentials e^beta with integer coefficients.
 
-    Terms are kept in canonical (lexicographic) order; zero coefficients are
-    never stored, so equality is plain dict equality.
+    Stored as three parallel int64 arrays: the ``kernels.pack_rows`` keys in
+    increasing order, the rows of doubled coordinates they encode (so the
+    terms are in lexicographic order) and the coefficients, none of them
+    zero.  The form is canonical, so equality is array equality.  ``Weight``
+    objects are made only where terms are read out one at a time.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_keys", "_rows", "_coeffs")
 
     def __init__(self, terms=None):
-        data: dict[Weight, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
-                if not isinstance(w, Weight):
-                    w = Weight(w)
-                c = int(c)
-                if c:
-                    c0 = data.get(w, 0) + c
-                    if c0:
-                        data[w] = c0
-                    elif w in data:
-                        del data[w]
-        self._terms = {w: data[w] for w in sorted(data)}
+        items = terms.items() if isinstance(terms, dict) else (terms or ())
+        pairs = [(tuple(w), int(c)) for w, c in items]
+        if pairs:
+            self._bucket(np.array([w for w, _ in pairs], dtype=np.int64),
+                         np.array([c for _, c in pairs], dtype=np.int64))
+        else:
+            self._assign(_NO_KEYS, _NO_ROWS, _NO_KEYS)
+
+    def _bucket(self, rows: np.ndarray, coeffs: np.ndarray) -> None:
+        urows, sums = signed_bucket(rows, coeffs)
+        keep = sums != 0
+        urows = urows[keep]
+        self._assign(kernels.pack_rows(urows) if len(urows) else _NO_KEYS,
+                     urows, sums[keep])
+
+    def _assign(self, keys, rows, coeffs) -> None:
+        if not len(coeffs):
+            keys, rows, coeffs = _NO_KEYS, _NO_ROWS, _NO_KEYS
+        for arr in (keys, rows, coeffs):
+            arr.flags.writeable = False
+        self._keys, self._rows, self._coeffs = keys, rows, coeffs
+
+    @classmethod
+    def _of(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
+        poly = cls.__new__(cls)
+        poly._bucket(rows, coeffs)
+        return poly
+
+    def _scaled(self, k: int) -> "WeightPolynomial":
+        _coefficient_guard(self._cmax() * abs(k))
+        poly = WeightPolynomial.__new__(WeightPolynomial)
+        poly._assign(self._keys, self._rows, self._coeffs * k)
+        return poly
+
+    def _cmax(self) -> int:
+        return int(np.abs(self._coeffs).max()) if len(self._coeffs) else 0
 
     @classmethod
     def zero(cls) -> "WeightPolynomial":
@@ -62,79 +87,102 @@ class WeightPolynomial:
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
-        urows, sums = signed_bucket(rows, coeffs)
-        return cls((Weight(r), int(s)) for r, s in zip(urows, sums) if s)
+        return cls._of(rows, coeffs)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The read-only int64 rows of doubled coordinates, in term order."""
+        return self._rows
 
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(len(self._coeffs))
 
     def __iter__(self):
-        return iter(self._terms.items())
+        return zip(map(Weight, self._rows.tolist()), self._coeffs.tolist())
+
+    def _index(self, w) -> int:
+        """Position of the term at ``w``, or -1."""
+        if not self or len(w) != self._rows.shape[1]:
+            return -1
+        try:
+            key = kernels.pack_rows(np.array([w], dtype=np.int64))[0]
+        except kernels.PackRangeError:
+            return -1  # outside the packing range, so no stored term
+        i = int(np.searchsorted(self._keys, key))
+        return i if i < len(self._keys) and self._keys[i] == key else -1
 
     def __contains__(self, w) -> bool:
-        return w in self._terms
+        return self._index(w) >= 0
 
     def coefficient(self, w: Weight) -> int:
-        return self._terms.get(w, 0)
+        i = self._index(w)
+        return int(self._coeffs[i]) if i >= 0 else 0
 
     def support(self) -> tuple[Weight, ...]:
-        return tuple(self._terms)
+        return tuple(map(Weight, self._rows.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return (np.array_equal(self._rows, other._rows)
+                and np.array_equal(self._coeffs, other._coeffs))
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash((self._rows.shape, self._rows.tobytes(), self._coeffs.tobytes()))
 
     # -- ring operations -----------------------------------------------------
+    def _combine(self, other: "WeightPolynomial", sign: int) -> "WeightPolynomial":
+        if not isinstance(other, WeightPolynomial):
+            return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other._scaled(sign)
+        _coefficient_guard(self._cmax() + other._cmax())
+        return WeightPolynomial._of(np.concatenate((self._rows, other._rows)),
+                                    np.concatenate((self._coeffs, sign * other._coeffs)))
+
     def __add__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            c0 = out.get(w, 0) + c
-            if c0:
-                out[w] = c0
-            else:
-                out.pop(w, None)
-        return WeightPolynomial(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "WeightPolynomial":
-        return WeightPolynomial({w: -c for w, c in self._terms.items()})
+        return self._scaled(-1)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightPolynomial({w: c * other for w, c in self._terms.items()})
-        out: dict[Weight, int] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                w = a + b
-                c0 = out.get(w, 0) + ca * cb
-                if c0:
-                    out[w] = c0
-                else:
-                    del out[w]
-        return WeightPolynomial(out)
+            return self._scaled(other) if other else WeightPolynomial()
+        if not isinstance(other, WeightPolynomial):
+            return NotImplemented
+        if not self or not other:
+            return WeightPolynomial()
+        # each product weight collects at most one term per factor term
+        _coefficient_guard(self._cmax() * other._cmax() * min(len(self), len(other)))
+        n = self._rows.shape[1]
+        rows = (self._rows[:, None, :] + other._rows[None, :, :]).reshape(-1, n)
+        return WeightPolynomial._of(rows, np.outer(self._coeffs, other._coeffs).ravel())
 
     __rmul__ = __mul__
 
     def apply(self, w: WeylElement) -> "WeightPolynomial":
-        return WeightPolynomial({w.act(b): c for b, c in self._terms.items()})
+        if not self:
+            return self
+        rows = self._rows[:, list(w.perm)] * np.array(w.signs, dtype=np.int64)
+        return WeightPolynomial._of(rows, self._coeffs)
 
     def dimension(self) -> int:
         """Sum of all coefficients (the dimension when this is a character)."""
-        return sum(self._terms.values())
+        return int(self._coeffs.sum())
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> list:
-        return [{"w": w.to_json(), "c": c} for w, c in self._terms.items()]
+        return [{"w": w.to_json(), "c": c} for w, c in self]
 
     @classmethod
     def from_json(cls, data) -> "WeightPolynomial":
@@ -150,13 +198,29 @@ class WeightPolynomial:
         return cls(out)
 
     def __repr__(self):
-        inner = " + ".join(f"{c}*e^{w}" for w, c in list(self._terms.items())[:6])
-        more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
+        head = list(zip(map(Weight, self._rows[:6].tolist()), self._coeffs[:6].tolist()))
+        inner = " + ".join(f"{c}*e^{w}" for w, c in head)
+        more = "" if len(self) <= 6 else f" ... ({len(self)} terms)"
         return f"WeightPolynomial({inner}{more})"
 
 
+_NO_KEYS = np.zeros(0, dtype=np.int64)
+_NO_ROWS = np.zeros((0, 0), dtype=np.int64)
+
+
+def _coefficient_guard(bound: int) -> None:
+    """Refuse an operation whose int64 coefficients could lose exactness."""
+    if bound >= kernels.MAX_COUNT:
+        raise OverflowError(
+            f"coefficients up to {bound} exceed the 2^62 exactness guard")
+
+
 def signed_bucket(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate rows, summing integer coefficients exactly."""
+    """Collapse duplicate rows, summing integer coefficients exactly.
+
+    The distinct rows come back in increasing ``kernels.pack_rows`` key
+    order, which is lexicographic row order.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if rows.shape[0] == 0:
@@ -350,23 +414,12 @@ class _Frame:
         return self._table.count(beta - gamma) > 0
 
     def orbit_rows(self, beta: Weight) -> np.ndarray:
-        if self._full:
-            group = weyl_group(self.datum)
-            perm, sign, _ = group.arrays
-            img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
-            keys = kernels.pack_rows(img)
-            _, first = np.unique(keys, return_index=True)
-            return img[first]
-        seen = {beta}
-        todo = [beta]
-        while todo:
-            cur = todo.pop()
-            for a in self.simple_roots:
-                nxt = cur - coroot_pairing(cur, a) * a
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return np.array(sorted(seen), dtype=np.int64)
+        """The distinct frame-Weyl images of ``beta``, in lexicographic order."""
+        group = weyl_group(self.datum) if self._full else levi_group(self.owner)
+        perm, sign, _ = group.arrays
+        img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
+        _, first = np.unique(kernels.pack_rows(img), return_index=True)
+        return img[first]
 
     def weyl_dim(self, mu: Weight) -> int:
         num = 1
@@ -457,17 +510,14 @@ def weyl_character(owner, lam: Weight,
         raise BudgetError(
             f"character of {lam} has dimension {dim} > budget {budget}")
     mult = dominant_multiplicities(owner, lam)
-    terms: dict[Weight, int] = {}
-    total = 0
-    for nu, m in mult.items():
-        rows = frame.orbit_rows(nu)
-        total += m * len(rows)
-        for row in rows:
-            terms[Weight(row)] = m
+    blocks = [frame.orbit_rows(nu) for nu in mult]
+    sizes = [len(rows) for rows in blocks]
+    total = sum(m * k for m, k in zip(mult.values(), sizes))
     if total != dim:
         raise WeightError(
             f"character size {total} disagrees with the dimension formula {dim}")
-    return WeightPolynomial(terms)
+    coeffs = np.repeat(np.fromiter(mult.values(), np.int64, len(mult)), sizes)
+    return WeightPolynomial._of(np.concatenate(blocks), coeffs)
 
 
 def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
@@ -507,9 +557,7 @@ def symmetrize(datum: RootDatum, gamma: Weight,
     group = weyl_group(datum, guard)
     perm, sign, _ = group.arrays
     img = kernels.orbit_images(perm, sign, np.array(gamma, dtype=np.int64))
-    keys = kernels.pack_rows(img)
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return WeightPolynomial((Weight(img[i]), int(c)) for i, c in zip(first, counts))
+    return WeightPolynomial._of(img, np.ones(len(img), dtype=np.int64))
 
 
 def alternating_sum(levi: LeviDatum, gamma: Weight,
@@ -550,23 +598,36 @@ def decompose_character(owner, poly: WeightPolynomial,
     Repeatedly extracts a maximal dominant weight (maximal for the frame
     dominance order) and strips that many copies of its character.  Exact:
     raises if the multiset is not a nonnegative combination of characters.
+
+    Every other weight of a character lies strictly below its highest
+    weight, so it has smaller height against 2 rho of the frame; the
+    dominant weights of ``poly`` are therefore visited once, by decreasing
+    (height, weight).
     """
     frame = _frame_for(owner)
-    remaining = {w: c for w, c in poly}
+    keys, rows = poly._keys, poly._rows
+    remaining = poly._coeffs.copy()
     out: dict[Weight, int] = {}
-    while remaining:
-        cands = [w for w in remaining if frame.is_dominant(w)]
-        if not cands:
-            raise WeightError("multiset admits no dominant maximal weight")
-        top = max(cands, key=lambda w: (w.dot4(frame.two_rho), w))
-        m = remaining[top]
-        if m <= 0:
+    if not len(remaining):
+        return out
+    simple = np.array(frame.simple_roots, dtype=np.int64).reshape(-1, frame.n)
+    dominant = np.flatnonzero((rows @ simple.T >= 0).all(axis=1))
+    height = rows[dominant] @ np.array(frame.two_rho, dtype=np.int64)
+    # keys sort like the rows, so this is (height, weight), highest first
+    for i in dominant[np.lexsort((keys[dominant], height))[::-1]]:
+        m = int(remaining[i])
+        if m == 0:
+            continue
+        top = Weight(rows[i].tolist())
+        if m < 0:
             raise WeightError(f"negative multiplicity {m} at {top} while stripping")
+        char = weyl_character(owner, top, budget)
+        at = np.minimum(np.searchsorted(keys, char._keys), len(keys) - 1)
+        if not ((keys[at] == char._keys) & (remaining[at] != 0)).all():
+            raise WeightError(
+                f"character of {top} has weights outside the remaining multiset")
+        remaining[at] -= m * char._coeffs
         out[top] = m
-        for w, c in weyl_character(owner, top, budget):
-            c0 = remaining.get(w, 0) - m * c
-            if c0:
-                remaining[w] = c0
-            else:
-                remaining.pop(w, None)
+    if remaining.any():
+        raise WeightError("multiset admits no dominant maximal weight")
     return out

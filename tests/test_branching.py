@@ -143,6 +143,13 @@ class TestMFunction:
                 assert leading_term(levi_c2_gl2, mu)[0] == \
                     leading_term(levi_c2_gl2, nu)[0]
 
+    def test_coefficients_in_weight_order(self, levi_gl6_42, levi_b3_gl2_so3):
+        # build_m keeps signed_bucket's key order, which is the Weight order
+        for levi, mu in ((levi_gl6_42, Weight.of(5, 2, 2, 1, 4, 3)),
+                         (levi_b3_gl2_so3, Weight((-1, -3, 5)))):
+            support = [w for w, _ in build_m(levi, mu).coeffs]
+            assert len(support) > 1 and support == sorted(set(support))
+
     def test_poly_matches_term_by_term_sum(self, levi_c3_gl3):
         # independent expansion: signed sum of orbit sums over the Levi group
         mu = Weight.of(2, 0, -1)

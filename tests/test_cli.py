@@ -160,6 +160,12 @@ class TestConfigAndErrors:
         assert out.returncode == 3
         assert "guard" in out.stderr
 
+    def test_pack_range_exit(self):
+        out = run("mfun", "--system", "GL:6", "--levi", "1",
+                  "--mu", "300,0,0,0,0,-300", "--compact")
+        assert out.returncode == 3
+        assert out.stderr.startswith("guard:") and "512" in out.stderr
+
     def test_io_exit(self, tmp_path):
         out = run("compare", "--system", "C:2", "--levi", "1",
                   "--mu", "1,0", "--nu", "1,0",

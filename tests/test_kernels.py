@@ -72,6 +72,9 @@ def test_pack_rows_distinct_and_ranged():
     keys = K.pack_rows(rows)
     uniq_rows = {tuple(r) for r in rows}
     assert len(np.unique(keys)) == len(uniq_rows)
+    # key order is lexicographic row order
+    assert [tuple(r) for r in rows[np.argsort(keys, kind="stable")].tolist()] == \
+        sorted(tuple(r) for r in rows.tolist())
     with pytest.raises(K.PackRangeError):
         K.pack_rows(np.array([[1 << 40, 0]], dtype=np.int64))
 

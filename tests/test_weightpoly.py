@@ -1,17 +1,21 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levibranch import (Weight, WeightPolynomial, alternating_sum, build_levi,
-                        build_root_system, kostant_partition,
+from levibranch import (Weight, WeightPolynomial, alternating_sum, branch_row,
+                        build_levi, build_root_system, kostant_partition,
                         kostka_multiplicity, nabla_bar, symmetrize,
                         weyl_character, weyl_dim, weyl_group)
+from levibranch.kernels import PackRangeError
 from levibranch.rootsys import WeightError
 from levibranch.weightpoly import (BudgetError, PartitionTable,
-                                   chamber_cone_mask, dominant_multiplicities,
-                                   dominants_below, full_table,
-                                   kostka_by_kostant, levi_table)
+                                   chamber_cone_mask, decompose_character,
+                                   dominant_multiplicities, dominants_below,
+                                   full_table, kostka_by_kostant, levi_table)
 
 
 class TestWeightPolynomial:
@@ -44,6 +48,110 @@ class TestWeightPolynomial:
     def test_iteration_sorted(self):
         p = WeightPolynomial({Weight.of(3, 0): 1, Weight.of(-1, 2): 4})
         assert [w for w, _ in p] == sorted(p.support())
+
+    def test_pack_range_limit(self):
+        # rank 6 packs 10 bits per doubled coordinate: |c| < 512
+        inside = Weight((511, 0, 0, 0, 0, -511))
+        assert WeightPolynomial.monomial(inside).coefficient(inside) == 1
+        outside = Weight((512, 0, 0, 0, 0, 0))
+        with pytest.raises(PackRangeError, match=r"\|coordinate\| >= 512 .* rank 6"):
+            WeightPolynomial.monomial(outside)
+        with pytest.raises(PackRangeError, match="512"):
+            WeightPolynomial.from_rows(np.array([outside]), np.array([1]))
+        # looking a weight up never packs it into a failure
+        assert WeightPolynomial.monomial(inside).coefficient(outside) == 0
+        assert outside not in WeightPolynomial.monomial(inside)
+
+
+# -- property tests against a plain dict ------------------------------------
+
+RANK = 3
+_coord = st.integers(-6, 6)
+_weight = st.one_of(
+    st.tuples(*[_coord.map(lambda c: 2 * c)] * RANK),        # integral
+    st.tuples(*[_coord.map(lambda c: 2 * c + 1)] * RANK))    # spin
+_dict_poly = st.dictionaries(_weight, st.integers(-3, 3), max_size=8)
+_B3_GROUP = list(weyl_group(build_root_system("B", RANK)))
+
+
+def _ref_clean(d: dict) -> dict:
+    return {w: c for w, c in d.items() if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (wa, ca), (wb, cb) in itertools.product(a.items(), b.items()):
+        w = tuple(x + y for x, y in zip(wa, wb))
+        out[w] = out.get(w, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _as_dict(p: WeightPolynomial) -> dict:
+    return {tuple(w): c for w, c in p}
+
+
+@st.composite
+def _poly_pair(draw):
+    """Two polynomials whose sum cancels some terms exactly to zero."""
+    a = draw(_dict_poly)
+    b = draw(_dict_poly)
+    for w in draw(st.lists(st.sampled_from(sorted(a)), unique=True) if a else st.just([])):
+        b[w] = -a[w]
+    return a, b
+
+
+class TestWeightPolynomialProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_poly_pair(), st.integers(-4, 4))
+    def test_ring_ops_match_dict(self, pair, k):
+        a, b = pair
+        pa, pb = WeightPolynomial(a), WeightPolynomial(b)
+        assert _as_dict(pa) == _ref_clean(a)
+        assert _as_dict(pa + pb) == _ref_add(a, b)
+        assert _as_dict(pa - pb) == _ref_add(a, b, -1)
+        assert _as_dict(pa * pb) == _ref_mul(a, b)
+        assert _as_dict(k * pa) == _as_dict(pa * k) == _ref_clean(
+            {w: k * c for w, c in a.items()})
+        assert _as_dict(-pa) == _ref_clean({w: -c for w, c in a.items()})
+        assert not (pa - pa) and (pa - pa) == WeightPolynomial.zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dict_poly, st.sampled_from(_B3_GROUP))
+    def test_apply_matches_dict(self, a, w):
+        want = _ref_clean({tuple(w.act(Weight(b))): c for b, c in a.items()})
+        assert _as_dict(WeightPolynomial(a).apply(w)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dict_poly, st.randoms(use_true_random=False))
+    def test_equality_hash_and_order(self, a, rnd):
+        items = list(a.items())
+        rnd.shuffle(items)
+        p, q = WeightPolynomial(a), WeightPolynomial(items)
+        assert p == q and hash(p) == hash(q)
+        assert [w for w, _ in p] == sorted(p.support())
+        assert len(p) == len(_ref_clean(a))
+        for w, c in a.items():
+            assert p.coefficient(Weight(w)) == c and (Weight(w) in p) == bool(c)
+        if p:
+            bumped = dict(a)
+            w0 = next(w for w, c in a.items() if c)
+            bumped[w0] += 1
+            assert WeightPolynomial(bumped) != p
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dict_poly)
+    def test_json_roundtrip_byte_identical(self, a):
+        p = WeightPolynomial(a)
+        blob = json.dumps(p.to_json())
+        back = WeightPolynomial.from_json(json.loads(blob))
+        assert back == p and json.dumps(back.to_json()) == blob
 
 
 class TestPartitionTable:
@@ -86,15 +194,21 @@ class TestPartitionTable:
             assert fresh.values[w] == v
             assert fresh.count(w) == v
 
-    def test_cone_mask_matches_scalar(self, rng):
-        for family, rank in (("GL", 3), ("B", 2), ("C", 3), ("D", 4)):
+    def test_cone_mask_matches_scalar(self):
+        # every row of doubled coordinates in [-bound, bound], so true
+        # coordinates -6..6 up to rank 3, odd (spin and mixed) rows included
+        cases = [(family, rank, 12) for family in ("GL", "B", "C", "D")
+                 for rank in (1, 2, 3) if not (family == "D" and rank == 1)]
+        cases += [("GL", 4, 6), ("D", 4, 6), ("GL", 6, 2)]
+        for family, rank, bound in cases:
             datum = build_root_system(family, rank)
-            rows = np.array([[rng.randint(-8, 8) for _ in range(rank)]
-                             for _ in range(200)], dtype=np.int64)
+            rows = np.array(list(itertools.product(range(-bound, bound + 1),
+                                                   repeat=rank)), dtype=np.int64)
             mask = chamber_cone_mask(family, rows)
             zero = Weight.zero(rank)
-            for row, bit in zip(rows, mask):
-                assert bool(bit) == datum.dominance_leq(zero, Weight(row))
+            for row, bit in zip(rows.tolist(), mask):
+                assert bool(bit) == datum.dominance_leq(zero, Weight(row)), \
+                    (family, row)
 
 
 class TestCharacters:
@@ -146,6 +260,39 @@ class TestCharacters:
     def test_requires_dominant(self, c3):
         with pytest.raises(WeightError):
             weyl_character(c3, Weight.of(0, 1, 0))
+
+
+class TestDecompose:
+    def test_not_levi_symmetric(self, levi_c3_gl3):
+        # the character of (1,0,0) also has weight (0,0,1)
+        poly = WeightPolynomial({Weight.of(1, 0, 0): 1, Weight.of(0, 1, 0): 1})
+        with pytest.raises(WeightError, match="outside the remaining multiset"):
+            decompose_character(levi_c3_gl3, poly)
+
+    def test_negative_top(self, levi_c3_gl3):
+        poly = -weyl_character(levi_c3_gl3, Weight.of(1, 0, 0))
+        with pytest.raises(WeightError, match="negative multiplicity -1"):
+            decompose_character(levi_c3_gl3, poly)
+
+    def test_negative_leftovers(self, levi_c3_gl3):
+        # two copies at the top but one at the lower weights
+        poly = (weyl_character(levi_c3_gl3, Weight.of(1, 0, 0))
+                + WeightPolynomial.monomial(Weight.of(1, 0, 0)))
+        with pytest.raises(WeightError, match="no dominant maximal weight"):
+            decompose_character(levi_c3_gl3, poly)
+
+    @pytest.mark.parametrize("fixture,lam", [
+        ("levi_c3_gl3", Weight.of(2, 1, 0)),
+        ("levi_b3_gl2_so3", Weight((3, 1, 1))),
+    ])
+    def test_matches_branch_rows(self, fixture, lam, request):
+        levi = request.getfixturevalue(fixture)
+        got = decompose_character(levi, weyl_character(levi.parent, lam))
+        assert sum(m * weyl_dim(levi, mu) for mu, m in got.items()) == \
+            weyl_dim(levi.parent, lam)
+        for mu, m in got.items():
+            row = branch_row(levi, mu, k=3)
+            assert lam in row.box and row.entries[lam] == m
 
 
 class TestKostka:
