@@ -13,7 +13,7 @@ from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       build_levi, build_root_system, coroot_pairing,
-                      dominance_leq, pairing, parse_system)
+                      pairing, parse_system)
 from .typea_lr import (Partition, SignedSplit, inverse_kostka,
                        kostka_number, lr_coefficient, multi_lr,
                        polarisation_branch, split_signed)
@@ -34,7 +34,7 @@ __all__ = [
     "alternating_sum", "branch_by_restriction", "branch_multiplicity",
     "branch_row", "build_levi", "build_m", "build_root_system",
     "classify_pair", "coroot_pairing", "coset_decompose",
-    "diagram_automorphisms", "dominance_leq", "dominant_box",
+    "diagram_automorphisms", "dominant_box",
     "dominant_representative", "dot_act", "e_set", "enumerate_group",
     "far_from_walls", "induced_equal", "inverse_kostka", "kostant_partition",
     "kostka_multiplicity", "kostka_number", "leading_term", "lr_coefficient",

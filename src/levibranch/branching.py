@@ -24,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .rootsys import LeviDatum, Weight, WeightError
+from .rootsys import LeviDatum, Weight, WeightError, chamber_cone_mask
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
-                         chamber_cone_mask, decompose_character, levi_table,
-                         signed_bucket, weyl_character)
+                         decompose_character, levi_table, signed_bucket,
+                         weyl_character)
 from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative,
                       levi_group, stabilizer_subgroup, weyl_group)
 
@@ -141,9 +141,11 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
     datum = levi.parent
     top = mu + k * datum.highest_root
     _, anchor = dominant_representative(datum, top)
-    box = [lam for lam in dominants_below(datum, anchor)
-           if datum.dominance_leq(mu, lam) and datum.dominance_leq(lam, top)]
-    return tuple(sorted(box))
+    cands = dominants_below(datum, anchor)
+    rows = np.array(cands, dtype=np.int64)
+    keep = (chamber_cone_mask(datum.family, rows - np.array(mu, dtype=np.int64))
+            & chamber_cone_mask(datum.family, np.array(top, dtype=np.int64) - rows))
+    return tuple(lam for lam, ok in zip(cands, keep) if ok)
 
 
 def branch_row(levi: LeviDatum, mu: Weight, k: int = 2,
@@ -250,15 +252,18 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     code = kernels.FAMILY_CODE[datum.family]
     dom = kernels.dominant_rows(rows, code)
     urows, sums = signed_bucket(dom, eps)
-    coeffs = tuple((Weight(r), s) for r, s in zip(urows.tolist(), sums.tolist()) if s)
+    keep = sums != 0
+    urows, sums = urows[keep], sums[keep]
+    coeffs = tuple(zip(map(Weight, urows.tolist()), sums.tolist()))
     fn = MFunction(levi, mu, coeffs)
     lam_top, lead = leading_term(levi, mu)
     table = dict(coeffs)
     if table.get(lam_top) != lead:
         raise WeightError(f"leading coefficient of M at {mu} is not {lead}")
-    for w in table:
-        if w != lam_top and not datum.dominance_leq(w, lam_top):
-            raise WeightError(f"M-term {w} not dominated by the leading {lam_top}")
+    below = chamber_cone_mask(datum.family, np.array(lam_top, dtype=np.int64) - urows)
+    if not below.all():
+        w = Weight(urows[int(np.argmin(below))].tolist())
+        raise WeightError(f"M-term {w} not dominated by the leading {lam_top}")
     if self_check:
         _check_dual_construction(levi, mu, table)
     return fn

@@ -164,7 +164,8 @@ def cmd_search(args) -> int:
         if os.path.exists(args.certificates):
             with open(args.certificates, "r+b") as fh:
                 fh.truncate(offset)
-    sink = open(args.certificates, "a") if args.certificates else None
+    # line-buffered, so every finished group is on disk before the next starts
+    sink = open(args.certificates, "a", buffering=1) if args.certificates else None
     try:
         summary = search_box(levi, args.bound, sink=sink, threads=cfg.threads,
                              guard=cfg.guard, resume_keys=resume)
@@ -242,8 +243,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="levibranch",
         description="Exact branching to Levi subalgebras and induced-character "
                     "equality for the classical families")
-    parser.add_argument("--backend-info", action="store_true",
-                        help="print the active kernel backend and exit")
     sub = parser.add_subparsers(dest="command")
 
     def common(p, needs_levi=True):
@@ -316,9 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.backend_info:
-        sys.stdout.write(f"kernel backend: {kernels.BACKEND}\n")
-        return EXIT_OK
     if not getattr(args, "command", None):
         parser.print_help()
         return EXIT_VALIDATION

@@ -203,8 +203,10 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     Weights are grouped by their dominant representative (pairs in distinct
     Weyl orbits can never be equal); groups are processed in deterministic
     order and every equal pair is emitted as one verdict.  ``sink`` receives
-    one JSON line per verdict plus one group-completion marker per group, so
-    interrupted scans can be resumed by replaying the markers.
+    one JSON line per verdict plus one group-completion marker per group,
+    written as soon as that group is done, so interrupted scans can be
+    resumed by replaying the markers.  ``sink`` needs only ``write``; the
+    caller chooses its buffering.
     """
     t0 = time.monotonic()
     datum = levi.parent
@@ -228,15 +230,7 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
                 verdicts.append(classify_pair(levi, mu, nu, guard, cache))
         return key, tested, verdicts
 
-    todo = [k for k in keys if k not in resume_keys]
-    summary.skipped_groups = len(keys) - len(todo)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(process, todo))
-    else:
-        results = [process(k) for k in todo]
-
-    for key, tested, verdicts in results:
+    def record(key: Weight, tested: int, verdicts: list):
         summary.pairs_tested += tested
         for v in verdicts:
             summary.equal_pairs += 1
@@ -250,6 +244,16 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         if sink is not None:
             sink.write(json.dumps(
                 {"group_done": key.to_json(), "pairs": tested}, sort_keys=True) + "\n")
+
+    todo = [k for k in keys if k not in resume_keys]
+    summary.skipped_groups = len(keys) - len(todo)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for result in pool.map(process, todo):  # in order, as each finishes
+                record(*result)
+    else:
+        for key in todo:
+            record(*process(key))
     summary.wall_clock_s = time.monotonic() - t0
     return summary
 

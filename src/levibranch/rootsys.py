@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 FAMILIES = ("GL", "B", "C", "D")
 
 
@@ -189,8 +191,13 @@ class RootDatum:
         return alpha in _positive_set(self)
 
     def dominance_leq(self, gamma: Weight, beta: Weight) -> bool:
-        """gamma <= beta iff beta - gamma is an N-combination of positive roots."""
-        return _chamber_leq(self.family, self.rank, beta - gamma)
+        """gamma <= beta iff beta - gamma is an N-combination of positive roots.
+
+        A one-row call of ``chamber_cone_mask``; callers with many pairs
+        should call the mask on all differences at once.
+        """
+        delta = np.array([beta - gamma], dtype=np.int64)
+        return bool(chamber_cone_mask(self.family, delta)[0])
 
 
 @lru_cache(maxsize=None)
@@ -244,74 +251,30 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     return RootDatum(family, n, tuple(simple), tuple(pos), rho)
 
 
-def _chamber_leq(family: str, n: int, delta: Weight) -> bool:
-    """Is ``delta`` an N-combination of the positive roots of the family?
+def chamber_cone_mask(family: str, rows: np.ndarray) -> np.ndarray:
+    """Rows that are N-combinations of the family's positive roots.
 
-    Triangular coordinate test: prefix sums against the fundamental
-    coweights plus the root-lattice condition.
+    Triangular test on the rows of doubled coordinates: prefix sums against
+    the fundamental coweights plus the root-lattice condition.
     """
-    if any(c % 2 for c in delta):
-        return False  # difference not in the (integral) root lattice
-    d = [c // 2 for c in delta]
-    s = list(itertools.accumulate(d))
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    even = (rows & 1 == 0).all(axis=1)
+    h = np.where(even[:, None], rows >> 1, 0)
+    s = np.cumsum(h, axis=1)
     if family == "GL":
-        return s[-1] == 0 and all(x >= 0 for x in s[:-1])
-    if family == "B":
-        return all(x >= 0 for x in s)
-    if family == "C":
-        return s[-1] % 2 == 0 and all(x >= 0 for x in s)
-    # D
-    if s[-1] % 2 != 0:
-        return False
-    if any(x < 0 for x in s[: n - 2]):
-        return False
-    before = s[-2] if n >= 2 else 0
-    return before - d[-1] >= 0 and before + d[-1] >= 0
-
-
-# -- generic cone membership (for subsets of the positive roots) ---------
-
-_CONE_MEMO: dict = {}
-
-
-def dominance_leq(datum: RootDatum, gamma: Weight, beta: Weight,
-                  roots: tuple[Weight, ...] | None = None) -> bool:
-    """gamma <= beta over ``roots`` (default: the full positive system).
-
-    ``roots`` must be a subset of the positive roots of ``datum``; the
-    membership test is a depth-first search memoised per root set and
-    bounded by the height of ``beta - gamma``.
-    """
-    if roots is None:
-        return datum.dominance_leq(gamma, beta)
-    delta = beta - gamma
-    fvec = Weight.of(*range(datum.rank, 0, -1))
-    for r in roots:
-        if r not in _positive_set(datum):
-            raise RootSystemError(f"{r} is not a positive root of {datum.describe()}")
-    memo = _CONE_MEMO.setdefault((datum.family, datum.rank, tuple(roots)), {})
-    roots = tuple(sorted(roots))
-
-    def member(delta: Weight, k: int) -> bool:
-        if delta.is_zero():
-            return True
-        if k == 0:
-            return False
-        key = (delta, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = member(delta, k - 1)
-        if not res:
-            nxt = delta - roots[k - 1]
-            if nxt.dot4(fvec) >= 0:
-                res = member(nxt, k)
-        memo[key] = res
-        return res
-
-    if delta.dot4(fvec) < 0:
-        return False
-    return member(delta, len(roots))
+        ok = (s[:, :-1] >= 0).all(axis=1) & (s[:, -1] == 0) if n > 1 else (s[:, -1] == 0)
+    elif family == "B":
+        ok = (s >= 0).all(axis=1)
+    elif family == "C":
+        ok = (s >= 0).all(axis=1) & (s[:, -1] % 2 == 0)
+    else:  # D
+        ok = (s[:, -1] % 2 == 0)
+        if n > 2:
+            ok &= (s[:, : n - 2] >= 0).all(axis=1)
+        before = s[:, -2] if n >= 2 else np.zeros(len(rows), dtype=np.int64)
+        ok &= (before - h[:, -1] >= 0) & (before + h[:, -1] >= 0)
+    return even & ok
 
 
 # -- Levi subsystems ------------------------------------------------------
@@ -375,12 +338,6 @@ class LeviDatum:
         for comp in self.components:
             order *= _component_weyl_order(comp)
         return order
-
-    def preceq(self, gamma: Weight, beta: Weight) -> bool:
-        """gamma ``preceq`` beta: beta - gamma is an N-combination of rbar_plus."""
-        if not self.rbar_plus:
-            return gamma == beta
-        return dominance_leq(self.parent, gamma, beta, self.rbar_plus)
 
     def standard_gl_blocks(self) -> tuple[tuple[int, ...], ...] | None:
         """Consecutive GL coordinate blocks partitioning the ambient space.

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      coroot_pairing)
+                      chamber_cone_mask, coroot_pairing)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, levi_group,
                       weyl_group)
 
@@ -232,33 +232,6 @@ def signed_bucket(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.
     return rows[first], sums
 
 
-# -- vectorised chamber cone test -------------------------------------------
-
-def chamber_cone_mask(family: str, rows: np.ndarray) -> np.ndarray:
-    """Rows expressible as N-combinations of the family's positive roots.
-
-    Vectorised version of the triangular test; rows carry doubled coordinates.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[1]
-    even = (rows & 1 == 0).all(axis=1)
-    h = np.where(even[:, None], rows >> 1, 0)
-    s = np.cumsum(h, axis=1)
-    if family == "GL":
-        ok = (s[:, :-1] >= 0).all(axis=1) & (s[:, -1] == 0) if n > 1 else (s[:, -1] == 0)
-    elif family == "B":
-        ok = (s >= 0).all(axis=1)
-    elif family == "C":
-        ok = (s >= 0).all(axis=1) & (s[:, -1] % 2 == 0)
-    else:  # D
-        ok = (s[:, -1] % 2 == 0)
-        if n > 2:
-            ok &= (s[:, : n - 2] >= 0).all(axis=1)
-        before = s[:, -2] if n >= 2 else np.zeros(len(rows), dtype=np.int64)
-        ok &= (before - h[:, -1] >= 0) & (before + h[:, -1] >= 0)
-    return even & ok
-
-
 # -- partition tables ---------------------------------------------------------
 
 class PartitionTable:
@@ -280,13 +253,7 @@ class PartitionTable:
         for r in self._roots_arr:
             if int(self._fcoef @ r) <= 0:
                 raise WeightError(f"root {tuple(r)} has nonpositive height functional")
-        self._use_numba = kernels.HAVE_NUMBA and rank <= 8
-        if self._use_numba:
-            self._batch = kernels.kostant_batch
-            self._memo = kernels.new_memo()
-        else:
-            self._batch = kernels.kostant_batch_python
-            self._memo = kernels.new_memo_python()
+        self._memo: dict = {}
         self._lock = threading.Lock()
         self.values: dict[Weight, int] = {}
 
@@ -300,7 +267,7 @@ class PartitionTable:
     def count_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         with self._lock:
-            out = self._batch(rows, self._roots_arr, self._fcoef, self._memo)
+            out = kernels.kostant_batch(rows, self._roots_arr, self._fcoef, self._memo)
             for row, v in zip(rows, out):
                 self.values[Weight(row)] = int(v)
         return out
@@ -332,10 +299,7 @@ class PartitionTable:
                 w = Weight(int(x) for x in parts[:-1])
                 v = int(parts[-1])
                 self.values[w] = v
-                if self._use_numba:
-                    self._memo[kernels.key3_py(w, m)] = v
-                else:
-                    self._memo[(tuple(w), m)] = v
+                self._memo[(tuple(w), m)] = v
                 loaded += 1
         return loaded
 

@@ -1,8 +1,40 @@
 import random
+from functools import lru_cache
 
 import pytest
 
-from levibranch import build_levi, build_root_system
+from levibranch import Weight, build_levi, build_root_system
+
+
+@lru_cache(maxsize=None)
+def _cone_closure(family: str, rank: int, hmax: int) -> frozenset:
+    """Closure of {0} under adding positive roots, up to height ``hmax``.
+
+    The height is the pairing with (n, ..., 1) on doubled coordinates; it is
+    positive on every positive root, so the closure is finite and holds
+    every N-combination of positive roots of height at most ``hmax``.
+    """
+    datum = build_root_system(family, rank)
+    fvec = Weight(range(rank, 0, -1))
+    roots = [(a, a.dot4(fvec)) for a in datum.positive_roots]
+    seen = {Weight.zero(rank): 0}
+    frontier = list(seen.items())
+    while frontier:
+        nxt = []
+        for v, h in frontier:
+            for a, ha in roots:
+                if h + ha <= hmax:
+                    w = v + a
+                    if w not in seen:
+                        seen[w] = h + ha
+                        nxt.append((w, h + ha))
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.fixture(scope="session")
+def cone_closure():
+    return _cone_closure
 
 
 @pytest.fixture

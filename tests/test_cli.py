@@ -1,15 +1,21 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 CLI = [sys.executable, "-m", "levibranch.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 
 def run(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=ENV, **kw)
 
 
 class TestBranchCommand:
@@ -93,6 +99,31 @@ class TestSearchCommand:
         assert out.returncode == 0
         assert partial.read_text() == full.read_text()
 
+    def test_killed_scan_resumes_byte_identical(self, tmp_path):
+        scan = ("search", "--system", "D:5", "--levi", "1,2,4,5", "--bound", "2")
+        full = tmp_path / "full.jsonl"
+        assert run(*scan, "--certificates", str(full)).returncode == 0
+        markers = full.read_text().count('"group_done"')
+        killed = tmp_path / "killed.jsonl"
+        child = subprocess.Popen(CLI + list(scan) + ["--certificates", str(killed)],
+                                 stdout=subprocess.DEVNULL, env=ENV)
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline and child.poll() is None:
+                if killed.exists() and '"group_done"' in killed.read_text():
+                    break
+                time.sleep(0.005)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.wait()
+        # the kill landed mid-scan: some groups on disk, not all of them
+        assert child.returncode == -signal.SIGKILL
+        assert 1 <= killed.read_text().count('"group_done"') < markers
+        out = run(*scan, "--certificates", str(killed), "--resume")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["skipped_groups"] >= 1
+        assert killed.read_bytes() == full.read_bytes()
+
     def test_threaded_output_identical(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run("search", "--system", "GL:4", "--levi", "1,3", "--bound", "2",
@@ -174,14 +205,3 @@ class TestConfigAndErrors:
 
     def test_missing_system(self):
         assert run("autos").returncode == 2
-
-    def test_backend_info(self):
-        out = run("--backend-info")
-        assert out.returncode == 0
-        assert out.stdout.startswith("kernel backend:")
-
-    def test_numpy_backend_env(self):
-        env = dict(os.environ, LEVIBRANCH_NUMBA="0")
-        out = subprocess.run(CLI + ["--backend-info"], capture_output=True,
-                             text=True, env=env)
-        assert out.stdout.strip() == "kernel backend: numpy"

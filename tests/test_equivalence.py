@@ -3,11 +3,14 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levibranch import (Weight, build_levi, build_root_system, classify_pair,
+from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
+                        build_levi, build_m, build_root_system, classify_pair,
                         diagram_automorphisms, dominant_box,
-                        dominant_representative, induced_equal, leading_term,
-                        relating_automorphism, search_box)
+                        dominant_representative, equivalence, induced_equal,
+                        leading_term, relating_automorphism, search_box)
 from levibranch.equivalence import (FAR_FROM_WALLS, MU_2RHO_DOMINANT, NONE,
                                     POLARISATION, SAME_CHAMBER, TYPE_A,
                                     replay_resume_state, same_closed_chamber)
@@ -163,9 +166,69 @@ class TestSearch:
         rerun = search_box(levi_c2_gl2, 3, resume_keys=done)
         assert rerun.pairs_tested == 0 and rerun.skipped_groups == summary.groups
 
+    def test_groups_stream_to_a_write_only_sink(self, levi_b3_gl2_so3, monkeypatch):
+        tested = []
+        real = equivalence.induced_equal
+        monkeypatch.setattr(equivalence, "induced_equal",
+                            lambda *a, **k: tested.append(a) or real(*a, **k))
+
+        class WriteOnly:
+            def __init__(self):
+                self.lines, self.at_marker = [], []
+
+            def write(self, line):
+                self.lines.append(line)
+                if "group_done" in line:
+                    self.at_marker.append(len(tested))
+
+        sink = WriteOnly()
+        summary = search_box(levi_b3_gl2_so3, 2, sink=sink)
+        # each marker is written when its group is done, before later groups run
+        assert len(sink.at_marker) == summary.groups
+        assert sink.at_marker == sorted(sink.at_marker)
+        assert sink.at_marker[0] < sink.at_marker[-1] == len(tested)
+        buf = io.StringIO()
+        search_box(levi_b3_gl2_so3, 2, sink=buf)
+        assert "".join(sink.lines) == buf.getvalue()
+
     def test_box_contents(self, levi_b3_gl2_so3):
         box = dominant_box(levi_b3_gl2_so3, 2)
         assert all(levi_b3_gl2_so3.is_dominant(mu) for mu in box)
         assert all(max(abs(c) for c in mu) <= 4 for mu in box)  # doubled
         assert any(not mu.is_integral() for mu in box)  # spin class present
         assert len(set(box)) == len(box)
+
+
+# -- property tests of the easy direction --------------------------------------
+
+_B3_SO3 = build_levi(build_root_system("B", 3), [1, 3])
+_C3_GL3 = build_levi(build_root_system("C", 3), [1, 2])
+_D4_GL4 = build_levi(build_root_system("D", 4), [1, 2, 3])
+_LEVI_WEIGHTS = [(levi, mu) for levi in (_B3_SO3, _C3_GL3, _D4_GL4)
+                 for mu in dominant_box(levi, 3)]  # spin weights on B3 and D4
+
+
+class TestEasyDirectionProperties:
+    """A diagram automorphism u in W maps mu to a weight with the same M."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_LEVI_WEIGHTS))
+    def test_automorphism_images_share_m(self, case):
+        levi, mu = case
+        m = build_m(levi, mu)
+        for u in diagram_automorphisms(levi):
+            nu = u.act(mu)
+            assert levi.is_dominant(nu)
+            assert build_m(levi, nu).coeffs == m.coeffs
+            assert induced_equal(levi, mu, nu)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    def test_weyl_sum_equals_restriction(self, coords):
+        lam = Weight.of(*sorted(coords, reverse=True))
+        row = branch_by_restriction(_C3_GL3, lam)
+        # every weight of the lam module lies in the box of bound lam_1
+        box = dominant_box(_C3_GL3, max(coords))
+        assert set(row) <= set(box)
+        for mu in box:
+            assert branch_multiplicity(_C3_GL3, lam, mu) == row.get(mu, 0), mu

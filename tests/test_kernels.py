@@ -1,59 +1,100 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from levibranch import Weight, build_root_system, dominant_representative, weyl_group
+from levibranch import (Weight, build_levi, build_root_system,
+                        dominant_representative, weyl_group)
 from levibranch import kernels as K
 
 
-@pytest.fixture(scope="module")
-def c4_arrays():
-    return weyl_group(build_root_system("C", 4)).arrays
-
-
-def test_orbit_twins_agree(c4_arrays):
-    perm, sign, _ = c4_arrays
-    vec = np.array(Weight.of(5, 3, 2, -1), dtype=np.int64)
-    assert np.array_equal(K.orbit_images(perm, sign, vec),
-                          K.orbit_images_numpy(perm, sign, vec))
-
-
-@pytest.mark.parametrize("code", [0, 1, 2])
-def test_dominant_twins_agree(code):
-    rng = np.random.default_rng(11)
-    rows = (rng.integers(-9, 10, size=(800, 5)) * 2).astype(np.int64)
-    assert np.array_equal(K.dominant_rows(rows.copy(), code),
-                          K.dominant_rows_numpy(rows.copy(), code))
+@pytest.mark.parametrize("family,rank,vec", [
+    ("C", 4, Weight.of(5, 3, 2, -1)),
+    ("GL", 4, Weight.of(2, 0, 0, -1)),
+    ("D", 4, Weight((5, 3, 1, -1))),
+    ("B", 3, Weight((3, -1, 1)))], ids=["C4", "GL4", "D4-spin", "B3-spin"])
+def test_orbit_images_match_group_action(family, rank, vec):
+    group = weyl_group(build_root_system(family, rank))
+    perm, sign, _ = group.arrays
+    img = K.orbit_images(perm, sign, np.array(vec, dtype=np.int64))
+    assert img.shape == (len(group), rank)
+    for u, row in zip(group, img.tolist()):
+        assert Weight(row) == u.act(vec)
 
 
 @pytest.mark.parametrize("family,code", [("GL", 0), ("B", 1), ("C", 1), ("D", 2)])
 def test_dominant_rows_match_group_normal_form(family, code):
-    rank = 4 if family == "D" else 3
-    datum = build_root_system(family, rank)
+    datum = build_root_system(family, 5)
     rng = np.random.default_rng(23)
-    rows = (rng.integers(-6, 7, size=(120, rank)) * 2).astype(np.int64)
+    # doubled coordinates: integral, spin and mixed rows alike
+    rows = rng.integers(-12, 13, size=(400, 5)).astype(np.int64)
     out = K.dominant_rows(rows.copy(), code)
     for row, dom in zip(rows, out):
         _, lam = dominant_representative(datum, Weight(row))
         assert Weight(dom) == lam
 
 
-def test_kostant_twins_agree():
-    datum = build_root_system("B", 3)
-    roots = np.array(datum.positive_roots, dtype=np.int64)
-    f = np.arange(3, 0, -1, dtype=np.int64)
-    rng = np.random.default_rng(3)
-    args = (rng.integers(-2, 8, size=(300, 3)) * 2).astype(np.int64)
-    r1 = K.kostant_batch(args, roots, f, K.new_memo())
-    r2 = K.kostant_batch_python(args, roots, f, K.new_memo_python())
-    assert np.array_equal(r1, r2)
-    assert r1.sum() > 0
+def _enumerate_combinations(roots, fcoef, hmax):
+    """Count every N-combination of ``roots`` of height at most ``hmax``.
+
+    Brute force over the multiplicity of each root in turn; independent of
+    the memoised DP in ``kostant_batch``.
+    """
+    counts = Counter()
+    heights = [int(fcoef @ r) for r in roots]
+
+    def rec(j, vec, h):
+        if j == len(roots):
+            counts[vec] += 1
+            return
+        while h <= hmax:
+            rec(j + 1, vec, h)
+            vec = tuple(a + b for a, b in zip(vec, roots[j]))
+            h += heights[j]
+
+    rec(0, (0,) * len(fcoef), 0)
+    return counts
+
+
+def _complement(family, rank, sbar):
+    levi = build_levi(build_root_system(family, rank), sbar)
+    return [a for a in levi.parent.positive_roots if a not in set(levi.rbar_plus)]
+
+
+@pytest.mark.parametrize("rank,roots", [
+    (4, build_root_system("GL", 4).positive_roots),
+    (3, build_root_system("B", 3).positive_roots),
+    (3, build_root_system("C", 3).positive_roots),
+    (4, build_root_system("D", 4).positive_roots),
+    (3, _complement("C", 3, [1, 2])),
+    (3, ())], ids=["GL4", "B3", "C3", "D4", "C3-gl3-complement", "no-roots"])
+def test_kostant_batch_matches_enumeration(rank, roots):
+    roots = np.array(roots, dtype=np.int64).reshape(len(roots), rank)
+    fcoef = np.arange(rank, 0, -1, dtype=np.int64)
+    hmax = 20
+    brute = _enumerate_combinations(roots.tolist(), fcoef, hmax)
+    # every counted vector, plus a box of integral, spin and mixed rows
+    box = [r for r in itertools.product(range(-3, 4), repeat=rank)
+           if int(fcoef @ np.array(r)) <= hmax]
+    rows = np.array(sorted(set(brute) | set(box)), dtype=np.int64)
+    expected = [brute.get(tuple(r), 0) for r in rows.tolist()]
+    memo: dict = {}
+    half = len(rows) // 2
+    got = np.concatenate([K.kostant_batch(rows[:half], roots, fcoef, memo),
+                          K.kostant_batch(rows[half:], roots, fcoef, memo)])
+    assert got.tolist() == expected
+    # a fresh memo gives the same counts in the reverse order
+    assert K.kostant_batch(rows[::-1], roots, fcoef, {}).tolist() == expected[::-1]
+    # the empty root list writes only 0 as its empty sum
+    assert max(expected) > 2 if len(roots) else expected.count(1) == 1
 
 
 def test_kostant_empty_roots():
     roots = np.zeros((0, 3), dtype=np.int64)
     f = np.arange(3, 0, -1, dtype=np.int64)
     args = np.array([[0, 0, 0], [2, 0, -2]], dtype=np.int64)
-    out = K.kostant_batch(args, roots, f, K.new_memo())
+    out = K.kostant_batch(args, roots, f, {})
     assert list(out) == [1, 0]
 
 
@@ -62,7 +103,7 @@ def test_spin_arguments_count_zero():
     roots = np.array(datum.positive_roots, dtype=np.int64)
     f = np.array([2, 1], dtype=np.int64)
     args = np.array([[3, 1], [1, 1]], dtype=np.int64)  # half-integral rows
-    out = K.kostant_batch(args, roots, f, K.new_memo())
+    out = K.kostant_batch(args, roots, f, {})
     assert list(out) == [0, 0]
 
 
@@ -77,8 +118,3 @@ def test_pack_rows_distinct_and_ranged():
         sorted(tuple(r) for r in rows.tolist())
     with pytest.raises(K.PackRangeError):
         K.pack_rows(np.array([[1 << 40, 0]], dtype=np.int64))
-
-
-def test_backend_flag_reported():
-    assert K.BACKEND in ("numba", "numpy")
-    assert K.BACKEND == ("numba" if K.HAVE_NUMBA else "numpy")

@@ -194,9 +194,10 @@ class TestPartitionTable:
             assert fresh.values[w] == v
             assert fresh.count(w) == v
 
-    def test_cone_mask_matches_scalar(self):
+    def test_cone_mask_matches_scalar(self, cone_closure):
         # every row of doubled coordinates in [-bound, bound], so true
-        # coordinates -6..6 up to rank 3, odd (spin and mixed) rows included
+        # coordinates -6..6 up to rank 3, odd (spin and mixed) rows included,
+        # against the closure of {0} under adding positive roots
         cases = [(family, rank, 12) for family in ("GL", "B", "C", "D")
                  for rank in (1, 2, 3) if not (family == "D" and rank == 1)]
         cases += [("GL", 4, 6), ("D", 4, 6), ("GL", 6, 2)]
@@ -204,11 +205,18 @@ class TestPartitionTable:
             datum = build_root_system(family, rank)
             rows = np.array(list(itertools.product(range(-bound, bound + 1),
                                                    repeat=rank)), dtype=np.int64)
+            height = rows @ np.arange(rank, 0, -1)
+            # GL roots span only the rows of coordinate sum 0; the closure
+            # must reach the greatest height of a box row in that span
+            span = rows.sum(axis=1) == 0 if family == "GL" else np.ones(len(rows), bool)
+            closure = cone_closure(family, rank, int(height[span].max()))
             mask = chamber_cone_mask(family, rows)
-            zero = Weight.zero(rank)
             for row, bit in zip(rows.tolist(), mask):
-                assert bool(bit) == datum.dominance_leq(zero, Weight(row)), \
-                    (family, row)
+                assert bool(bit) == (tuple(row) in closure), (family, row)
+            # the one-row method is the same test
+            zero = Weight.zero(rank)
+            for row in rows[::97].tolist():
+                assert datum.dominance_leq(zero, Weight(row)) == (tuple(row) in closure)
 
 
 class TestCharacters:
