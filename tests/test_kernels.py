@@ -23,6 +23,29 @@ def test_orbit_images_match_group_action(family, rank, vec):
         assert Weight(row) == u.act(vec)
 
 
+def _chamber(rows, code):
+    """Rows in the closed dominant chamber of the family with ``code``."""
+    steps = rows[:, :-1] >= rows[:, 1:]
+    if code == 0:
+        return steps.all(axis=1)
+    if code == 1:
+        return steps.all(axis=1) & (rows[:, -1] >= 0)
+    return steps[:, :-1].all(axis=1) & (rows[:, -2] >= np.abs(rows[:, -1]))
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_dominant_twins_agree(code):
+    # the closed form against a scan of the whole Weyl orbit of each row
+    family = {0: "GL", 1: "B", 2: "D"}[code]
+    perm, sign, _ = weyl_group(build_root_system(family, 5)).arrays
+    rng = np.random.default_rng(11)
+    rows = (rng.integers(-9, 10, size=(800, 5)) * 2).astype(np.int64)
+    out = K.dominant_rows(rows.copy(), code)
+    for row, dom in zip(rows, out):
+        img = K.orbit_images(perm, sign, row)
+        assert {tuple(r) for r in img[_chamber(img, code)].tolist()} == {tuple(dom.tolist())}
+
+
 @pytest.mark.parametrize("family,code", [("GL", 0), ("B", 1), ("C", 1), ("D", 2)])
 def test_dominant_rows_match_group_normal_form(family, code):
     datum = build_root_system(family, 5)

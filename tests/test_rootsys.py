@@ -288,6 +288,14 @@ class TestDominance:
                 if (y, z) in leq:
                     assert (x, z) in leq
 
+    def test_generic_cone_agrees_with_closed_form(self, c2, rng, cone_closure):
+        # the closure of {0} under adding positive roots is the generic cone;
+        # height 24 bounds every point of the sampled box
+        closure = cone_closure("C", 2, 24)
+        for _ in range(120):
+            d = Weight.of(rng.randint(-4, 4), rng.randint(-4, 4))
+            assert c2.dominance_leq(Weight.zero(2), d) == (d in closure), d
+
     def test_dominant_chamber_tests(self, b3, d4):
         assert b3.is_dominant(Weight((5, 3, 1)))
         assert not b3.is_dominant(Weight.of(1, 2, 0))
