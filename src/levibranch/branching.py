@@ -32,6 +32,8 @@ from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative,
                       levi_group, stabilizer_subgroup, weyl_group)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
+# product rows per chunk of the dual M-construction
+DUAL_CHUNK_ROWS = 2_000_000
 
 
 @lru_cache(maxsize=None)
@@ -60,17 +62,25 @@ def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
     """Is the whole E-set of ``mu`` contained in one closed Weyl chamber?
 
     Any chamber containing the E-set contains its barycentre mu + rho_bar,
-    so only the stabiliser coset of that point needs searching.
+    so only the coset sigma w1 of the stabiliser of lam = w1(mu + rho_bar)
+    needs searching.  Every E-set row goes through every coset element in
+    one dominance mask: a row is dominant when it is its own dominant image.
     """
     levi.require_dominant(mu)
     datum = levi.parent
-    members = e_set(levi, mu)
+    drops, _ = _rho_drops(levi)
+    rows = np.array(mu, dtype=np.int64)[None, :] + drops
     w1, lam = dominant_representative(datum, mu + levi.rho_bar)
-    for sigma in stabilizer_subgroup(datum, lam):
-        w = sigma.compose(w1)
-        if all(datum.is_dominant(w.act(g)) for g in members):
-            return True
-    return False
+    stab = stabilizer_subgroup(datum, lam)
+    stab_perm = np.array([s.perm for s in stab], dtype=np.int64)
+    stab_sign = np.array([s.signs for s in stab], dtype=np.int64)
+    # sigma o w1 as arrays: perm = w1.perm[sigma.perm], signs likewise
+    perm = np.array(w1.perm, dtype=np.int64)[stab_perm]
+    sign = stab_sign * np.array(w1.signs, dtype=np.int64)[stab_perm]
+    images = (sign[None, :, :] * rows[:, perm]).reshape(-1, datum.rank)
+    code = kernels.FAMILY_CODE[datum.family]
+    dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
+    return bool(dominant.reshape(len(rows), len(stab)).all(axis=0).any())
 
 
 # -- alternating-sum branching ----------------------------------------------
@@ -189,9 +199,6 @@ class MFunction:
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
-    def same_function(self, other: "MFunction") -> bool:
-        return self.levi == other.levi and self.coeffs == other.coeffs
-
     def leading(self) -> tuple[Weight, int]:
         return leading_term(self.levi, self.mu)
 
@@ -257,26 +264,27 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     coeffs = tuple(zip(map(Weight, urows.tolist()), sums.tolist()))
     fn = MFunction(levi, mu, coeffs)
     lam_top, lead = leading_term(levi, mu)
-    table = dict(coeffs)
-    if table.get(lam_top) != lead:
+    if dict(coeffs).get(lam_top) != lead:
         raise WeightError(f"leading coefficient of M at {mu} is not {lead}")
     below = chamber_cone_mask(datum.family, np.array(lam_top, dtype=np.int64) - urows)
     if not below.all():
         w = Weight(urows[int(np.argmin(below))].tolist())
         raise WeightError(f"M-term {w} not dominated by the leading {lam_top}")
     if self_check:
-        _check_dual_construction(levi, mu, table)
+        _check_dual_construction(levi, mu, urows, sums)
     return fn
 
 
-def _check_dual_construction(levi: LeviDatum, mu: Weight, coeffs: dict) -> None:
+def _check_dual_construction(levi: LeviDatum, mu: Weight,
+                             urows: np.ndarray, sums: np.ndarray) -> None:
     """Cross-check build_m through the product of the two Levi alternants.
 
     The alternants of mu + rho_bar and of rho_bar multiply to a Levi-invariant
     polynomial X; summing w(X) over the whole Weyl group gives |Wbar| times
     the M-function up to the sign of the longest Levi element.  On the
     orbit-sum basis that is a bucket sum of the |Wbar|^2 product terms, so the
-    check stays cheap even when the ambient Weyl group is large.
+    check stays cheap even when the ambient Weyl group is large.  The result
+    must equal build_m's distinct rows ``urows`` and nonzero ``sums``.
     """
     datum = levi.parent
     group = levi_group(levi)
@@ -285,31 +293,22 @@ def _check_dual_construction(levi: LeviDatum, mu: Weight, coeffs: dict) -> None:
     b_rows = kernels.orbit_images(perm, sign, np.array(levi.rho_bar, np.int64))
     k = len(eps)
     code = kernels.FAMILY_CODE[datum.family]
-    chunk = max(1, 2_000_000 // max(k, 1))
-    acc: dict[Weight, int] = {}
+    chunk = max(1, DUAL_CHUNK_ROWS // max(k, 1))
+    parts = []
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
         block = (a_rows[start:stop, None, :] + b_rows[None, :, :])
         block = block.reshape((stop - start) * k, -1)
         block_eps = (eps[start:stop, None] * eps[None, :]).reshape((stop - start) * k)
-        dom = kernels.dominant_rows(block, code)
-        urows, sums = signed_bucket(dom, block_eps)
-        for r, s in zip(urows, sums):
-            if s:
-                w = Weight(r)
-                c0 = acc.get(w, 0) + int(s)
-                if c0:
-                    acc[w] = c0
-                else:
-                    del acc[w]
+        parts.append(signed_bucket(kernels.dominant_rows(block, code), block_eps))
+    acc_rows, acc = parts[0] if len(parts) == 1 else signed_bucket(
+        np.concatenate([r for r, _ in parts]), np.concatenate([c for _, c in parts]))
+    keep = acc != 0
     w0sign = -1 if len(levi.rbar_plus) % 2 else 1
-    alt: dict[Weight, int] = {}
-    for w, s in acc.items():
-        q, rem = divmod(w0sign * s, k)
-        if rem != 0:
-            raise WeightError("dual M-construction is not divisible by |Wbar|")
-        alt[w] = q
-    if alt != coeffs:
+    acc_rows, acc = acc_rows[keep], w0sign * acc[keep]
+    if (acc % k).any():
+        raise WeightError("dual M-construction is not divisible by |Wbar|")
+    if not (np.array_equal(acc_rows, urows) and np.array_equal(acc // k, sums)):
         raise WeightError(f"dual M-constructions disagree at mu = {mu}")
 
 

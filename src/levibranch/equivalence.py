@@ -5,6 +5,12 @@ M-functions agree.  When equality holds, the scan looks for a Weyl element
 preserving the Levi positive roots (a diagram automorphism of the Levi) that
 maps one weight to the other; an equal pair with no such element would be a
 counterexample to the conjecture that one always exists.
+
+``classify_pair`` decides one pair.  ``search_box`` decides a whole box by
+equality class: within one Weyl orbit it computes every weight's leading
+term, M-function, automorphism images and covering flags once, and derives
+the verdicts of its pairs from those.  Both routes make their verdicts in
+the same helper, so they agree on the covering cases and on the guard.
 """
 
 from __future__ import annotations
@@ -12,13 +18,17 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import kernels
 from .branching import build_m, far_from_walls, leading_term
 from .rootsys import LeviDatum, Weight
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, diagram_automorphisms,
-                      dominant_representative, stabilizer_subgroup)
+                      dominant_representative)
 
 SAME_CHAMBER = "SAME_CHAMBER"
 FAR_FROM_WALLS = "FAR_FROM_WALLS"
@@ -53,7 +63,7 @@ class PairVerdict:
 
 
 def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
-                  guard: int = DEFAULT_GROUP_GUARD, _cache: dict | None = None) -> bool:
+                  guard: int = DEFAULT_GROUP_GUARD) -> bool:
     """Exact equality of the induced characters of ``mu`` and ``nu``.
 
     Fast-fails through two necessary conditions (same Weyl orbit; same
@@ -68,12 +78,7 @@ def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
         return False
     if leading_term(levi, mu)[0] != leading_term(levi, nu)[0]:
         return False
-    if _cache is None:
-        _cache = {}
-    for w in (mu, nu):
-        if w not in _cache:
-            _cache[w] = build_m(levi, w, guard=guard)
-    return _cache[mu].coeffs == _cache[nu].coeffs
+    return build_m(levi, mu, guard=guard).coeffs == build_m(levi, nu, guard=guard).coeffs
 
 
 def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight,
@@ -86,36 +91,46 @@ def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight,
 
 
 def same_closed_chamber(levi: LeviDatum, mu: Weight, nu: Weight) -> bool:
-    """Do ``mu`` and ``nu`` lie in a common closed Weyl chamber of the parent?"""
-    if mu == nu:
-        return True
+    """Do ``mu`` and ``nu`` lie in a common closed Weyl chamber of the parent?
+
+    Exactly when <mu, nu> = <dom mu, dom nu>.  If w maps both into the
+    dominant chamber, w preserves the inner product.  Conversely, pick w1
+    with w1(mu) = dom mu =: lam and put x = w1(nu).  Every Weyl image y of
+    nu satisfies <lam, y> <= <lam, dom nu>, since dom nu - y is a sum of
+    positive roots and lam is dominant.  Move x by the stabiliser of lam
+    (generated by the simple reflections orthogonal to lam) to a y dominant
+    for those reflections; <lam, y> = <lam, x> = <lam, dom nu>.  A simple
+    root alpha with <y, alpha> < 0 would have <lam, alpha> > 0, and the
+    reflection s_alpha(y) = y + c alpha (c > 0) would exceed the bound.  So
+    y is dominant and sigma w1 puts mu and nu in the dominant chamber.
+    """
     datum = levi.parent
-    w1, lam = dominant_representative(datum, mu)
-    for sigma in stabilizer_subgroup(datum, lam):
-        if datum.is_dominant(sigma.compose(w1).act(nu)):
-            return True
-    return False
+    lam = dominant_representative(datum, mu)[1]
+    kappa = dominant_representative(datum, nu)[1]
+    return mu.dot4(nu) == lam.dot4(kappa)
 
 
-def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight,
-                  guard: int = DEFAULT_GROUP_GUARD,
-                  _cache: dict | None = None) -> PairVerdict:
-    """Full verdict: equality, relating automorphism, and covering theorem cases."""
-    datum = levi.parent
-    equal = induced_equal(levi, mu, nu, guard, _cache)
-    auto = relating_automorphism(levi, mu, nu, guard)
-    covered = set()
-    if same_closed_chamber(levi, mu, nu):
-        covered.add(SAME_CHAMBER)
-    if far_from_walls(levi, mu) and far_from_walls(levi, nu):
-        covered.add(FAR_FROM_WALLS)
-    if datum.is_dominant(mu + levi.two_rho_bar) or \
-            datum.is_dominant(nu + levi.two_rho_bar):
-        covered.add(MU_2RHO_DOMINANT)
-    if datum.family == "GL":
-        covered.add(TYPE_A)
+def _levi_cases(levi: LeviDatum) -> frozenset:
+    """Covering cases that hold for every pair of the Levi."""
+    cases = set()
+    if levi.parent.family == "GL":
+        cases.add(TYPE_A)
     if levi.is_full_gl_levi():
-        covered.add(POLARISATION)
+        cases.add(POLARISATION)
+    return frozenset(cases)
+
+
+def _verdict(mu: Weight, nu: Weight, equal: bool, auto: WeylElement | None,
+             levi_cases: frozenset, *, same_chamber: bool, far: bool,
+             two_rho_dominant: bool) -> PairVerdict:
+    """Assemble a verdict; a covered equal pair without automorphism is a bug."""
+    covered = set(levi_cases)
+    if same_chamber:
+        covered.add(SAME_CHAMBER)
+    if far:
+        covered.add(FAR_FROM_WALLS)
+    if two_rho_dominant:
+        covered.add(MU_2RHO_DOMINANT)
     if not covered:
         covered.add(NONE)
     counterexample = equal and auto is None
@@ -124,6 +139,20 @@ def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight,
             f"equal pair {mu}, {nu} covered by {sorted(covered)} has no "
             "relating automorphism; this indicates an implementation bug")
     return PairVerdict(mu, nu, equal, auto, frozenset(covered), counterexample)
+
+
+def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight,
+                  guard: int = DEFAULT_GROUP_GUARD) -> PairVerdict:
+    """Full verdict: equality, relating automorphism, and covering theorem cases."""
+    datum = levi.parent
+    two_rho = levi.two_rho_bar
+    return _verdict(
+        mu, nu, induced_equal(levi, mu, nu, guard),
+        relating_automorphism(levi, mu, nu, guard), _levi_cases(levi),
+        same_chamber=same_closed_chamber(levi, mu, nu),
+        far=far_from_walls(levi, mu) and far_from_walls(levi, nu),
+        two_rho_dominant=(datum.is_dominant(mu + two_rho)
+                          or datum.is_dominant(nu + two_rho)))
 
 
 # -- box search -----------------------------------------------------------------
@@ -202,32 +231,74 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
 
     Weights are grouped by their dominant representative (pairs in distinct
     Weyl orbits can never be equal); groups are processed in deterministic
-    order and every equal pair is emitted as one verdict.  ``sink`` receives
-    one JSON line per verdict plus one group-completion marker per group,
-    written as soon as that group is done, so interrupted scans can be
-    resumed by replaying the markers.  ``sink`` needs only ``write``; the
-    caller chooses its buffering.
+    order and every equal pair is emitted as one verdict.  Within a group the
+    walk goes by equality class, not by pair:
+
+    * the leading terms of all weights come from one ``dominant_rows`` call;
+    * ``build_m`` (self-check on) runs once for each weight that shares its
+      leading term with another member, and the built weights are
+      partitioned by their M-function coefficients;
+    * each weight in a class of two or more gets, once, a map from its
+      automorphism images to the first automorphism giving them and its
+      FAR_FROM_WALLS and MU_2RHO_DOMINANT flags;
+    * the pairs are walked in ``itertools.combinations`` order and a verdict
+      is made for every pair inside one class.  Both weights of a pair have
+      the dominant image ``key``, so ``same_closed_chamber`` reduces to
+      <mu, nu> = <key, key>, which holds only for mu = nu.
+
+    ``sink`` receives one JSON line per verdict plus one group-completion
+    marker per group, written as soon as that group is done, so interrupted
+    scans can be resumed by replaying the markers.  ``sink`` needs only
+    ``write``; the caller chooses its buffering.
     """
     t0 = time.monotonic()
     datum = levi.parent
+    code = kernels.FAMILY_CODE[datum.family]
     box = dominant_box(levi, coord_bound)
-    groups: dict[Weight, list[Weight]] = {}
-    for mu in box:
-        groups.setdefault(dominant_representative(datum, mu)[1], []).append(mu)
+    rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
+    groups: dict[Weight, list[int]] = {}
+    for i, key in enumerate(kernels.dominant_rows(rows, code).tolist()):
+        groups.setdefault(Weight(key), []).append(i)
     keys = sorted(groups)
+    # per weight: the leading term of its M-function, the dominant image of
+    # mu + 2 rho_bar, and whether mu + 2 rho_bar is already dominant
+    shifted = rows + np.array(levi.two_rho_bar, dtype=np.int64)
+    top_rows = kernels.dominant_rows(shifted, code)
+    tops = list(map(tuple, top_rows.tolist()))
+    two_rho_dominant = (top_rows == shifted).all(axis=1).tolist()
+    levi_cases = _levi_cases(levi)
     summary = SearchSummary(levi.describe(), coord_bound,
                             box_size=len(box), groups=len(keys))
     resume_keys = resume_keys or set()
 
     def process(key: Weight):
-        members = sorted(groups[key])
-        verdicts = []
-        tested = 0
-        cache: dict = {}
-        for mu, nu in itertools.combinations(members, 2):
-            tested += 1
-            if induced_equal(levi, mu, nu, guard, cache):
-                verdicts.append(classify_pair(levi, mu, nu, guard, cache))
+        idx = groups[key]  # box order, which is sorted order
+        members = [box[i] for i in idx]
+        tested = len(idx) * (len(idx) - 1) // 2
+        shared_top = Counter(tops[i] for i in idx)
+        classes: dict = {}
+        cls = [classes.setdefault(build_m(levi, box[i], guard=guard).coeffs, i)
+               if shared_top[tops[i]] > 1 else None for i in idx]
+        sizes = Counter(c for c in cls if c is not None)
+        paired = [j for j, c in enumerate(cls) if c is not None and sizes[c] > 1]
+        if not paired:
+            return key, tested, []
+        autos = diagram_automorphisms(levi, guard)
+        images, far = {}, {}
+        for j in paired:
+            images[j] = {}
+            for u in autos:  # the first automorphism in order relates the pair
+                images[j].setdefault(u.act(members[j]), u)
+            far[j] = far_from_walls(levi, members[j])
+        # both weights share the dominant image ``key``
+        norm = key.dot4(key)
+        verdicts = [
+            _verdict(mu, nu, True, images[a].get(nu), levi_cases,
+                     same_chamber=mu.dot4(nu) == norm, far=far[a] and far[b],
+                     two_rho_dominant=(two_rho_dominant[idx[a]]
+                                       or two_rho_dominant[idx[b]]))
+            for (a, mu), (b, nu) in itertools.combinations(enumerate(members), 2)
+            if cls[a] is not None and cls[a] == cls[b]]
         return key, tested, verdicts
 
     def record(key: Weight, tested: int, verdicts: list):

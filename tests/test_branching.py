@@ -113,6 +113,25 @@ class TestMFunction:
             fn = build_m(levi, mu)
             assert fn.poly() == symmetrize(gl3, mu)
 
+    def test_dual_check_rejects_a_wrong_m(self, levi_b3_gl2_so3, monkeypatch):
+        import numpy as np
+
+        from levibranch import branching
+        levi = levi_b3_gl2_so3
+        for mu in (Weight.of(2, 0, 1), Weight((3, -1, 1))):  # integral and spin
+            fn = build_m(levi, mu)
+            rows = np.array([w for w, _ in fn.coeffs], dtype=np.int64)
+            sums = np.array([c for _, c in fn.coeffs], dtype=np.int64)
+            branching._check_dual_construction(levi, mu, rows, sums)
+            for bad_rows, bad_sums in ((rows, sums + 1), (rows[1:], sums[1:]),
+                                       (rows, -sums), (rows + 2, sums)):
+                with pytest.raises(WeightError, match="disagree"):
+                    branching._check_dual_construction(levi, mu, bad_rows, bad_sums)
+            # the product terms accumulate across chunks to the same M
+            monkeypatch.setattr(branching, "DUAL_CHUNK_ROWS", 5)
+            branching._check_dual_construction(levi, mu, rows, sums)
+            monkeypatch.undo()
+
     def test_rem_ce_pair_differs(self, levi_gl6_42):
         mu = Weight.of(5, 2, 2, 1, 4, 3)
         nu = Weight.of(5, 4, 3, 1, 2, 2)
@@ -235,15 +254,21 @@ class TestESets:
                                                Weight.of(6, 0, 0)}
         assert far_from_walls(levi_gl3_21, mu)
 
-    def test_far_from_walls_matches_exhaustive(self, levi_c2_gl2):
+    def test_far_from_walls_matches_exhaustive(self, levi_c2_gl2, levi_gl4_22,
+                                               levi_b3_gl2_so3, levi_c3_gl3,
+                                               levi_d4_gl4):
         # oracle: scan every Weyl element for a chamber containing the E-set
-        from levibranch import weyl_group
-        datum = levi_c2_gl2.parent
-        group = list(weyl_group(datum))
-        for a in range(-3, 4):
-            for b in range(-3, a + 1):
-                mu = Weight.of(a, b)
-                members = e_set(levi_c2_gl2, mu)
+        from levibranch import dominant_box, weyl_group
+        seen = set()
+        for levi, bound in ((levi_c2_gl2, 3), (levi_gl4_22, 3), (levi_b3_gl2_so3, 3),
+                            (levi_c3_gl3, 3), (levi_d4_gl4, 2)):
+            datum = levi.parent
+            group = list(weyl_group(datum))
+            for mu in dominant_box(levi, bound):  # spin weights on B and D
+                members = e_set(levi, mu)
                 oracle = any(all(datum.is_dominant(w.act(g)) for g in members)
                              for w in group)
-                assert far_from_walls(levi_c2_gl2, mu) == oracle
+                assert far_from_walls(levi, mu) == oracle, (levi.describe(), mu)
+                seen.add((oracle, mu.is_integral()))
+        # both outcomes occur, on integral and on spin weights
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}

@@ -1,19 +1,22 @@
 import io
 import itertools
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
-                        build_levi, build_m, build_root_system, classify_pair,
-                        diagram_automorphisms, dominant_box,
-                        dominant_representative, equivalence, induced_equal,
-                        leading_term, relating_automorphism, search_box)
+from levibranch import (Weight, WeylElement, branch_by_restriction,
+                        branch_multiplicity, build_levi, build_m,
+                        build_root_system, classify_pair, diagram_automorphisms,
+                        dominant_box, dominant_representative, equivalence,
+                        induced_equal, leading_term, relating_automorphism,
+                        search_box)
 from levibranch.equivalence import (FAR_FROM_WALLS, MU_2RHO_DOMINANT, NONE,
                                     POLARISATION, SAME_CHAMBER, TYPE_A,
-                                    replay_resume_state, same_closed_chamber)
+                                    ClassificationBugError, replay_resume_state,
+                                    same_closed_chamber)
 
 
 class TestInducedEqual:
@@ -100,16 +103,29 @@ class TestClassify:
         assert set(blob) == {"mu", "nu", "equal", "auto", "covered",
                              "counterexample"}
 
-    def test_same_chamber_oracle(self, levi_c2_gl2, rng):
+    def test_same_chamber_oracle(self, levi_c2_gl2, levi_gl4_22, levi_b3_gl2_so3,
+                                 levi_c3_gl3, levi_d4_gl4, rng):
         from levibranch import weyl_group
-        datum = levi_c2_gl2.parent
-        group = list(weyl_group(datum))
-        for _ in range(40):
-            mu = Weight.of(rng.randint(-3, 3), rng.randint(-3, 3))
-            nu = Weight.of(rng.randint(-3, 3), rng.randint(-3, 3))
-            oracle = any(datum.is_dominant(w.act(mu)) and
-                         datum.is_dominant(w.act(nu)) for w in group)
-            assert same_closed_chamber(levi_c2_gl2, mu, nu) == oracle
+        for levi in (levi_c2_gl2, levi_gl4_22, levi_b3_gl2_so3, levi_c3_gl3,
+                     levi_d4_gl4):
+            datum = levi.parent
+            n = datum.rank
+            group = list(weyl_group(datum))
+            parities = (0, 1) if datum.family in ("B", "D") else (0,)
+            seen = set()
+            for k in range(120):
+                # doubled coordinates; spin rows on B and D
+                mu, nu = (Weight(2 * rng.randint(-3, 3) + p for _ in range(n))
+                          for p in (rng.choice(parities), rng.choice(parities)))
+                if k % 2:  # a pair sharing a chamber, moved by a random element
+                    w = rng.choice(group)
+                    mu = w.act(dominant_representative(datum, mu)[1])
+                    nu = w.act(dominant_representative(datum, nu)[1])
+                oracle = any(datum.is_dominant(w.act(mu)) and
+                             datum.is_dominant(w.act(nu)) for w in group)
+                assert same_closed_chamber(levi, mu, nu) == oracle, (mu, nu)
+                seen.add(oracle)
+            assert seen == {True, False}, levi.describe()
 
 
 class TestSearch:
@@ -167,9 +183,9 @@ class TestSearch:
         assert rerun.pairs_tested == 0 and rerun.skipped_groups == summary.groups
 
     def test_groups_stream_to_a_write_only_sink(self, levi_b3_gl2_so3, monkeypatch):
-        tested = []
-        real = equivalence.induced_equal
-        monkeypatch.setattr(equivalence, "induced_equal",
+        tested = []  # one entry per M-function the scan builds
+        real = equivalence.build_m
+        monkeypatch.setattr(equivalence, "build_m",
                             lambda *a, **k: tested.append(a) or real(*a, **k))
 
         class WriteOnly:
@@ -191,12 +207,73 @@ class TestSearch:
         search_box(levi_b3_gl2_so3, 2, sink=buf)
         assert "".join(sink.lines) == buf.getvalue()
 
+    def test_classification_guard_fires_in_scan(self, levi_gl4_22, monkeypatch):
+        # TYPE_A covers every GL4 pair, so an equal pair without automorphism
+        # can only come from a broken automorphism lookup
+        identity = (WeylElement.identity(4),)
+        monkeypatch.setattr(equivalence, "diagram_automorphisms",
+                            lambda *a, **k: identity)
+        for threads in (1, 2):
+            with pytest.raises(ClassificationBugError, match="TYPE_A"):
+                search_box(levi_gl4_22, 2, threads=threads)
+
     def test_box_contents(self, levi_b3_gl2_so3):
         box = dominant_box(levi_b3_gl2_so3, 2)
         assert all(levi_b3_gl2_so3.is_dominant(mu) for mu in box)
         assert all(max(abs(c) for c in mu) <= 4 for mu in box)  # doubled
         assert any(not mu.is_integral() for mu in box)  # spin class present
         assert len(set(box)) == len(box)
+
+
+# -- the scan against the pairwise route ----------------------------------------
+
+@lru_cache(maxsize=None)
+def _pairwise_scan(family: str, rank: int, sbar: tuple, bound: int):
+    """Certificate bytes and counts built pair by pair from the public predicates.
+
+    Groups are W-orbits keyed by ``dominant_representative``; every pair of a
+    group goes through ``induced_equal`` and, when equal, ``classify_pair``.
+    """
+    levi = build_levi(build_root_system(family, rank), list(sbar))
+    groups: dict = {}
+    for mu in dominant_box(levi, bound):
+        groups.setdefault(dominant_representative(levi.parent, mu)[1], []).append(mu)
+    out = io.StringIO()
+    counts = {"pairs_tested": 0, "equal_pairs": 0, "counterexamples": 0}
+    for key in sorted(groups):
+        pairs = list(itertools.combinations(sorted(groups[key]), 2))
+        for mu, nu in pairs:
+            if induced_equal(levi, mu, nu):
+                v = classify_pair(levi, mu, nu)
+                out.write(json.dumps(v.to_json(), sort_keys=True) + "\n")
+                counts["equal_pairs"] += 1
+                counts["counterexamples"] += v.counterexample
+        counts["pairs_tested"] += len(pairs)
+        out.write(json.dumps({"group_done": key.to_json(), "pairs": len(pairs)},
+                             sort_keys=True) + "\n")
+    return levi, out.getvalue(), counts
+
+
+@pytest.mark.parametrize("family, rank, sbar, bound, threads", [
+    ("B", 3, (1, 3), 3, 1),
+    ("D", 5, (1, 2, 4, 5), 2, 1),
+    ("D", 5, (1, 2, 4, 5), 2, 2),
+    ("GL", 4, (1, 3), 2, 1),
+    ("C", 3, (1, 2), 3, 1),
+    ("C", 2, (1,), 4, 1),
+    ("GL", 6, (1, 3, 5), 1, 1),  # pairs related by two block permutations
+], ids=["B3-13-b3", "D5-1245-b2", "D5-1245-b2-threads2", "GL4-13-b2", "C3-12-b3",
+        "C2-1-b4", "GL6-135-b1"])
+def test_scan_matches_pairwise_route(family, rank, sbar, bound, threads):
+    levi, expected, counts = _pairwise_scan(family, rank, sbar, bound)
+    buf = io.StringIO()
+    summary = search_box(levi, bound, sink=buf, threads=threads)
+    assert buf.getvalue() == expected
+    for key, value in counts.items():
+        assert getattr(summary, key) == value, key
+    assert summary.equal_pairs > 0
+    if family in ("B", "D"):  # the flagged families of ROADMAP
+        assert summary.counterexamples > 0
 
 
 # -- property tests of the easy direction --------------------------------------
