@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .rootsys import LeviDatum, Weight, WeightError, chamber_cone_mask
+from .rootsys import (LeviDatum, Weight, WeightError, _simple_coordinates,
+                      chamber_cone_mask)
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
                          decompose_character, levi_table, signed_bucket,
                          weyl_character)
@@ -90,7 +91,7 @@ def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight,
     """Branching coefficient via the signed Weyl sum of partition counts.
 
     Terms whose argument fails the ambient cone test are pruned before the
-    memoised partition DP runs.
+    partition table counts the rest in one batch.
     """
     datum = levi.parent
     datum.require_dominant(lam)
@@ -145,17 +146,22 @@ class BranchingRow:
 
 
 def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight, ...]:
-    """Dominant lambda with mu <= lambda <= mu + k * (highest root)."""
-    from .weightpoly import dominants_below
+    """Dominant lambda with mu <= lambda <= mu + k * (highest root).
 
+    Each such lambda is top - sum c_i alpha_i with integers 0 <= c_i <= d_i,
+    where d holds the simple-root coordinates of k * theta; the box is that
+    grid cut to its dominant rows, in sorted order.
+    """
     datum = levi.parent
-    top = mu + k * datum.highest_root
-    _, anchor = dominant_representative(datum, top)
-    cands = dominants_below(datum, anchor)
-    rows = np.array(cands, dtype=np.int64)
+    top = np.array(mu + k * datum.highest_root, dtype=np.int64)
+    d = [k * c for c in _simple_coordinates(datum)[datum.highest_root]]
+    steps = np.indices([max(c + 1, 0) for c in d]).reshape(len(d), -1).T
+    simple = np.array(datum.simple_roots, dtype=np.int64).reshape(len(d), datum.rank)
+    rows = top - steps @ simple
+    rows = rows[(rows @ simple.T >= 0).all(axis=1)]
     keep = (chamber_cone_mask(datum.family, rows - np.array(mu, dtype=np.int64))
-            & chamber_cone_mask(datum.family, np.array(top, dtype=np.int64) - rows))
-    return tuple(lam for lam, ok in zip(cands, keep) if ok)
+            & chamber_cone_mask(datum.family, top - rows))
+    return tuple(sorted(map(Weight, rows[keep].tolist())))
 
 
 def branch_row(levi: LeviDatum, mu: Weight, k: int = 2,
@@ -258,7 +264,7 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     rows = np.array(mu, dtype=np.int64)[None, :] + drops
     code = kernels.FAMILY_CODE[datum.family]
     dom = kernels.dominant_rows(rows, code)
-    urows, sums = signed_bucket(dom, eps)
+    urows, sums, _ = signed_bucket(dom, eps)
     keep = sums != 0
     urows, sums = urows[keep], sums[keep]
     coeffs = tuple(zip(map(Weight, urows.tolist()), sums.tolist()))
@@ -301,8 +307,8 @@ def _check_dual_construction(levi: LeviDatum, mu: Weight,
         block = block.reshape((stop - start) * k, -1)
         block_eps = (eps[start:stop, None] * eps[None, :]).reshape((stop - start) * k)
         parts.append(signed_bucket(kernels.dominant_rows(block, code), block_eps))
-    acc_rows, acc = parts[0] if len(parts) == 1 else signed_bucket(
-        np.concatenate([r for r, _ in parts]), np.concatenate([c for _, c in parts]))
+    acc_rows, acc, _ = parts[0] if len(parts) == 1 else signed_bucket(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
     keep = acc != 0
     w0sign = -1 if len(levi.rbar_plus) % 2 else 1
     acc_rows, acc = acc_rows[keep], w0sign * acc[keep]

@@ -6,7 +6,8 @@ Kernels:
 
 * ``orbit_images``   -- apply every signed permutation of a group to a vector,
 * ``dominant_rows``  -- per-row dominant representative (sort normal form),
-* ``kostant_batch``  -- memoised vector-partition counts over a root list.
+* ``kostant_batch``  -- vector-partition counts over a root list, from one
+  dense table per batch.
 
 Row packing (``pack_rows``) encodes small integer rows into int64 keys whose
 order is the lexicographic order of the rows.
@@ -21,6 +22,10 @@ MAX_COUNT = 1 << 62
 
 class PackRangeError(ValueError):
     """Coordinates too large for the fixed-width int64 row encoding."""
+
+
+class BudgetError(RuntimeError):
+    """A character, expansion or table would exceed the configured size budget."""
 
 
 def pack_spec(n: int) -> tuple[int, int]:
@@ -77,66 +82,57 @@ def dominant_rows(rows: np.ndarray, code: int) -> np.ndarray:
 
 # -- partition-function evaluation ------------------------------------------
 
-def kostant_batch(rows: np.ndarray, roots: np.ndarray,
-                  fcoef: np.ndarray, memo: dict) -> np.ndarray:
-    """Vector-partition counts; explicit-stack DP with a shared memo.
+# int64 cells of the largest partition table (40 MB); tests need 43,225 at most
+MAX_TABLE_CELLS = 5_000_000
 
-    ``memo`` maps ``(tuple(row), k)`` to the number of ways to write the row
-    as an N-combination of the first k roots.  Roots and rows carry doubled
-    coordinates; ``fcoef`` is a functional positive on every root, so a row
-    on which it is negative has no such expression.
+
+def prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """T(v): the prefix sums of the true coordinates of even rows."""
+    return np.cumsum(rows, axis=1) >> 1
+
+
+def kostant_batch(rows: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Vector-partition counts of ``rows`` over ``roots`` from one dense table.
+
+    Rows and roots carry doubled coordinates.  T = ``prefix_sums`` maps each
+    positive root of GL, B, C and D to a nonzero nonnegative vector, so all
+    that lies below a row t is in the box [0, T(t)]: one table over the box
+    of the countable rows, on the axes some root touches, answers the batch.
+    From table[0] = 1 each root r makes the unbounded-knapsack pass
+    table[x] += table[x - r], slab by slab along its first nonzero axis.  Odd
+    rows and rows with a negative T coordinate, or a nonzero one on an
+    untouched axis, count 0 and stay out of the box.
     """
-    m = roots.shape[0]
+    rows = np.asarray(rows, dtype=np.int64)
     out = np.zeros(rows.shape[0], dtype=np.int64)
-    root_tuples = [tuple(int(c) for c in roots[j]) for j in range(m)]
-    fcoef_t = tuple(int(c) for c in fcoef)
-
-    def feasible(vec):
-        if any(c & 1 for c in vec):
-            return False
-        f = sum(a * b for a, b in zip(vec, fcoef_t))
-        return f >= 0
-
-    for idx in range(rows.shape[0]):
-        target = tuple(int(c) for c in rows[idx])
-        if not feasible(target):
-            continue
-        stack = [(target, m)]
-        while stack:
-            vec, k = stack[-1]
-            key = (vec, k)
-            if key in memo:
-                stack.pop()
-                continue
-            if not any(vec):
-                memo[key] = 1
-                stack.pop()
-                continue
-            if k == 0:
-                memo[key] = 0
-                stack.pop()
-                continue
-            missing = False
-            k1 = (vec, k - 1)
-            v1 = memo.get(k1)
-            if v1 is None:
-                stack.append(k1)
-                missing = True
-            child = tuple(a - b for a, b in zip(vec, root_tuples[k - 1]))
-            if feasible(child):
-                k2 = (child, k)
-                v2 = memo.get(k2)
-                if v2 is None:
-                    stack.append(k2)
-                    missing = True
-            else:
-                v2 = 0
-            if missing:
-                continue
-            total = v1 + v2
-            if total >= MAX_COUNT:
+    troots = prefix_sums(np.asarray(roots, dtype=np.int64))
+    axes = np.flatnonzero(troots.any(axis=0))
+    t = prefix_sums(rows)
+    ok = ((rows & 1) == 0).all(axis=1) & (t >= 0).all(axis=1)
+    ok &= (np.delete(t, axes, axis=1) == 0).all(axis=1)
+    if not ok.any():
+        return out
+    t = t[ok][:, axes]
+    shape = tuple(int(s) + 1 for s in t.max(axis=0))
+    cells = int(np.prod(shape, dtype=object))
+    if cells > MAX_TABLE_CELLS:
+        raise BudgetError(
+            f"partition table needs {cells} cells > limit {MAX_TABLE_CELLS}")
+    table = np.zeros(shape, dtype=np.int64)
+    table.flat[0] = 1
+    for r in troots[:, axes].tolist():
+        if any(c >= s for c, s in zip(r, shape)):
+            continue  # the root does not fit in the box
+        a = next(i for i, c in enumerate(r) if c)
+        dst = [slice(c, None) for c in r]
+        src = [slice(0, s - c) for c, s in zip(r, shape)]
+        for s in range(r[a], shape[a]):
+            # one-cell slices keep the slab a view of the table
+            dst[a], src[a] = slice(s, s + 1), slice(s - r[a], s - r[a] + 1)
+            slab = table[tuple(dst)]
+            slab += table[tuple(src)]
+            # entries stay below 2^62, so no add can wrap int64
+            if int(slab.max()) >= MAX_COUNT:
                 raise OverflowError("partition count exceeds the 2^62 guard")
-            memo[key] = total
-            stack.pop()
-        out[idx] = memo[(target, m)]
+    out[ok] = table[tuple(t.T)]
     return out

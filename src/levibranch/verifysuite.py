@@ -8,6 +8,10 @@ quick field check.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .branching import (branch_by_restriction, branch_multiplicity,
                         leading_term)
@@ -15,7 +19,7 @@ from .equivalence import induced_equal, search_box
 from .rootsys import Weight, build_levi, build_root_system
 from .typea_lr import (Partition, kostka_matrix_identity, lr_coefficient,
                        multi_lr)
-from .weightpoly import nabla_bar, symmetrize, weyl_character
+from .weightpoly import levi_table, nabla_bar, symmetrize, weyl_character
 from .weylgrp import (coset_decompose, diagram_automorphisms, straighten,
                       transversal, weyl_group)
 
@@ -89,6 +93,13 @@ def _checks(seed: int):
             branch_multiplicity(levi, Weight.of(1, 0), mu) == m
             for mu, m in row.items())
 
+    def chk_partition_table():
+        table = levi_table(build_levi(build_root_system("C", 3), [1, 2]))
+        # every complement root has coordinate sum 2: count multisets of d roots
+        brute = Counter(sum(combo, Weight.zero(3)) for d in range(4)
+                        for combo in combinations_with_replacement(table.root_list, d))
+        return table.count_rows(np.array(list(brute))).tolist() == list(brute.values())
+
     def chk_mfun_regression():
         datum = build_root_system("GL", 6)
         levi = build_levi(datum, [1, 2, 3, 5])
@@ -143,6 +154,7 @@ def _checks(seed: int):
         ("nabla product equals alternating sum (sp12 Levi)", chk_nabla),
         ("character dimension via Freudenthal (C3)", chk_character),
         ("restriction oracle agrees with the Weyl sum (C2 > gl2)", chk_oracle),
+        ("partition counts match enumeration (C3 > gl3 complement)", chk_partition_table),
         ("unequal induced characters detected (gl6 regression)", chk_mfun_regression),
         ("diagram automorphisms preserve induced characters", chk_autos_sound),
         ("leading term of the M-function (gl6)", chk_leading),

@@ -2,29 +2,26 @@
 
 Everything here is integer-exact: polynomials are sorted int64 row blocks
 of weights with nonzero integer coefficients, partition functions are
-memoised integer DP, and characters come from the Freudenthal recursion
-with the alternating-sum formula retained as an independent cross-check.
+counted in one dense integer table per batch, and characters come from the
+Freudenthal recursion with the alternating-sum formula retained as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
+from .kernels import BudgetError
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       chamber_cone_mask, coroot_pairing)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, levi_group,
                       weyl_group)
 
 DEFAULT_CHAR_BUDGET = 2_000_000
-
-
-class BudgetError(RuntimeError):
-    """A character or expansion would exceed the configured size budget."""
 
 
 class WeightPolynomial:
@@ -49,11 +46,9 @@ class WeightPolynomial:
             self._assign(_NO_KEYS, _NO_ROWS, _NO_KEYS)
 
     def _bucket(self, rows: np.ndarray, coeffs: np.ndarray) -> None:
-        urows, sums = signed_bucket(rows, coeffs)
+        urows, sums, keys = signed_bucket(rows, coeffs)
         keep = sums != 0
-        urows = urows[keep]
-        self._assign(kernels.pack_rows(urows) if len(urows) else _NO_KEYS,
-                     urows, sums[keep])
+        self._assign(keys[keep], urows[keep], sums[keep])
 
     def _assign(self, keys, rows, coeffs) -> None:
         if not len(coeffs):
@@ -215,61 +210,57 @@ def _coefficient_guard(bound: int) -> None:
             f"coefficients up to {bound} exceed the 2^62 exactness guard")
 
 
-def signed_bucket(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def signed_bucket(rows: np.ndarray, coeffs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate rows, summing integer coefficients exactly.
 
-    The distinct rows come back in increasing ``kernels.pack_rows`` key
-    order, which is lexicographic row order.
+    Returns the distinct rows, their coefficient sums and their
+    ``kernels.pack_rows`` keys, in increasing key order, which is
+    lexicographic row order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if rows.shape[0] == 0:
-        return rows, coeffs
-    keys = kernels.pack_rows(rows)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return rows, coeffs, _NO_KEYS
+    uniq, first, inverse = np.unique(kernels.pack_rows(rows), return_index=True,
+                                     return_inverse=True)
     sums = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(sums, inverse, coeffs)
-    return rows[first], sums
+    return rows[first], sums, uniq
 
 
 # -- partition tables ---------------------------------------------------------
 
 class PartitionTable:
-    """Memoised vector-partition counts over a fixed multiset of roots.
+    """Vector-partition counts over a fixed multiset of roots.
 
-    Counts the ways to write a weight as an N-combination of ``roots``;
-    supports concurrent readers with a single-writer lock around the DP.
+    Counts the ways to write a weight as an N-combination of ``roots``.
+    Every ``count_rows`` call builds one dense table for its batch
+    (``kernels.kostant_batch``); ``values`` keeps each count answered, for
+    ``count`` and for ``save_text``.
     """
 
     def __init__(self, roots, rank: int, label: str = ""):
         self.root_list = tuple(sorted(roots))
         self.rank = rank
         self.label = label
-        self._roots_arr = (
-            np.array(self.root_list, dtype=np.int64).reshape(len(self.root_list), rank)
-            if self.root_list else np.zeros((0, rank), dtype=np.int64)
-        )
-        self._fcoef = np.arange(rank, 0, -1, dtype=np.int64)
-        for r in self._roots_arr:
-            if int(self._fcoef @ r) <= 0:
-                raise WeightError(f"root {tuple(r)} has nonpositive height functional")
-        self._memo: dict = {}
-        self._lock = threading.Lock()
+        self._roots_arr = np.array(self.root_list, dtype=np.int64).reshape(-1, rank)
+        for r, t in zip(self._roots_arr, kernels.prefix_sums(self._roots_arr)):
+            if (r & 1).any() or (t < 0).any() or not t.any():
+                raise WeightError(
+                    f"root {tuple(r.tolist())} has no nonnegative nonzero prefix-sum vector")
         self.values: dict[Weight, int] = {}
 
     def count(self, beta: Weight) -> int:
         hit = self.values.get(beta)
         if hit is not None:
             return hit
-        out = self.count_rows(np.array([beta], dtype=np.int64))
-        return int(out[0])
+        return int(self.count_rows(np.array([beta], dtype=np.int64))[0])
 
     def count_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        with self._lock:
-            out = kernels.kostant_batch(rows, self._roots_arr, self._fcoef, self._memo)
-            for row, v in zip(rows, out):
-                self.values[Weight(row)] = int(v)
+        out = kernels.kostant_batch(rows, self._roots_arr)
+        self.values.update(zip(map(Weight, rows.tolist()), out.tolist()))
         return out
 
     # -- persistence ----------------------------------------------------------
@@ -289,17 +280,13 @@ class PartitionTable:
         return len(lines)
 
     def load_text(self, path) -> int:
-        m = len(self.root_list)
         loaded = 0
         with open(path) as fh:
             for line in fh:
                 parts = line.split()
                 if not parts:
                     continue
-                w = Weight(int(x) for x in parts[:-1])
-                v = int(parts[-1])
-                self.values[w] = v
-                self._memo[(tuple(w), m)] = v
+                self.values[Weight(int(x) for x in parts[:-1])] = int(parts[-1])
                 loaded += 1
         return loaded
 
@@ -348,7 +335,6 @@ class _Frame:
             self.simple_roots = owner.simple_roots
             self.positive_roots = owner.positive_roots
             self.rho = owner.rho
-            self._table = full_table(owner)
             self._full = True
         self.n = self.datum.rank
         total = Weight.zero(self.n)

@@ -1,12 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from levibranch import (Weight, a_coefficient, branch_by_restriction,
                         branch_multiplicity, branch_row, build_levi,
                         build_root_system, build_m, dominant_representative,
                         e_set, far_from_walls, leading_term, symmetrize)
-from levibranch.rootsys import WeightError
+from levibranch.branching import default_lambda_box
+from levibranch.rootsys import WeightError, chamber_cone_mask
 from levibranch.weightpoly import dominants_below
 from levibranch.weylgrp import levi_group
 
@@ -97,6 +99,27 @@ class TestBranchRow:
         assert row.multiplicity(Weight.of(1, 0, 0)) == 1
         text = row.to_csv()
         assert text.splitlines()[0] == "lam1,lam2,lam3,multiplicity"
+
+    @pytest.mark.parametrize("family", ["GL", "B", "C", "D"])
+    def test_lambda_box_matches_dominants_below(self, family):
+        # the dominant weights below dom(mu + k theta), cut by both cone masks
+        for n in range(2, 6):
+            datum = build_root_system(family, n)
+            levi = build_levi(datum, [1])
+            mus = [Weight.zero(n), Weight.of(1, *[0] * (n - 1)),
+                   Weight.of(0, 1, *[0] * (n - 2)), Weight.of(1, *[0] * (n - 2), -1)]
+            if family in ("B", "D"):  # spin weights
+                mus += [Weight([1] * n), Weight([3] + [-1] * (n - 1))]
+            for k in (1, 2, 3):
+                for mu in mus:
+                    top = mu + k * datum.highest_root
+                    _, anchor = dominant_representative(datum, top)
+                    cands = dominants_below(datum, anchor)
+                    rows = np.array(cands, dtype=np.int64)
+                    keep = (chamber_cone_mask(family, rows - np.array(mu))
+                            & chamber_cone_mask(family, np.array(top) - rows))
+                    want = tuple(lam for lam, ok in zip(cands, keep) if ok)
+                    assert default_lambda_box(levi, mu, k) == want
 
     def test_row_against_oracle(self, levi_c2_gl2):
         mu = Weight.of(1, 0)

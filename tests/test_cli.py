@@ -52,6 +52,18 @@ class TestBranchCommand:
                 "--mu", "1,0,0", "--box-k", "2")
         assert run(*args).stdout == run(*args).stdout
 
+    def test_cache_dir(self, tmp_path):
+        args = ("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
+                "--cache-dir", str(tmp_path))
+        first = run(*args)
+        files = list(tmp_path.glob("kpf-*.txt"))
+        assert first.returncode == 0 and len(files) == 1
+        saved = files[0].read_text()
+        assert saved.strip()
+        second = run(*args)
+        assert second.returncode == 0 and second.stdout == first.stdout
+        assert files[0].read_text() == saved
+
 
 class TestCompareCommand:
     def test_rem_ce(self):
@@ -196,6 +208,13 @@ class TestConfigAndErrors:
                   "--mu", "300,0,0,0,0,-300", "--compact")
         assert out.returncode == 3
         assert out.stderr.startswith("guard:") and "512" in out.stderr
+
+    def test_table_size_exit(self):
+        # (3000,0,-3000) over gl2+gl1 needs a 3001 x 3001 partition table
+        out = run("branch", "--system", "GL:3", "--levi", "1",
+                  "--lam", "3000,0,-3000", "--mu", "0,0,0")
+        assert out.returncode == 3
+        assert out.stderr.startswith("guard:") and "9006001 cells" in out.stderr
 
     def test_io_exit(self, tmp_path):
         out = run("compare", "--system", "C:2", "--levi", "1",

@@ -1,8 +1,11 @@
 import itertools
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levibranch import (Weight, build_levi, build_root_system,
                         dominant_representative, weyl_group)
@@ -62,7 +65,7 @@ def _enumerate_combinations(roots, fcoef, hmax):
     """Count every N-combination of ``roots`` of height at most ``hmax``.
 
     Brute force over the multiplicity of each root in turn; independent of
-    the memoised DP in ``kostant_batch``.
+    the dense table of ``kostant_batch``.
     """
     counts = Counter()
     heights = [int(fcoef @ r) for r in roots]
@@ -102,31 +105,63 @@ def test_kostant_batch_matches_enumeration(rank, roots):
            if int(fcoef @ np.array(r)) <= hmax]
     rows = np.array(sorted(set(brute) | set(box)), dtype=np.int64)
     expected = [brute.get(tuple(r), 0) for r in rows.tolist()]
-    memo: dict = {}
     half = len(rows) // 2
-    got = np.concatenate([K.kostant_batch(rows[:half], roots, fcoef, memo),
-                          K.kostant_batch(rows[half:], roots, fcoef, memo)])
+    got = np.concatenate([K.kostant_batch(rows[:half], roots),
+                          K.kostant_batch(rows[half:], roots)])
     assert got.tolist() == expected
-    # a fresh memo gives the same counts in the reverse order
-    assert K.kostant_batch(rows[::-1], roots, fcoef, {}).tolist() == expected[::-1]
+    # the reverse order gives the same counts
+    assert K.kostant_batch(rows[::-1], roots).tolist() == expected[::-1]
     # the empty root list writes only 0 as its empty sum
     assert max(expected) > 2 if len(roots) else expected.count(1) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("GL", 4), ("B", 3), ("C", 3), ("D", 4)]), st.data())
+def test_dense_kernel_on_random_levis(system, data):
+    # the rbar or complement roots of a random Levi against brute force;
+    # the box holds odd rows and rows off the axes the roots touch
+    family, rank = system
+    datum = build_root_system(family, rank)
+    sbar = data.draw(st.sets(st.integers(1, len(datum.simple_roots))), label="sbar")
+    levi = build_levi(datum, sorted(sbar))
+    roots = levi.rbar_plus
+    if data.draw(st.booleans(), label="complement"):
+        roots = [a for a in levi.parent.positive_roots if a not in set(roots)]
+    roots = np.array(roots, dtype=np.int64).reshape(len(roots), rank)
+    fcoef = np.arange(rank, 0, -1, dtype=np.int64)
+    hmax = 12
+    brute = _enumerate_combinations(roots.tolist(), fcoef, hmax)
+    box = [r for r in itertools.product(range(-3, 4), repeat=rank)
+           if int(fcoef @ np.array(r)) <= hmax]
+    rows = np.array(sorted(set(brute) | set(box)), dtype=np.int64)
+    expected = [brute.get(tuple(r), 0) for r in rows.tolist()]
+    assert K.kostant_batch(rows, roots).tolist() == expected
+    # alone, a row gets a box of its own, which some roots do not fit
+    for i in range(0, len(rows), 97):
+        assert K.kostant_batch(rows[i:i + 1], roots).tolist() == expected[i:i + 1]
+
+
+def test_kostant_overflow_guard():
+    # n copies of one root out of 40 copies: C(n + 39, 39) ways
+    roots = np.array([[2, -2]] * 40, dtype=np.int64)
+    rows = np.array([[2 * n, -2 * n] for n in range(28)], dtype=np.int64)
+    assert K.kostant_batch(rows, roots).tolist() == [comb(n + 39, 39) for n in range(28)]
+    with pytest.raises(OverflowError):  # C(67, 39) >= 2^62
+        K.kostant_batch(np.array([[56, -56]], dtype=np.int64), roots)
+
+
 def test_kostant_empty_roots():
     roots = np.zeros((0, 3), dtype=np.int64)
-    f = np.arange(3, 0, -1, dtype=np.int64)
     args = np.array([[0, 0, 0], [2, 0, -2]], dtype=np.int64)
-    out = K.kostant_batch(args, roots, f, {})
+    out = K.kostant_batch(args, roots)
     assert list(out) == [1, 0]
 
 
 def test_spin_arguments_count_zero():
     datum = build_root_system("B", 2)
     roots = np.array(datum.positive_roots, dtype=np.int64)
-    f = np.array([2, 1], dtype=np.int64)
     args = np.array([[3, 1], [1, 1]], dtype=np.int64)  # half-integral rows
-    out = K.kostant_batch(args, roots, f, {})
+    out = K.kostant_batch(args, roots)
     assert list(out) == [0, 0]
 
 

@@ -194,6 +194,19 @@ class TestPartitionTable:
             assert fresh.values[w] == v
             assert fresh.count(w) == v
 
+    @pytest.mark.parametrize("root", [Weight.of(0, -1, 1), Weight.zero(3),
+                                      Weight((1, -1, 0))],
+                             ids=["negative", "zero", "odd"])
+    def test_rejects_roots_outside_the_prefix_cone(self, root):
+        with pytest.raises(WeightError):
+            PartitionTable([Weight.of(1, -1, 0), root], 3)
+
+    def test_table_size_guard(self, levi_gl3_21):
+        table = PartitionTable(levi_table(levi_gl3_21).root_list, 3)
+        with pytest.raises(BudgetError, match="9006001 cells"):
+            table.count_rows(np.array([[6000, 0, -6000]], dtype=np.int64))
+        assert not table.values
+
     def test_cone_mask_matches_scalar(self, cone_closure):
         # every row of doubled coordinates in [-bound, bound], so true
         # coordinates -6..6 up to rank 3, odd (spin and mixed) rows included,
