@@ -20,25 +20,23 @@ from .typea_lr import (Partition, SignedSplit, inverse_kostka,
 from .weightpoly import (PartitionTable, WeightPolynomial, alternating_sum,
                          kostant_partition, kostka_multiplicity, nabla_bar,
                          symmetrize, weyl_character, weyl_dim)
-from .weylgrp import (Transversal, WeylElement, coset_decompose,
-                      diagram_automorphisms, dominant_representative,
-                      dot_act, enumerate_group, straighten, transversal,
+from .weylgrp import (WeylElement, coset_decompose, diagram_automorphisms,
+                      dominant_representative, straighten, transversal,
                       weyl_group)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BranchingRow", "LeviDatum", "MFunction", "PairVerdict", "Partition",
-    "PartitionTable", "RootDatum", "SignedSplit", "Transversal", "Weight",
-    "WeightError", "WeightPolynomial", "WeylElement", "a_coefficient",
-    "alternating_sum", "branch_by_restriction", "branch_multiplicity",
-    "branch_row", "build_levi", "build_m", "build_root_system",
-    "classify_pair", "coroot_pairing", "coset_decompose",
-    "diagram_automorphisms", "dominant_box",
-    "dominant_representative", "dot_act", "e_set", "enumerate_group",
-    "far_from_walls", "induced_equal", "inverse_kostka", "kostant_partition",
-    "kostka_multiplicity", "kostka_number", "leading_term", "lr_coefficient",
-    "multi_lr", "nabla_bar", "pairing", "parse_system", "polarisation_branch",
-    "relating_automorphism", "search_box", "split_signed", "straighten",
-    "symmetrize", "transversal", "weyl_character", "weyl_dim", "weyl_group",
+    "PartitionTable", "RootDatum", "SignedSplit", "Weight", "WeightError",
+    "WeightPolynomial", "WeylElement", "a_coefficient", "alternating_sum",
+    "branch_by_restriction", "branch_multiplicity", "branch_row", "build_levi",
+    "build_m", "build_root_system", "classify_pair", "coroot_pairing",
+    "coset_decompose", "diagram_automorphisms", "dominant_box",
+    "dominant_representative", "e_set", "far_from_walls", "induced_equal",
+    "inverse_kostka", "kostant_partition", "kostka_multiplicity",
+    "kostka_number", "leading_term", "lr_coefficient", "multi_lr", "nabla_bar",
+    "pairing", "parse_system", "polarisation_branch", "relating_automorphism",
+    "search_box", "split_signed", "straighten", "symmetrize", "transversal",
+    "weyl_character", "weyl_dim", "weyl_group",
 ]

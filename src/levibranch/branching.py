@@ -72,16 +72,14 @@ def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
     drops, _ = _rho_drops(levi)
     rows = np.array(mu, dtype=np.int64)[None, :] + drops
     w1, lam = dominant_representative(datum, mu + levi.rho_bar)
-    stab = stabilizer_subgroup(datum, lam)
-    stab_perm = np.array([s.perm for s in stab], dtype=np.int64)
-    stab_sign = np.array([s.signs for s in stab], dtype=np.int64)
+    stab_perm, stab_sign, _ = stabilizer_subgroup(datum, lam).arrays
     # sigma o w1 as arrays: perm = w1.perm[sigma.perm], signs likewise
     perm = np.array(w1.perm, dtype=np.int64)[stab_perm]
     sign = stab_sign * np.array(w1.signs, dtype=np.int64)[stab_perm]
     images = (sign[None, :, :] * rows[:, perm]).reshape(-1, datum.rank)
     code = kernels.FAMILY_CODE[datum.family]
     dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
-    return bool(dominant.reshape(len(rows), len(stab)).all(axis=0).any())
+    return bool(dominant.reshape(len(rows), len(stab_perm)).all(axis=0).any())
 
 
 # -- alternating-sum branching ----------------------------------------------

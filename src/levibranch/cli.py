@@ -23,7 +23,7 @@ from .equivalence import classify_pair, replay_resume_state, search_box
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
                       WeightError, build_levi, build_root_system)
 from .typea_lr import Partition, lr_coefficient, multi_lr, polarisation_branch
-from .weightpoly import BudgetError, levi_table
+from .weightpoly import BudgetError
 from .weylgrp import (DEFAULT_GROUP_GUARD, GroupSizeError,
                       diagram_automorphisms, transversal)
 
@@ -32,14 +32,13 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {"family", "rank", "levi", "cache_dir", "threads", "guard", "seed"}
+_CONFIG_FIELDS = {"family", "rank", "levi", "threads", "guard", "seed"}
 
 
 @dataclass
 class JobConfig:
     datum: RootDatum
     levi: LeviDatum | None
-    cache_dir: str | None = None
     threads: int = 1
     guard: int = DEFAULT_GROUP_GUARD
     seed: int = 0
@@ -68,12 +67,10 @@ def _load_config(args) -> JobConfig:
         raise RootSystemError("no root system given; use --system FAMILY:RANK or --config")
     datum = build_root_system(str(data["family"]).upper(), int(data["rank"]))
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
-    cache_dir = args.cache_dir or data.get("cache_dir") or \
-        os.environ.get("LEVIBRANCH_CACHE_DIR")
     threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
     guard = int(getattr(args, "guard", 0) or data.get("guard", 0) or DEFAULT_GROUP_GUARD)
     seed = int(getattr(args, "seed", 0) or data.get("seed", 0) or 0)
-    return JobConfig(datum, levi, cache_dir, threads, guard, seed)
+    return JobConfig(datum, levi, threads, guard, seed)
 
 
 def _emit(payload, out_path=None) -> None:
@@ -85,27 +82,12 @@ def _emit(payload, out_path=None) -> None:
         sys.stdout.write(text)
 
 
-def _table_cache_path(cfg: JobConfig, table) -> str | None:
-    if not cfg.cache_dir:
-        return None
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    return os.path.join(cfg.cache_dir, f"kpf-{table.cache_token()}.txt")
-
-
-def _with_table_cache(cfg: JobConfig, table):
-    path = _table_cache_path(cfg, table)
-    if path and os.path.exists(path):
-        table.load_text(path)
-    return path
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_branch(args) -> int:
     cfg = _load_config(args)
     levi = cfg.require_levi()
     mu = Weight.parse(args.mu)
-    cache_path = _with_table_cache(cfg, levi_table(levi))
     if args.lam:
         lam = Weight.parse(args.lam)
         value = branch_multiplicity(levi, lam, mu, cfg.guard)
@@ -140,8 +122,6 @@ def cmd_branch(args) -> int:
                 sys.stdout.write(text)
         else:
             _emit(row.to_json(), args.out)
-    if cache_path:
-        levi_table(levi).save_text(cache_path)
     return EXIT_OK
 
 
@@ -249,7 +229,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", help="root system FAMILY:RANK, e.g. C:6")
         p.add_argument("--levi", help="retained simple-root indices, e.g. 1,2,4,5,6")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--cache-dir", help="partition-table cache directory")
         p.add_argument("--threads", type=int, default=0)
         p.add_argument("--guard", type=int, default=0,
                        help="Weyl-group enumeration guard (default 2e6)")

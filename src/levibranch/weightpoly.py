@@ -9,7 +9,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -237,7 +236,7 @@ class PartitionTable:
     Counts the ways to write a weight as an N-combination of ``roots``.
     Every ``count_rows`` call builds one dense table for its batch
     (``kernels.kostant_batch``); ``values`` keeps each count answered, for
-    ``count`` and for ``save_text``.
+    ``count``.
     """
 
     def __init__(self, roots, rank: int, label: str = ""):
@@ -262,33 +261,6 @@ class PartitionTable:
         out = kernels.kostant_batch(rows, self._roots_arr)
         self.values.update(zip(map(Weight, rows.tolist()), out.tolist()))
         return out
-
-    # -- persistence ----------------------------------------------------------
-    def cache_token(self) -> str:
-        payload = repr((self.rank, self.root_list)).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
-
-    def save_text(self, path) -> int:
-        lines = []
-        for w in sorted(self.values):
-            lines.append(" ".join(str(c) for c in w) + f" {self.values[w]}")
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        import os
-        os.replace(tmp, path)
-        return len(lines)
-
-    def load_text(self, path) -> int:
-        loaded = 0
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                self.values[Weight(int(x) for x in parts[:-1])] = int(parts[-1])
-                loaded += 1
-        return loaded
 
 
 def kostant_partition(table: PartitionTable, beta: Weight) -> int:

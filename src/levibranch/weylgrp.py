@@ -1,22 +1,34 @@
-"""Weyl groups as signed permutations: enumeration, actions, cosets.
+"""Weyl groups as arrays of signed permutations: enumeration, actions, cosets.
 
-An element acts on a weight by ``act(w, b)[i] = signs[i] * b[perm[i]]``.
-Composition and equality are O(n); the sign character is the determinant
-of the underlying signed permutation matrix.
+A group is three int64 arrays, one row per element in ``WeylElement.sort_key``
+order: ``perm`` and ``sign`` (|G| x n) and ``eps``, the sign character.
+Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.  W is every
+permutation in lexicographic order against every admissible sign vector;
+Levi Weyl groups and stabilisers close their simple reflections over
+arrays; the transversal and the diagram automorphisms filter W block by
+block, so they never hold all of W.  ``WeylElement`` objects are built
+only at the edges: the automorphisms, coset decomposition and code that
+iterates a group.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
+from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
                       _positive_set)
 
 DEFAULT_GROUP_GUARD = 2_000_000
+# rows of W per block when the transversal filters W
+FILTER_BLOCK_ROWS = 1 << 14
+# largest rank whose element keys (permutation rank times 2^n) fit in int64
+MAX_KEY_RANK = 16
 
 
 class GroupSizeError(RuntimeError):
@@ -100,32 +112,89 @@ class WeylElement:
 
 
 class WeylGroup:
-    """A deterministically ordered enumeration with cached action arrays."""
+    """Elements of W (a subgroup, or a transversal) as int64 arrays in sort_key order."""
 
-    def __init__(self, elements: tuple[WeylElement, ...]):
-        self.elements = elements
-        self.eps = tuple(w.sign() for w in elements)
-        self._arrays = None
+    def __init__(self, perm: np.ndarray, sign: np.ndarray):
+        self.perm = perm
+        self.sign = sign
+        self.eps = np.where(_lehmer(perm).sum(axis=1) & 1, -1, 1) * sign.prod(axis=1)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.perm)
 
     def __iter__(self):
         return iter(self.elements)
 
     @property
     def arrays(self):
-        """(perm, signs, eps) as int64 arrays for the kernels."""
-        if self._arrays is None:
-            perm = np.array([w.perm for w in self.elements], dtype=np.int64)
-            sign = np.array([w.signs for w in self.elements], dtype=np.int64)
-            eps = np.array(self.eps, dtype=np.int64)
-            self._arrays = (perm, sign, eps)
-        return self._arrays
+        """(perm, sign, eps) as C-contiguous int64 arrays for the kernels."""
+        return self.perm, self.sign, self.eps
+
+    @cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        return _objects(self.perm, self.sign)
 
 
-def weyl_order(datum: RootDatum) -> int:
-    return datum.weyl_order()
+def _objects(perm: np.ndarray, sign: np.ndarray) -> tuple[WeylElement, ...]:
+    return tuple(WeylElement(tuple(p), tuple(s))
+                 for p, s in zip(perm.tolist(), sign.tolist()))
+
+
+def _lehmer(perm: np.ndarray) -> np.ndarray:
+    """Lehmer code of each row: c[i] = #{j > i : perm[j] < perm[i]}."""
+    n = perm.shape[1]
+    code = np.zeros_like(perm)
+    for i in range(n - 1):
+        code[:, i] = (perm[:, i + 1:] < perm[:, i:i + 1]).sum(axis=1)
+    return code
+
+
+def _keys(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Distinct int64 keys whose order is the ``WeylElement.sort_key`` order.
+
+    The lexicographic rank of the permutation (its Lehmer code in the
+    factorial base) times 2^n, plus the bits of the negative signs with
+    coordinate 0 most significant.
+    """
+    n = perm.shape[1]
+    if n > MAX_KEY_RANK:
+        raise kernels.PackRangeError(
+            f"rank {n} too large for Weyl-group keys (limit {MAX_KEY_RANK})")
+    radix = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    bits = np.array([1 << (n - 1 - i) for i in range(n)], dtype=np.int64)
+    return (_lehmer(perm) @ radix << n) + (sign < 0) @ bits
+
+
+def _blocks(datum: RootDatum, rows: int):
+    """W in sort_key order as (perm, sign) blocks of about ``rows`` rows.
+
+    Each block is a run of whole permutations, each repeated against every
+    admissible sign vector: none negative in GL, an even number in D.
+    """
+    n = datum.rank
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
+    if datum.family == "GL":
+        signs = signs[:1]
+    elif datum.family == "D":
+        signs = signs[signs.prod(axis=1) == 1]
+    step = max(1, rows // len(signs))
+    for lo in range(0, len(perms), step):
+        block = perms[lo:lo + step]
+        yield np.repeat(block, len(signs), axis=0), np.tile(signs, (len(block), 1))
+
+
+def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
+    """The rows (perm, sign) that send every vector of ``roots`` into ``targets``."""
+    if not roots:
+        return perm, sign
+    keys = np.sort(kernels.pack_rows(np.array(targets, dtype=np.int64)))
+    for a in roots:
+        img = kernels.pack_rows(kernels.orbit_images(perm, sign, np.array(a, dtype=np.int64)))
+        at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+        keep = keys[at] == img
+        perm, sign = perm[keep], sign[keep]
+    return perm, sign
 
 
 def check_group_guard(label: str, size: int, guard: int) -> None:
@@ -135,19 +204,7 @@ def check_group_guard(label: str, size: int, guard: int) -> None:
 
 @lru_cache(maxsize=None)
 def _group_for(datum: RootDatum) -> WeylGroup:
-    n = datum.rank
-    elements: list[WeylElement] = []
-    if datum.family == "GL":
-        for perm in itertools.permutations(range(n)):
-            elements.append(WeylElement(perm, (1,) * n))
-    else:
-        even_only = datum.family == "D"
-        sign_choices = [s for s in itertools.product((1, -1), repeat=n)
-                        if not even_only or s.count(-1) % 2 == 0]
-        for perm in itertools.permutations(range(n)):
-            for s in sign_choices:
-                elements.append(WeylElement(perm, s))
-    return WeylGroup(tuple(elements))
+    return WeylGroup(*next(_blocks(datum, datum.weyl_order())))
 
 
 def weyl_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
@@ -155,10 +212,33 @@ def weyl_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
     return _group_for(datum)
 
 
-def enumerate_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD):
-    """Stream (element, sign) pairs in the fixed enumeration order."""
-    group = weyl_group(datum, guard)
-    yield from zip(group.elements, group.eps)
+@lru_cache(maxsize=None)
+def _parabolic(datum: RootDatum, simple: tuple[int, ...]) -> WeylGroup:
+    """The subgroup generated by the reflections in the simple roots ``simple`` (1-based).
+
+    Breadth first over arrays: each round applies every generator to the
+    elements first reached in the round before and keeps the images whose
+    keys are new.  At most 2^rank subsets exist, so the cache is bounded.
+    """
+    n = datum.rank
+    gens = [(np.array(g.perm), np.array(g.signs)) for g in
+            (WeylElement.reflection(datum.simple_roots[i - 1]) for i in simple)]
+    perm = np.arange(n, dtype=np.int64)[None, :]
+    sign = np.ones((1, n), dtype=np.int64)
+    seen = _keys(perm, sign)
+    parts = [(perm, sign, seen)]
+    while gens and len(perm):
+        # g o w: perm = w.perm[g.perm], sign = g.signs * w.signs[g.perm]
+        perm = np.concatenate([perm[:, gp] for gp, _ in gens])
+        sign = np.concatenate([gs * sign[:, gp] for gp, gs in gens])
+        keys, first = np.unique(_keys(perm, sign), return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        perm, sign, keys = perm[first[fresh]], sign[first[fresh]], keys[fresh]
+        seen = np.union1d(seen, keys)
+        parts.append((perm, sign, keys))
+    order = np.argsort(np.concatenate([k for _, _, k in parts]))
+    return WeylGroup(np.concatenate([p for p, _, _ in parts])[order],
+                     np.concatenate([s for _, s, _ in parts])[order])
 
 
 # -- normal forms ---------------------------------------------------------
@@ -188,30 +268,10 @@ def is_regular(datum: RootDatum, beta: Weight) -> bool:
     return all(beta.dot4(a) != 0 for a in datum.positive_roots)
 
 
-def stabilizer_order(datum: RootDatum, beta: Weight) -> int:
-    return len(stabilizer_subgroup(datum, dominant_representative(datum, beta)[1]))
-
-
-@lru_cache(maxsize=None)
-def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> tuple[WeylElement, ...]:
-    """Stabiliser of a dominant weight: closure of the orthogonal simple reflections."""
-    gens = [WeylElement.reflection(a) for a in datum.simple_roots if lam.dot4(a) == 0]
-    return _closure(gens, datum.rank)
-
-
-def _closure(gens: list[WeylElement], n: int) -> tuple[WeylElement, ...]:
-    seen = {WeylElement.identity(n)}
-    frontier = [WeylElement.identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                h = g.compose(w)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return tuple(sorted(seen, key=WeylElement.sort_key))
+def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> WeylGroup:
+    """Stabiliser of a dominant weight: generated by the simple reflections fixing it."""
+    return _parabolic(datum, tuple(i + 1 for i, a in enumerate(datum.simple_roots)
+                                   if lam.dot4(a) == 0))
 
 
 def straighten(datum: RootDatum, beta: Weight):
@@ -228,35 +288,11 @@ def straighten(datum: RootDatum, beta: Weight):
     return w.sign(), dom - datum.rho
 
 
-def dot_act(datum: RootDatum, w: WeylElement, beta: Weight) -> Weight:
-    return w.act(beta + datum.rho) - datum.rho
-
-
 # -- Levi-side groups ------------------------------------------------------
-
-@dataclass(frozen=True)
-class Transversal:
-    """Minimal-length coset representatives of W over the Levi Weyl group."""
-
-    levi: LeviDatum
-    elements: tuple[WeylElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-@lru_cache(maxsize=None)
-def _levi_group_cached(levi: LeviDatum) -> WeylGroup:
-    gens = [WeylElement.reflection(a) for a in levi.sbar_roots]
-    return WeylGroup(_closure(gens, levi.parent.rank))
-
 
 def levi_group(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
     check_group_guard(levi.describe(), levi.weylbar_order(), guard)
-    group = _levi_group_cached(levi)
+    group = _parabolic(levi.parent, levi.sbar)
     if len(group) != levi.weylbar_order():
         raise RootSystemError(
             f"Levi Weyl group size {len(group)} disagrees with the "
@@ -265,24 +301,27 @@ def levi_group(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
 
 
 @lru_cache(maxsize=None)
-def _transversal_cached(levi: LeviDatum) -> Transversal:
+def _transversal(levi: LeviDatum) -> WeylGroup:
+    """The w in W that keep every Levi simple root positive, block by block.
+
+    W is listed in sort_key order, so the survivors are too.
+    """
     datum = levi.parent
-    pos = _positive_set(datum)
-    sbar = levi.sbar_roots
-    reps = [w for w in _group_for(datum)
-            if all(w.act(a) in pos for a in sbar)]
-    return Transversal(levi, tuple(sorted(reps, key=WeylElement.sort_key)))
+    kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
+            for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
+    perm = np.concatenate([p for p, _ in kept])
+    expected = datum.weyl_order() // levi.weylbar_order()
+    if len(perm) != expected:
+        raise RootSystemError(
+            f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")
+    return WeylGroup(perm, np.concatenate([s for _, s in kept]))
 
 
-def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> Transversal:
+def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
+    """Minimal-length coset representatives of W over the Levi Weyl group."""
     datum = levi.parent
     check_group_guard(datum.describe(), datum.weyl_order(), guard)
-    trans = _transversal_cached(levi)
-    expected = datum.weyl_order() // levi.weylbar_order()
-    if len(trans) != expected:
-        raise RootSystemError(
-            f"transversal size {len(trans)} != |W|/|Wbar| = {expected}")
-    return trans
+    return _transversal(levi)
 
 
 def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylElement]:
@@ -309,15 +348,16 @@ def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylE
 
 @lru_cache(maxsize=None)
 def _diagram_automorphisms_cached(levi: LeviDatum) -> tuple[WeylElement, ...]:
-    rbar = frozenset(levi.rbar_plus)
-    autos = [u for u in _transversal_cached(levi).elements
-             if all(u.act(a) in rbar for a in levi.sbar_roots)]
-    for u in autos:
-        if u.act(levi.rho_bar) != levi.rho_bar:
-            raise RootSystemError(
-                f"automorphism candidate {u} moves the Levi Weyl vector")
-    autos.sort(key=lambda u: (not u.is_identity(), u.sort_key()))
-    return tuple(autos)
+    trans = _transversal(levi)
+    perm, sign = _maps_into(trans.perm, trans.sign, levi.sbar_roots, levi.rbar_plus)
+    rho = np.array(levi.rho_bar, dtype=np.int64)
+    moved = (kernels.orbit_images(perm, sign, rho) != rho).any(axis=1)
+    if moved.any():
+        raise RootSystemError(
+            f"automorphism candidate {_objects(perm[moved], sign[moved])[0]} "
+            f"moves the Levi Weyl vector")
+    # the identity has the least sort key, so it comes first
+    return _objects(perm, sign)
 
 
 def diagram_automorphisms(levi: LeviDatum,
@@ -327,5 +367,6 @@ def diagram_automorphisms(levi: LeviDatum,
     Each element fixes the Levi Weyl vector (checked), i.e. acts as a Dynkin
     diagram automorphism of the Levi.
     """
-    transversal(levi, guard)
+    datum = levi.parent
+    check_group_guard(datum.describe(), datum.weyl_order(), guard)
     return _diagram_automorphisms_cached(levi)

@@ -52,17 +52,12 @@ class TestBranchCommand:
                 "--mu", "1,0,0", "--box-k", "2")
         assert run(*args).stdout == run(*args).stdout
 
-    def test_cache_dir(self, tmp_path):
-        args = ("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
-                "--cache-dir", str(tmp_path))
-        first = run(*args)
-        files = list(tmp_path.glob("kpf-*.txt"))
-        assert first.returncode == 0 and len(files) == 1
-        saved = files[0].read_text()
-        assert saved.strip()
-        second = run(*args)
-        assert second.returncode == 0 and second.stdout == first.stdout
-        assert files[0].read_text() == saved
+    def test_cache_dir_refused(self, tmp_path):
+        out = run("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
+                  "--cache-dir", str(tmp_path))
+        assert out.returncode == 2
+        assert "--cache-dir" in out.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestCompareCommand:
@@ -192,6 +187,14 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"family": "C", "rank": 2, "bogus": True}))
         out = run("autos", "--config", str(cfg))
         assert out.returncode == 2
+
+    def test_cache_dir_config_refused(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2],
+                                   "cache_dir": str(tmp_path)}))
+        out = run("branch", "--config", str(cfg), "--mu", "1,0,0")
+        assert out.returncode == 2
+        assert "cache_dir" in out.stderr
 
     def test_validation_exit(self):
         assert run("branch", "--system", "X:9", "--mu", "0").returncode == 2

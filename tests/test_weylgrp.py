@@ -1,13 +1,22 @@
 import itertools
 
+import numpy as np
 import pytest
 
+import oracles
 from levibranch import (Weight, build_levi, build_root_system,
                         coset_decompose, diagram_automorphisms,
-                        dominant_representative, dot_act, enumerate_group,
-                        straighten, transversal, weyl_group)
+                        dominant_representative, straighten, transversal,
+                        weyl_group, weylgrp)
+from levibranch.equivalence import dominant_box
+from levibranch.kernels import PackRangeError
 from levibranch.weylgrp import (GroupSizeError, WeylElement, levi_group,
                                 stabilizer_subgroup)
+
+
+def dot_act(datum, w, beta):
+    """The dot action w . beta = w(beta + rho) - rho."""
+    return w.act(beta + datum.rho) - datum.rho
 
 
 class TestElements:
@@ -49,13 +58,16 @@ class TestEnumeration:
         assert len(weyl_group(d4)) == 192
 
     def test_gl_signs_are_permutation_signs(self, gl3):
-        for w, eps in enumerate_group(gl3):
+        group = weyl_group(gl3)
+        for w, eps in zip(group, group.eps):
             assert all(s == 1 for s in w.signs)
             assert eps == w.sign()
 
     def test_each_element_once_and_deterministic(self, c2):
-        run1 = list(enumerate_group(c2))
-        run2 = list(enumerate_group(c2))
+        group = weyl_group(c2)
+        fresh = weylgrp._group_for.__wrapped__(c2)  # a second build, past the cache
+        run1 = list(zip(group, group.eps.tolist()))
+        run2 = list(zip(fresh, fresh.eps.tolist()))
         assert run1 == run2
         assert len({w for w, _ in run1}) == 8
 
@@ -67,6 +79,13 @@ class TestEnumeration:
         with pytest.raises(GroupSizeError) as err:
             weyl_group(build_root_system("C", 8))
         assert err.value.size == 10_321_920
+
+    def test_key_rank_limit(self):
+        # element keys (permutation rank times 2^n) would overflow int64
+        levi = build_levi(build_root_system("GL", weylgrp.MAX_KEY_RANK + 1), [1])
+        with pytest.raises(PackRangeError):
+            levi_group(levi)
+        assert len(levi_group(build_levi(build_root_system("GL", 16), [1, 15]))) == 4
 
 
 class TestActions:
@@ -288,3 +307,72 @@ class TestStabilizer:
         lam = Weight.of(2, 2, 0)
         for w in stabilizer_subgroup(b3, lam):
             assert w.act(lam) == lam
+
+
+# -- the array builders against the object-by-object routes -----------------
+
+ORACLE_FAMILIES = [("GL", range(1, 6)), ("B", range(1, 6)), ("C", range(1, 6)),
+                   ("D", range(3, 6))]
+
+
+def _all_levis(family, ranks):
+    for rank in ranks:
+        datum = build_root_system(family, rank)
+        m = len(datum.simple_roots)
+        for k in range(m + 1):
+            for sbar in itertools.combinations(range(1, m + 1), k):
+                yield build_levi(datum, sbar)
+
+
+def _assert_group_matches(group, ref):
+    perm, sign, eps = group.arrays
+    for arr in (perm, sign, eps):
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+    assert perm.tolist() == [list(w.perm) for w in ref]
+    assert sign.tolist() == [list(w.signs) for w in ref]
+    assert eps.tolist() == [w.sign() for w in ref]
+    assert group.elements == ref and tuple(group) == ref
+
+
+def _assert_levi_matches(levi):
+    _assert_group_matches(levi_group(levi), oracles.levi_elements(levi))
+    assert transversal(levi).elements == oracles.transversal_elements(levi)
+    assert diagram_automorphisms(levi) == oracles.automorphism_elements(levi)
+
+
+class TestAgainstObjectOracles:
+    @pytest.mark.parametrize("family,ranks", ORACLE_FAMILIES,
+                             ids=[f for f, _ in ORACLE_FAMILIES])
+    def test_weyl_groups(self, family, ranks):
+        for rank in ranks:
+            datum = build_root_system(family, rank)
+            _assert_group_matches(weyl_group(datum), oracles.weyl_elements(datum))
+
+    @pytest.mark.parametrize("family,ranks", ORACLE_FAMILIES,
+                             ids=[f for f, _ in ORACLE_FAMILIES])
+    def test_every_levi(self, family, ranks):
+        for levi in _all_levis(family, ranks):
+            _assert_levi_matches(levi)
+
+    def test_sp12(self, levi_sp12):
+        _assert_levi_matches(levi_sp12)
+
+    @pytest.mark.parametrize("family,rank,sbar", [
+        ("GL", 5, (1, 3)), ("B", 4, (1, 3, 4)), ("C", 4, (1, 2, 4)), ("D", 4, (1, 2, 4))])
+    def test_transversal_in_small_blocks(self, family, rank, sbar, monkeypatch):
+        # W is filtered in many blocks, some of them ragged at the end
+        monkeypatch.setattr(weylgrp, "FILTER_BLOCK_ROWS", 100)
+        levi = build_levi(build_root_system(family, rank), sbar)
+        fresh = weylgrp._transversal.__wrapped__(levi)
+        assert fresh.elements == oracles.transversal_elements(levi)
+
+    @pytest.mark.parametrize("family,rank,bound", [
+        ("GL", 4, 2), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2)])
+    def test_stabilizers(self, family, rank, bound):
+        datum = build_root_system(family, rank)
+        full = build_levi(datum, range(1, len(datum.simple_roots) + 1))
+        weights = dominant_box(full, bound)  # spin weights on B and D
+        assert any(not lam.is_integral() for lam in weights) == (family in ("B", "D"))
+        for lam in weights:
+            _assert_group_matches(stabilizer_subgroup(datum, lam),
+                                  oracles.stabilizer_elements(datum, lam))
