@@ -5,21 +5,19 @@ M-functions, finds the Weyl-group diagram automorphism relating equal
 pairs, and scans bounded weight boxes for counterexamples.
 """
 
-from .branching import (BranchingRow, MFunction, a_coefficient,
-                        branch_by_restriction, branch_multiplicity,
-                        branch_row, build_m, e_set, far_from_walls,
-                        leading_term)
+from .branching import (BranchingRow, MFunction, branch_by_restriction,
+                        branch_multiplicity, branch_row, build_m, e_set,
+                        far_from_walls, leading_term)
 from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      build_levi, build_root_system, coroot_pairing,
-                      pairing, parse_system)
+                      build_levi, build_root_system, coroot_pairing, pairing)
 from .typea_lr import (Partition, SignedSplit, inverse_kostka,
                        kostka_number, lr_coefficient, multi_lr,
                        polarisation_branch, split_signed)
 from .weightpoly import (PartitionTable, WeightPolynomial, alternating_sum,
-                         kostant_partition, kostka_multiplicity, nabla_bar,
-                         symmetrize, weyl_character, weyl_dim)
+                         kostka_multiplicity, nabla_bar, symmetrize,
+                         weyl_character, weyl_dim)
 from .weylgrp import (WeylElement, coset_decompose, diagram_automorphisms,
                       dominant_representative, straighten, transversal,
                       weyl_group)
@@ -29,14 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchingRow", "LeviDatum", "MFunction", "PairVerdict", "Partition",
     "PartitionTable", "RootDatum", "SignedSplit", "Weight", "WeightError",
-    "WeightPolynomial", "WeylElement", "a_coefficient", "alternating_sum",
-    "branch_by_restriction", "branch_multiplicity", "branch_row", "build_levi",
-    "build_m", "build_root_system", "classify_pair", "coroot_pairing",
+    "WeightPolynomial", "WeylElement", "alternating_sum", "branch_by_restriction",
+    "branch_multiplicity", "branch_row", "build_levi", "build_m",
+    "build_root_system", "classify_pair", "coroot_pairing",
     "coset_decompose", "diagram_automorphisms", "dominant_box",
     "dominant_representative", "e_set", "far_from_walls", "induced_equal",
-    "inverse_kostka", "kostant_partition", "kostka_multiplicity",
-    "kostka_number", "leading_term", "lr_coefficient", "multi_lr", "nabla_bar",
-    "pairing", "parse_system", "polarisation_branch", "relating_automorphism",
-    "search_box", "split_signed", "straighten", "symmetrize", "transversal",
-    "weyl_character", "weyl_dim", "weyl_group",
+    "inverse_kostka", "kostka_multiplicity", "kostka_number", "leading_term",
+    "lr_coefficient", "multi_lr", "nabla_bar", "pairing", "polarisation_branch",
+    "relating_automorphism", "search_box", "split_signed", "straighten",
+    "symmetrize", "transversal", "weyl_character", "weyl_dim", "weyl_group",
 ]

@@ -98,9 +98,8 @@ def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight,
         return 0  # different lattice classes never branch into each other
     group = weyl_group(datum, guard)
     perm, sign, eps = group.arrays
-    shifted = np.array(lam + datum.rho, dtype=np.int64)
-    img = kernels.orbit_images(perm, sign, shifted)
-    args = img - np.array(mu + datum.rho, dtype=np.int64)
+    args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
+    args -= np.array(mu + datum.rho, dtype=np.int64)
     mask = chamber_cone_mask(datum.family, args)
     if not mask.any():
         return 0
@@ -315,22 +314,3 @@ def _check_dual_construction(levi: LeviDatum, mu: Weight,
     if not (np.array_equal(acc_rows, urows) and np.array_equal(acc // k, sums)):
         raise WeightError(f"dual M-constructions disagree at mu = {mu}")
 
-
-def a_coefficient(levi: LeviDatum, lam: Weight, mu: Weight) -> int:
-    """Signed count of Levi elements whose E-translate lands in the orbit of lam.
-
-    These are the coefficients of the triangular expansion of the induced
-    character over the h-basis of the chamber containing ``mu``; the diagonal
-    value is always 1.
-    """
-    levi.require_dominant(mu)
-    datum = levi.parent
-    _, target = dominant_representative(datum, lam)
-    drops, eps = _rho_drops(levi)
-    rows = np.array(mu, dtype=np.int64)[None, :] + drops
-    dom = kernels.dominant_rows(rows, kernels.FAMILY_CODE[datum.family])
-    total = 0
-    tgt = np.array(target, dtype=np.int64)
-    hits = (dom == tgt).all(axis=1)
-    total = int(np.asarray(eps)[hits].sum())
-    return total

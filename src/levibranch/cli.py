@@ -32,7 +32,7 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {"family", "rank", "levi", "threads", "guard", "seed"}
+_CONFIG_FIELDS = {"family", "rank", "levi", "threads", "guard"}
 
 
 @dataclass
@@ -41,7 +41,6 @@ class JobConfig:
     levi: LeviDatum | None
     threads: int = 1
     guard: int = DEFAULT_GROUP_GUARD
-    seed: int = 0
 
     def require_levi(self) -> LeviDatum:
         if self.levi is None:
@@ -69,8 +68,7 @@ def _load_config(args) -> JobConfig:
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
     threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
     guard = int(getattr(args, "guard", 0) or data.get("guard", 0) or DEFAULT_GROUP_GUARD)
-    seed = int(getattr(args, "seed", 0) or data.get("seed", 0) or 0)
-    return JobConfig(datum, levi, threads, guard, seed)
+    return JobConfig(datum, levi, threads, guard)
 
 
 def _emit(payload, out_path=None) -> None:
@@ -225,14 +223,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "equality for the classical families")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, needs_levi=True):
+    def common(p):
         p.add_argument("--system", help="root system FAMILY:RANK, e.g. C:6")
         p.add_argument("--levi", help="retained simple-root indices, e.g. 1,2,4,5,6")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--threads", type=int, default=0)
         p.add_argument("--guard", type=int, default=0,
                        help="Weyl-group enumeration guard (default 2e6)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write primary output to this file")
 
     p = sub.add_parser("branch", help="branching multiplicity or a whole row")
@@ -255,6 +251,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan a dominant box for equal pairs")
     common(p)
     p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--certificates", help="append JSONL verdicts to this file")
     p.add_argument("--resume", action="store_true",
                    help="skip groups already completed in the certificate file")

@@ -61,7 +61,9 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
 def orbit_images(perms: np.ndarray, signs: np.ndarray,
                  vec: np.ndarray) -> np.ndarray:
     """Row w is ``signs[w] * vec[perms[w]]``: one row per group element."""
-    return signs * vec[perms]
+    img = vec[perms]
+    img *= signs
+    return img
 
 
 # -- dominant representatives ----------------------------------------------

@@ -92,14 +92,8 @@ class Weight(tuple):
         return sum(a * b for a, b in zip(self, other, strict=True))
 
     # -- views -----------------------------------------------------------
-    def halves(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self)
-
     def is_integral(self) -> bool:
         return all(c % 2 == 0 for c in self)
-
-    def is_zero(self) -> bool:
-        return not any(self)
 
     def to_json(self) -> list:
         return [c // 2 if c % 2 == 0 else c / 2 for c in self]
@@ -140,14 +134,6 @@ class RootDatum:
     positive_roots: tuple[Weight, ...]
     rho: Weight
 
-    @property
-    def n(self) -> int:
-        return self.rank
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.rank
-
     def describe(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -186,9 +172,6 @@ class RootDatum:
         if not self.is_dominant(beta):
             raise WeightError(f"{beta} is not dominant for {self.describe()}")
         return beta
-
-    def is_positive_root(self, alpha: Weight) -> bool:
-        return alpha in _positive_set(self)
 
     def dominance_leq(self, gamma: Weight, beta: Weight) -> bool:
         """gamma <= beta iff beta - gamma is an N-combination of positive roots.
@@ -251,30 +234,45 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     return RootDatum(family, n, tuple(simple), tuple(pos), rho)
 
 
-def chamber_cone_mask(family: str, rows: np.ndarray) -> np.ndarray:
-    """Rows that are N-combinations of the family's positive roots.
+def chamber_cone_mask(family: str, rows: np.ndarray, sbar=None) -> np.ndarray:
+    """Rows that are N-combinations of the positive roots of g, or of a Levi.
 
-    Triangular test on the rows of doubled coordinates: prefix sums against
-    the fundamental coweights plus the root-lattice condition.
+    A row is one exactly when its coordinates c over the simple roots are
+    nonnegative integers.  On doubled coordinates x they are read off the
+    prefix sums t_k = x_1 + ... + x_k, all in one array:
+
+    * GL: t_k = 2 c_k for k < n, and the row is in the span only if t_n = 0;
+    * B:  t_k = 2 c_k;
+    * C:  t_k = 2 c_k for k < n, and t_n = 4 c_n;
+    * D:  t_k = 2 c_k for k < n - 1, t_(n-1) - x_n = 4 c_(n-1) and t_n = 4 c_n.
+
+    So a row passes when it is even (integral), every coordinate is
+    nonnegative and every 4 c is divisible by 4.
+
+    With ``sbar`` (1-based simple-root indices) the cone is that of the Levi
+    positive roots Rbar+: a row passes when it is in the cone of g and its
+    coordinates off ``sbar`` are zero.  Proof: Rbar+ lies in N.Sbar and
+    contains Sbar, so N.Rbar+ = N.Sbar; simple-root coordinates are unique,
+    so a row is in N.Sbar exactly when its coordinates are nonnegative
+    integers that vanish off ``sbar``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[1]
-    even = (rows & 1 == 0).all(axis=1)
-    h = np.where(even[:, None], rows >> 1, 0)
-    s = np.cumsum(h, axis=1)
-    if family == "GL":
-        ok = (s[:, :-1] >= 0).all(axis=1) & (s[:, -1] == 0) if n > 1 else (s[:, -1] == 0)
-    elif family == "B":
-        ok = (s >= 0).all(axis=1)
-    elif family == "C":
-        ok = (s >= 0).all(axis=1) & (s[:, -1] % 2 == 0)
-    else:  # D
-        ok = (s[:, -1] % 2 == 0)
-        if n > 2:
-            ok &= (s[:, : n - 2] >= 0).all(axis=1)
-        before = s[:, -2] if n >= 2 else np.zeros(len(rows), dtype=np.int64)
-        ok &= (before - h[:, -1] >= 0) & (before + h[:, -1] >= 0)
-    return even & ok
+    # column-major, so that every coordinate column read below is contiguous
+    t = np.empty(rows.shape, dtype=np.int64, order="F")
+    np.cumsum(rows, axis=1, out=t)
+    ok = (np.bitwise_or.reduce(t, axis=1) & 1) == 0
+    if family == "D":
+        t[:, -2] -= rows[:, -1]
+    quad = {"C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
+    for k, col in enumerate(t.T):
+        if (family == "GL" and k == n - 1) or (sbar is not None and k + 1 not in sbar):
+            ok &= col == 0
+        else:
+            ok &= col >= 0
+            if k in quad:
+                ok &= (col & 3) == 0
+    return ok
 
 
 # -- Levi subsystems ------------------------------------------------------
@@ -521,25 +519,3 @@ def _classify_component(roots: list[Weight], coords: tuple[int, ...]) -> LeviCom
     if max(degrees) == 3:
         return LeviComponent("D", k, coords)
     return LeviComponent("GL", k + 1, coords)
-
-
-def parse_system(spec: str | dict) -> tuple[RootDatum, LeviDatum | None]:
-    """Parse a root-system descriptor.
-
-    Accepts ``"C:6"`` / ``"GL:4"`` strings or a config mapping of the form
-    ``{"family": "C", "rank": 6, "levi": [1,2,4,5,6]}`` (1-based simple-root
-    indices for the retained subset).
-    """
-    if isinstance(spec, str):
-        fam, _, rk = spec.partition(":")
-        if not rk:
-            raise RootSystemError(f"bad system descriptor {spec!r}; expected FAMILY:RANK")
-        datum = build_root_system(fam.strip().upper(), int(rk))
-        return datum, None
-    known = {"family", "rank", "levi"}
-    unknown = set(spec) - known
-    if unknown:
-        raise RootSystemError(f"unknown system fields: {sorted(unknown)}")
-    datum = build_root_system(str(spec["family"]).upper(), int(spec["rank"]))
-    levi = build_levi(datum, spec["levi"]) if "levi" in spec else None
-    return datum, levi

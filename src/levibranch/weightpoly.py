@@ -5,10 +5,14 @@ of weights with nonzero integer coefficients, partition functions are
 counted in one dense integer table per batch, and characters come from the
 Freudenthal recursion with the alternating-sum formula retained as an
 independent cross-check.
+
+Characters of g and of a Levi share one frame (``_Frame``): one cone test
+and one batched dominant image, so the recursion works on row blocks.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +20,7 @@ import numpy as np
 from . import kernels
 from .kernels import BudgetError
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      chamber_cone_mask, coroot_pairing)
+                      chamber_cone_mask)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, levi_group,
                       weyl_group)
 
@@ -235,26 +239,17 @@ class PartitionTable:
 
     Counts the ways to write a weight as an N-combination of ``roots``.
     Every ``count_rows`` call builds one dense table for its batch
-    (``kernels.kostant_batch``); ``values`` keeps each count answered, for
-    ``count``.
+    (``kernels.kostant_batch``); ``values`` records each count answered.
     """
 
-    def __init__(self, roots, rank: int, label: str = ""):
+    def __init__(self, roots, rank: int):
         self.root_list = tuple(sorted(roots))
-        self.rank = rank
-        self.label = label
         self._roots_arr = np.array(self.root_list, dtype=np.int64).reshape(-1, rank)
         for r, t in zip(self._roots_arr, kernels.prefix_sums(self._roots_arr)):
             if (r & 1).any() or (t < 0).any() or not t.any():
                 raise WeightError(
                     f"root {tuple(r.tolist())} has no nonnegative nonzero prefix-sum vector")
         self.values: dict[Weight, int] = {}
-
-    def count(self, beta: Weight) -> int:
-        hit = self.values.get(beta)
-        if hit is not None:
-            return hit
-        return int(self.count_rows(np.array([beta], dtype=np.int64))[0])
 
     def count_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -263,93 +258,89 @@ class PartitionTable:
         return out
 
 
-def kostant_partition(table: PartitionTable, beta: Weight) -> int:
-    """Number of ways to write ``beta`` as an N-combination of the table roots."""
-    return table.count(beta)
-
-
 @lru_cache(maxsize=None)
 def full_table(datum: RootDatum) -> PartitionTable:
-    return PartitionTable(datum.positive_roots, datum.rank,
-                          label=f"{datum.describe()}:full")
+    return PartitionTable(datum.positive_roots, datum.rank)
 
 
 @lru_cache(maxsize=None)
 def levi_table(levi: LeviDatum) -> PartitionTable:
     rbar = set(levi.rbar_plus)
     roots = [a for a in levi.parent.positive_roots if a not in rbar]
-    return PartitionTable(roots, levi.parent.rank,
-                          label=f"{levi.describe()}:complement")
-
-
-@lru_cache(maxsize=None)
-def rbar_table(levi: LeviDatum) -> PartitionTable:
-    return PartitionTable(levi.rbar_plus, levi.parent.rank,
-                          label=f"{levi.describe()}:levi")
+    return PartitionTable(roots, levi.parent.rank)
 
 
 # -- frames: a uniform view of a datum or a Levi ------------------------------
 
 class _Frame:
-    """Simple roots, positive roots and Weyl vector of either g or the Levi."""
+    """Simple roots, positive roots and Weyl vector of either g or the Levi.
+
+    The frame's dominance order is the cone test ``chamber_cone_mask``, with
+    ``sbar`` selecting the Levi cone (None for g), and ``dominant`` is its
+    one batched dominant image.  Rows are int64 doubled coordinates.
+    """
 
     def __init__(self, owner):
         self.owner = owner
         if isinstance(owner, LeviDatum):
             self.datum = owner.parent
-            self.simple_roots = owner.sbar_roots
-            self.positive_roots = owner.rbar_plus
+            self.sbar = owner.sbar
             self.rho = owner.rho_bar
-            self._table = rbar_table(owner)
-            self._full = False
+            simple_roots, positive_roots = owner.sbar_roots, owner.rbar_plus
         else:
             self.datum = owner
-            self.simple_roots = owner.simple_roots
-            self.positive_roots = owner.positive_roots
+            self.sbar = None
             self.rho = owner.rho
-            self._full = True
+            simple_roots, positive_roots = owner.simple_roots, owner.positive_roots
         self.n = self.datum.rank
-        total = Weight.zero(self.n)
-        for a in self.positive_roots:
-            total = total + a
-        self.two_rho = total  # doubled coords of 2*rho_frame
+        self.simple = np.array(simple_roots, dtype=np.int64).reshape(-1, self.n)
+        self.norms = (self.simple * self.simple).sum(axis=1).tolist()
+        self.roots = np.array(positive_roots, dtype=np.int64).reshape(-1, self.n)
+        self.two_rho = self.roots.sum(axis=0)  # doubled coords of 2*rho_frame
 
-    def is_dominant(self, beta: Weight) -> bool:
-        return all(beta.dot4(a) >= 0 for a in self.simple_roots)
+    def dominant(self, rows: np.ndarray) -> np.ndarray:
+        """The frame-dominant image of every row.
 
-    def domrep(self, beta: Weight) -> Weight:
-        cur = beta
+        g sorts (``kernels.dominant_rows``).  A Levi reflects: each pass takes
+        the rows that pair negatively with some Levi simple root and reflects
+        each of them in every Levi simple root it pairs negatively with, one
+        root after the other, until no row pairs negatively with any.  Each
+        reflection adds a positive root multiple, so the passes end, and their
+        cost does not depend on the order of the Levi Weyl group.
+        """
+        if self.sbar is None:
+            return kernels.dominant_rows(rows, kernels.FAMILY_CODE[self.datum.family])
+        out = np.array(rows, dtype=np.int64)
+        todo = np.arange(len(out))
         while True:
-            for a in self.simple_roots:
-                p = coroot_pairing(cur, a)
-                if p < 0:
-                    cur = cur - p * a
-                    break
-            else:
-                return cur
-
-    def leq(self, gamma: Weight, beta: Weight) -> bool:
-        if self._full:
-            return self.datum.dominance_leq(gamma, beta)
-        if not self.positive_roots:
-            return gamma == beta
-        return self._table.count(beta - gamma) > 0
+            cur = out[todo]
+            below = (cur @ self.simple.T < 0).any(axis=1)
+            if not below.any():
+                return out
+            todo, cur = todo[below], cur[below]
+            for a, aa in zip(self.simple, self.norms):
+                num = 2 * (cur @ a)
+                neg = num < 0
+                if not neg.any():
+                    continue
+                p, r = np.divmod(num[neg], aa)
+                if r.any():
+                    raise WeightError(f"non-integral coroot pairing against {Weight(a)}")
+                cur[neg] -= p[:, None] * a
+            out[todo] = cur
 
     def orbit_rows(self, beta: Weight) -> np.ndarray:
         """The distinct frame-Weyl images of ``beta``, in lexicographic order."""
-        group = weyl_group(self.datum) if self._full else levi_group(self.owner)
+        group = weyl_group(self.datum) if self.sbar is None else levi_group(self.owner)
         perm, sign, _ = group.arrays
         img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
         _, first = np.unique(kernels.pack_rows(img), return_index=True)
         return img[first]
 
     def weyl_dim(self, mu: Weight) -> int:
-        num = 1
-        den = 1
-        shifted = mu + self.rho
-        for a in self.positive_roots:
-            num *= shifted.dot4(a)
-            den *= self.rho.dot4(a)
+        # Python-int products of the int64 pairings: exact at any size
+        num = math.prod((np.array(mu + self.rho, dtype=np.int64) @ self.roots.T).tolist())
+        den = math.prod((np.array(self.rho, dtype=np.int64) @ self.roots.T).tolist())
         q, r = divmod(num, den)
         if r != 0:
             raise WeightError(f"Weyl dimension of {mu} is not integral")
@@ -364,44 +355,59 @@ def _frame_for(owner) -> _Frame:
 # -- Freudenthal characters ----------------------------------------------------
 
 def dominants_below(owner, top: Weight) -> tuple[Weight, ...]:
-    """All frame-dominant weights ``nu`` with ``nu`` <= ``top`` in the frame order."""
+    """All frame-dominant weights ``nu`` with ``nu`` <= ``top`` in the frame order.
+
+    Breadth first from ``top``: the whole frontier steps down by every frame
+    positive root, takes its dominant images in one batch and keeps those
+    still below ``top`` by one cone test.
+    """
     frame = _frame_for(owner)
+    top_row = np.array(top, dtype=np.int64)
     seen = {top}
-    todo = [top]
-    while todo:
-        nu = todo.pop()
-        for a in frame.positive_roots:
-            cand = frame.domrep(nu - a)
-            if cand not in seen and frame.leq(cand, top):
-                seen.add(cand)
-                todo.append(cand)
-    return tuple(sorted(seen))
+    frontier = top_row[None, :]
+    while len(frontier):
+        cand = frame.dominant((frontier[:, None, :] - frame.roots).reshape(-1, frame.n))
+        cand = cand[chamber_cone_mask(frame.datum.family, top_row - cand, frame.sbar)]
+        fresh = set(map(tuple, cand.tolist())) - seen
+        seen |= fresh
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, frame.n)
+    return tuple(sorted(map(Weight, seen)))
 
 
 @lru_cache(maxsize=None)
 def dominant_multiplicities(owner, lam: Weight) -> dict:
     """Weight multiplicities of the irreducible with highest weight ``lam``,
-    recorded on dominant representatives (Freudenthal recursion, exact)."""
+    recorded on dominant representatives (Freudenthal recursion, exact).
+
+    For each nu the xi = nu + k a, over the frame positive roots a and
+    1 <= k <= <lam - nu, 2 rho> / <a, 2 rho> (higher xi are not weights),
+    take their dominant images in one batch, and the sum runs over the xi
+    whose image has a multiplicity.  That is the sum that stops each
+    a-string at its first miss, because a-strings through weights are
+    unbroken.
+    """
     frame = _frame_for(owner)
-    if not frame.is_dominant(lam):
+    if not owner.is_dominant(lam):
         raise WeightError(f"{lam} is not dominant for {owner}")
     doms = dominants_below(owner, lam)
-    order = sorted(doms, key=lambda nu: ((lam - nu).dot4(frame.two_rho), nu))
+    lam_row = np.array(lam, dtype=np.int64)
+    heights = dict(zip(doms, ((lam_row - np.array(doms)) @ frame.two_rho).tolist()))
+    root_heights = frame.roots @ frame.two_rho
     mult = {lam: 1}
     lam_norm = (lam + frame.rho).dot4(lam + frame.rho)
-    for nu in order:
+    for nu in sorted(doms, key=lambda nu: (heights[nu], nu)):
         if nu == lam:
             continue
+        steps = heights[nu] // root_heights
+        which = np.repeat(np.arange(len(steps)), steps)
+        k = np.arange(1, len(which) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
+        roots = frame.roots[which]
+        xi = np.array(nu, dtype=np.int64) + k[:, None] * roots
         num = 0
-        for a in frame.positive_roots:
-            k = 1
-            while True:
-                xi = nu + k * a
-                m = mult.get(frame.domrep(xi))
-                if m is None:
-                    break
-                num += m * xi.dot4(a)
-                k += 1
+        for dom, dot in zip(frame.dominant(xi).tolist(), (xi * roots).sum(axis=1).tolist()):
+            m = mult.get(tuple(dom))
+            if m is not None:
+                num += m * dot
         denom = lam_norm - (nu + frame.rho).dot4(nu + frame.rho)
         if denom <= 0:
             raise WeightError(f"Freudenthal denominator vanished at {nu}")
@@ -445,8 +451,8 @@ def weyl_character(owner, lam: Weight,
 def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
     """dim of the ``beta`` weight space of the irreducible with h.w. ``lam``."""
     datum.require_dominant(lam)
-    frame = _frame_for(datum)
-    return dominant_multiplicities(datum, lam).get(frame.domrep(beta), 0)
+    dom = _frame_for(datum).dominant(np.array([beta], dtype=np.int64))[0]
+    return dominant_multiplicities(datum, lam).get(tuple(dom.tolist()), 0)
 
 
 def kostka_by_kostant(datum: RootDatum, lam: Weight, beta: Weight,
@@ -457,9 +463,8 @@ def kostka_by_kostant(datum: RootDatum, lam: Weight, beta: Weight,
     """
     group = weyl_group(datum, guard)
     perm, sign, eps = group.arrays
-    shifted = np.array(lam + datum.rho, dtype=np.int64)
-    img = kernels.orbit_images(perm, sign, shifted)
-    args = img - np.array(beta + datum.rho, dtype=np.int64)
+    args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
+    args -= np.array(beta + datum.rho, dtype=np.int64)
     mask = chamber_cone_mask(datum.family, args)
     if not mask.any():
         return 0
@@ -532,9 +537,8 @@ def decompose_character(owner, poly: WeightPolynomial,
     out: dict[Weight, int] = {}
     if not len(remaining):
         return out
-    simple = np.array(frame.simple_roots, dtype=np.int64).reshape(-1, frame.n)
-    dominant = np.flatnonzero((rows @ simple.T >= 0).all(axis=1))
-    height = rows[dominant] @ np.array(frame.two_rho, dtype=np.int64)
+    dominant = np.flatnonzero((rows @ frame.simple.T >= 0).all(axis=1))
+    height = rows[dominant] @ frame.two_rho
     # keys sort like the rows, so this is (height, weight), highest first
     for i in dominant[np.lexsort((keys[dominant], height))[::-1]]:
         m = int(remaining[i])

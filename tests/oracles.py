@@ -1,10 +1,16 @@
-"""Object-by-object Weyl-group routes, the oracles for the array builders.
+"""Object-by-object routes, the oracles for the array code.
 
-Each function walks ``WeylElement`` objects one at a time: ``itertools``
-for all of W, a breadth-first closure for parabolic subgroups, and
-element-by-element filters for the transversal and the diagram
-automorphisms.  They share no code with the array builders of
+The Weyl-group functions walk ``WeylElement`` objects one at a time:
+``itertools`` for all of W, a breadth-first closure for parabolic
+subgroups, and element-by-element filters for the transversal and the
+diagram automorphisms.  They share no code with the array builders of
 ``levibranch.weylgrp`` beyond the element type itself.
+
+``domrep`` reflects one weight at a time into the dominant chamber of g or
+of a Levi, and ``levi_cone`` decides the Levi dominance order by counting
+partitions over the Levi positive roots: the oracles for the frames'
+batched dominant image and Levi cone test in ``levibranch.weightpoly``.
+``every_levi`` lists the Levis the comparisons run over.
 """
 
 from __future__ import annotations
@@ -12,7 +18,11 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from levibranch.rootsys import LeviDatum, RootDatum, Weight
+import numpy as np
+
+from levibranch.rootsys import (LeviDatum, RootDatum, Weight, build_levi,
+                                coroot_pairing)
+from levibranch.weightpoly import PartitionTable
 from levibranch.weylgrp import WeylElement
 
 
@@ -69,3 +79,37 @@ def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
              if all(u.act(a) in rbar for a in levi.sbar_roots)]
     return tuple(sorted(autos, key=lambda u: (not u.is_identity(), u.sort_key())))
 
+
+def every_levi(datum: RootDatum):
+    """The Levi of every subset of the simple roots, the empty one first."""
+    m = len(datum.simple_roots)
+    for k in range(m + 1):
+        for sbar in itertools.combinations(range(1, m + 1), k):
+            yield build_levi(datum, sbar)
+
+
+def domrep(owner, beta: Weight) -> Weight:
+    """The dominant image of ``beta`` for g or a Levi, one reflection at a time."""
+    simple = owner.sbar_roots if isinstance(owner, LeviDatum) else owner.simple_roots
+    cur = beta
+    while True:
+        for a in simple:
+            p = coroot_pairing(cur, a)
+            if p < 0:
+                cur = cur - p * a
+                break
+        else:
+            return cur
+
+
+@lru_cache(maxsize=None)
+def _rbar_table(levi: LeviDatum) -> PartitionTable:
+    return PartitionTable(levi.rbar_plus, levi.parent.rank)
+
+
+def levi_cone(levi: LeviDatum, rows: np.ndarray) -> np.ndarray:
+    """Rows that are N-combinations of Rbar+: a partition count over Rbar+ is positive."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if not levi.rbar_plus:
+        return ~rows.any(axis=1)
+    return _rbar_table(levi).count_rows(rows) > 0

@@ -44,7 +44,7 @@ def _random_levi_dominant(levi, rng, bound=5, spin=False):
                            for _ in range(datum.rank)))
     else:
         raw = Weight.of(*(rng.randint(-bound, bound) for _ in range(datum.rank)))
-    return _frame_for(levi).domrep(raw)
+    return Weight(_frame_for(levi).dominant(np.array([raw], dtype=np.int64))[0].tolist())
 
 
 def test_criterion_1_rem_ce_regression(gl6, levi_gl6_42):

@@ -182,6 +182,18 @@ class TestConfigAndErrors:
         out = run("autos", "--config", str(cfg))
         assert json.loads(out.stdout)["count"] == 2
 
+    def test_config_mapping_builds_the_levi(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"family": "c", "rank": 6, "levi": [1, 2, 4, 5, 6]}))
+        out = run("search", "--config", str(cfg), "--bound", "0")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["levi"] == "C6>gl3+sp6"
+
+    def test_system_without_levi(self):
+        out = run("u", "--system", "C:6")
+        assert out.returncode == 2 and "--levi" in out.stderr
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "C", "rank": 2, "bogus": True}))
@@ -195,6 +207,21 @@ class TestConfigAndErrors:
         out = run("branch", "--config", str(cfg), "--mu", "1,0,0")
         assert out.returncode == 2
         assert "cache_dir" in out.stderr
+
+    def test_seed_config_refused(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2],
+                                   "seed": 1}))
+        out = run("branch", "--config", str(cfg), "--mu", "1,0,0")
+        assert out.returncode == 2
+        assert "seed" in out.stderr
+
+    def test_seed_and_threads_options_refused(self):
+        out = run("autos", "--system", "C:6", "--levi", "1,2,4,5,6", "--seed", "1")
+        assert out.returncode == 2 and "--seed" in out.stderr
+        out = run("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
+                  "--threads", "2")
+        assert out.returncode == 2 and "--threads" in out.stderr
 
     def test_validation_exit(self):
         assert run("branch", "--system", "X:9", "--mu", "0").returncode == 2

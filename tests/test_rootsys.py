@@ -2,12 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from levibranch import (Weight, WeightError, build_levi, build_root_system,
-                        coroot_pairing, pairing, parse_system)
-from levibranch.rootsys import RootSystemError, _simple_coordinates
-from levibranch.weightpoly import _frame_for
+                        coroot_pairing, pairing)
+from levibranch.rootsys import (RootSystemError, _simple_coordinates,
+                                chamber_cone_mask)
 
 
 def _unit(n, i, c=1):
@@ -232,12 +233,15 @@ class TestDominance:
         assert not gl3.dominance_leq(beta, Weight.of(0, 1, -1) - Weight.of(1, 0, 0))
 
     def test_levi_order_examples(self, levi_gl3_21):
-        leq = _frame_for(levi_gl3_21).leq
+        def leq(gamma, beta):
+            rows = np.array([beta - gamma], dtype=np.int64)
+            return bool(chamber_cone_mask("GL", rows, levi_gl3_21.sbar)[0])
+
         mu = Weight.of(2, 0, 1)
         assert leq(mu, mu + Weight.of(1, -1, 0))
         assert leq(mu, mu)
         assert not leq(mu, mu + Weight.of(0, 1, -1))
-        # a long chain of one root needs no deep recursion
+        # far along a Levi root, and along one outside the Levi
         assert leq(Weight.zero(3), Weight.of(3000, -3000, 0))
         assert not leq(Weight.zero(3), Weight.of(3000, 0, -3000))
 
@@ -302,15 +306,3 @@ class TestDominance:
         assert d4.is_dominant(Weight.of(3, 2, 1, -1))
         assert not d4.is_dominant(Weight.of(3, 2, 1, -2))
 
-
-class TestParseSystem:
-    def test_string_and_dict(self):
-        datum, levi = parse_system("C:6")
-        assert datum.describe() == "C6" and levi is None
-        datum, levi = parse_system(
-            {"family": "C", "rank": 6, "levi": [1, 2, 4, 5, 6]})
-        assert levi.describe() == "C6>gl3+sp6"
-
-    def test_unknown_fields_rejected(self):
-        with pytest.raises(RootSystemError):
-            parse_system({"family": "C", "rank": 2, "oops": 1})

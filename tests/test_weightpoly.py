@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from levibranch import (Weight, WeightPolynomial, alternating_sum, branch_row,
-                        build_levi, build_root_system, kostant_partition,
-                        kostka_multiplicity, nabla_bar, symmetrize,
-                        weyl_character, weyl_dim, weyl_group)
+                        build_levi, build_root_system, kostka_multiplicity,
+                        nabla_bar, symmetrize, weyl_character, weyl_dim,
+                        weyl_group)
 from levibranch.kernels import PackRangeError
 from levibranch.rootsys import WeightError
-from levibranch.weightpoly import (BudgetError, PartitionTable,
+from levibranch.weightpoly import (BudgetError, PartitionTable, _frame_for,
                                    chamber_cone_mask, decompose_character,
                                    dominant_multiplicities, dominants_below,
                                    full_table, kostka_by_kostant, levi_table)
@@ -159,9 +161,8 @@ class TestPartitionTable:
         table = levi_table(levi_gl3_21)
         assert sorted(table.root_list) == sorted(
             [Weight.of(1, 0, -1), Weight.of(0, 1, -1)])
-        assert kostant_partition(table, Weight.zero(3)) == 1
-        assert kostant_partition(table, Weight.of(1, 1, -2)) == 1
-        assert kostant_partition(table, Weight.of(1, -1, 0)) == 0
+        targets = [Weight.zero(3), Weight.of(1, 1, -2), Weight.of(1, -1, 0)]
+        assert table.count_rows(np.array(targets, dtype=np.int64)).tolist() == [1, 1, 0]
 
     def test_counts_match_enumeration(self, c2):
         # brute-force N-combinations as the oracle
@@ -176,9 +177,9 @@ class TestPartitionTable:
                 total = total + c * a
             if all(x <= 12 for x in total):
                 counter[total] += 1
-        for target, count in counter.items():
-            if all(abs(x) <= 8 for x in target):
-                assert table.count(target) == count, target
+        targets = [w for w in counter if all(abs(x) <= 8 for x in w)]
+        counts = table.count_rows(np.array(targets, dtype=np.int64))
+        assert counts.tolist() == [counter[w] for w in targets]
 
     def test_values_record_counts(self, levi_c3_gl3):
         table = PartitionTable(
@@ -187,7 +188,6 @@ class TestPartitionTable:
         targets = [Weight.of(2, 0, 0), Weight.of(1, 1, 0), Weight.of(2, 1, 1)]
         counts = table.count_rows(np.array(targets, dtype=np.int64))
         assert table.values == dict(zip(targets, counts.tolist()))
-        assert [table.count(w) for w in targets] == counts.tolist()
 
     @pytest.mark.parametrize("root", [Weight.of(0, -1, 1), Weight.zero(3),
                                       Weight((1, -1, 0))],
@@ -328,10 +328,74 @@ class TestKostka:
     def test_dimension_sums(self, c2):
         for lam in dominants_below(c2, Weight.of(3, 2)):
             mult = dominant_multiplicities(c2, lam)
-            from levibranch.weightpoly import _frame_for
             frame = _frame_for(c2)
             total = sum(m * len(frame.orbit_rows(nu)) for nu, m in mult.items())
             assert total == weyl_dim(c2, lam)
+
+
+FRAME_SYSTEMS = ([("GL", n) for n in range(2, 6)] + [("B", n) for n in range(1, 6)]
+                 + [("C", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+
+
+def _cone_rows(levi, rng):
+    """Rows on the Levi span (in and out of the cone), rows just off it, and
+    random integral, spin and mixed-parity rows."""
+    n = levi.parent.rank
+    simple = np.array(levi.sbar_roots, dtype=np.int64).reshape(-1, n)
+    span = rng.integers(-1, 3, size=(24, len(simple))) @ simple
+    off = span[:12].copy()
+    off[np.arange(12), rng.integers(0, n, size=12)] += 2 * rng.choice([-1, 1], size=12)
+    integral = 2 * rng.integers(-2, 3, size=(12, n))
+    spin = 2 * rng.integers(-2, 2, size=(8, n)) + 1
+    mixed = rng.integers(-4, 5, size=(12, n))
+    return np.concatenate([span, off, integral, spin, mixed])
+
+
+def _dominant_rows_input(family, n, rng):
+    """Lattice rows: integral, and all-odd where every reflection keeps them
+    integral (spin weights of B and D, half-integral shifts in GL)."""
+    rows = [2 * rng.integers(-4, 5, size=(30, n))]
+    if family != "C":
+        rows.append(2 * rng.integers(-4, 4, size=(15, n)) + 1)
+    return np.concatenate(rows)
+
+
+class TestFrames:
+    """The frames' batched dominant image and Levi cone test against the
+    scalar reflection loop and the partition-count order (``oracles``)."""
+
+    @pytest.mark.parametrize("family,rank", FRAME_SYSTEMS,
+                             ids=[f"{f}{n}" for f, n in FRAME_SYSTEMS])
+    def test_levi_cone_matches_partition_order(self, family, rank):
+        datum = build_root_system(family, rank)
+        rng = np.random.default_rng(rank)
+        for levi in oracles.every_levi(datum):
+            rows = _cone_rows(levi, rng)
+            got = chamber_cone_mask(family, rows, levi.sbar)
+            assert got.tolist() == oracles.levi_cone(levi, rows).tolist(), levi.sbar
+        # the Levi on every simple root has the cone of g
+        rows = _cone_rows(levi, rng)
+        assert chamber_cone_mask(family, rows, levi.sbar).tolist() == \
+            chamber_cone_mask(family, rows).tolist()
+
+    @pytest.mark.parametrize("family,rank", FRAME_SYSTEMS,
+                             ids=[f"{f}{n}" for f, n in FRAME_SYSTEMS])
+    def test_dominant_matches_reflection_loop(self, family, rank):
+        datum = build_root_system(family, rank)
+        rng = np.random.default_rng(100 + rank)
+        for owner in [datum, *oracles.every_levi(datum)]:
+            rows = _dominant_rows_input(family, rank, rng)
+            got = _frame_for(owner).dominant(rows)
+            assert got.tolist() == [list(oracles.domrep(owner, Weight(r)))
+                                    for r in rows.tolist()]
+
+    def test_non_integral_reflection_raises(self, levi_gl3_21):
+        # (-1/2, 0, 0) pairs with e1 - e2 to -1/2
+        beta = Weight((-1, 0, 0))
+        with pytest.raises(WeightError):
+            oracles.domrep(levi_gl3_21, beta)
+        with pytest.raises(WeightError):
+            _frame_for(levi_gl3_21).dominant(np.array([beta], dtype=np.int64))
 
 
 class TestSymmetrize:
