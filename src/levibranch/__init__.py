@@ -6,18 +6,16 @@ pairs, and scans bounded weight boxes for counterexamples.
 """
 
 from .branching import (BranchingRow, MFunction, branch_by_restriction,
-                        branch_multiplicity, branch_row, build_m, e_set,
+                        branch_multiplicity, branch_row, build_m,
                         far_from_walls, leading_term)
 from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      build_levi, build_root_system, coroot_pairing, pairing)
-from .typea_lr import (Partition, SignedSplit, inverse_kostka,
-                       kostka_number, lr_coefficient, multi_lr,
-                       polarisation_branch, split_signed)
-from .weightpoly import (PartitionTable, WeightPolynomial, alternating_sum,
-                         kostka_multiplicity, nabla_bar, symmetrize,
-                         weyl_character, weyl_dim)
+                      build_levi, build_root_system, coroot_pairing)
+from .typea_lr import (Partition, SignedSplit, kostka_number, lr_coefficient,
+                       multi_lr, polarisation_branch, split_signed)
+from .weightpoly import (PartitionTable, WeightPolynomial, kostka_multiplicity,
+                         nabla_bar, symmetrize, weyl_character)
 from .weylgrp import (WeylElement, coset_decompose, diagram_automorphisms,
                       dominant_representative, straighten, transversal,
                       weyl_group)
@@ -27,13 +25,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchingRow", "LeviDatum", "MFunction", "PairVerdict", "Partition",
     "PartitionTable", "RootDatum", "SignedSplit", "Weight", "WeightError",
-    "WeightPolynomial", "WeylElement", "alternating_sum", "branch_by_restriction",
+    "WeightPolynomial", "WeylElement", "branch_by_restriction",
     "branch_multiplicity", "branch_row", "build_levi", "build_m",
     "build_root_system", "classify_pair", "coroot_pairing",
     "coset_decompose", "diagram_automorphisms", "dominant_box",
-    "dominant_representative", "e_set", "far_from_walls", "induced_equal",
-    "inverse_kostka", "kostka_multiplicity", "kostka_number", "leading_term",
-    "lr_coefficient", "multi_lr", "nabla_bar", "pairing", "polarisation_branch",
+    "dominant_representative", "far_from_walls", "induced_equal",
+    "kostka_multiplicity", "kostka_number", "leading_term",
+    "lr_coefficient", "multi_lr", "nabla_bar", "polarisation_branch",
     "relating_automorphism", "search_box", "split_signed", "straighten",
-    "symmetrize", "transversal", "weyl_character", "weyl_dim", "weyl_group",
+    "symmetrize", "transversal", "weyl_character", "weyl_group",
 ]

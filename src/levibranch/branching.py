@@ -7,6 +7,10 @@ weight lambda.  Two independent routes are implemented:
 * the alternating Weyl sum over the complement partition function, and
 * a highest-weight stripping oracle on the full character multiset.
 
+On the torus Levi (no retained simple roots) the Weyl sum is Kostant's
+weight-multiplicity formula, the independent check of the Freudenthal
+multiplicities in ``weightpoly``.
+
 Equality of the infinite induced characters H_mu is decided through the
 finite M-function: the signed sum over the Levi Weyl group of full orbit
 sums of mu + rho_bar - w(rho_bar).  M-functions are stored compactly on the
@@ -19,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,59 +30,44 @@ from . import kernels
 from .rootsys import (LeviDatum, Weight, WeightError, _simple_coordinates,
                       chamber_cone_mask)
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
-                         decompose_character, levi_table, signed_bucket,
-                         weyl_character)
+                         _rho_drops, decompose_character, levi_table,
+                         signed_bucket, weyl_character)
 from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative,
-                      levi_group, stabilizer_subgroup, weyl_group)
+                      levi_group, weyl_group)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # product rows per chunk of the dual M-construction
 DUAL_CHUNK_ROWS = 2_000_000
 
 
-@lru_cache(maxsize=None)
-def _rho_drops(levi: LeviDatum):
-    """Rows mu-independent part of the E-set: rho_bar - w(rho_bar), with signs."""
-    group = levi_group(levi)
-    perm, sign, eps = group.arrays
-    rho = np.array(levi.rho_bar, dtype=np.int64)
-    img = kernels.orbit_images(perm, sign, rho)
-    return rho[None, :] - img, eps
-
-
-def e_set(levi: LeviDatum, mu: Weight) -> list[Weight]:
-    """The translates mu + rho_bar - w(rho_bar) over the Levi Weyl group.
-
-    Always exactly |Wbar| distinct weights: rho_bar has trivial stabiliser
-    inside the Levi Weyl group.
-    """
-    levi.require_dominant(mu)
-    drops, _ = _rho_drops(levi)
-    base = np.array(mu, dtype=np.int64)
-    return [Weight(base + row) for row in drops]
-
-
 def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
     """Is the whole E-set of ``mu`` contained in one closed Weyl chamber?
 
-    Any chamber containing the E-set contains its barycentre mu + rho_bar,
-    so only the coset sigma w1 of the stabiliser of lam = w1(mu + rho_bar)
-    needs searching.  Every E-set row goes through every coset element in
-    one dominance mask: a row is dominant when it is its own dominant image.
+    The E-set E is the |Wbar| points mu + rho_bar - w(rho_bar), w in Wbar.
+    Let w1 be the element ``dominant_representative`` returns for
+    mu + rho_bar and lam = w1(mu + rho_bar).  Then E lies in a closed
+    chamber exactly when w1(E) lies in the closed dominant chamber, so one
+    batched dominance test on w1(E) decides it.  Proof:
+
+    * The sum of w(rho_bar) over Wbar is Wbar-invariant and lies in the
+      span of the Levi roots, so it is 0, and the mean of E is mu + rho_bar.
+    * If w(E) is dominant for some w in W, so is its mean w(mu + rho_bar),
+      hence w(mu + rho_bar) = lam and w = sigma w1 with sigma in Stab(lam).
+    * Stab(lam) is generated by the simple reflections fixing lam
+      (Chevalley).  Each such simple root alpha pairs >= 0 with every point
+      of the dominant set sigma w1(E) and 0 with their mean sigma(lam) =
+      lam, so it pairs 0 with every point.  So Stab(lam) fixes every point
+      of sigma w1(E), and w1(E) = sigma^-1 sigma w1(E) = sigma w1(E) is
+      dominant.
     """
     levi.require_dominant(mu)
     datum = levi.parent
     drops, _ = _rho_drops(levi)
-    rows = np.array(mu, dtype=np.int64)[None, :] + drops
-    w1, lam = dominant_representative(datum, mu + levi.rho_bar)
-    stab_perm, stab_sign, _ = stabilizer_subgroup(datum, lam).arrays
-    # sigma o w1 as arrays: perm = w1.perm[sigma.perm], signs likewise
-    perm = np.array(w1.perm, dtype=np.int64)[stab_perm]
-    sign = stab_sign * np.array(w1.signs, dtype=np.int64)[stab_perm]
-    images = (sign[None, :, :] * rows[:, perm]).reshape(-1, datum.rank)
+    w1, _ = dominant_representative(datum, mu + levi.rho_bar)
+    rows = np.array(mu, dtype=np.int64) + drops
+    rows = rows[:, list(w1.perm)] * np.array(w1.signs, dtype=np.int64)
     code = kernels.FAMILY_CODE[datum.family]
-    dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
-    return bool(dominant.reshape(len(rows), len(stab_perm)).all(axis=0).any())
+    return bool((kernels.dominant_rows(rows, code) == rows).all())
 
 
 # -- alternating-sum branching ----------------------------------------------
@@ -118,9 +106,6 @@ class BranchingRow:
     mu: Weight
     entries: dict
     box: tuple[Weight, ...] | None = None
-
-    def multiplicity(self, lam: Weight) -> int:
-        return self.entries.get(lam, 0)
 
     def support(self) -> tuple[Weight, ...]:
         return tuple(sorted(w for w, c in self.entries.items() if c))
@@ -197,10 +182,6 @@ class MFunction:
     levi: LeviDatum
     mu: Weight
     coeffs: tuple[tuple[Weight, int], ...]
-
-    @property
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
 
     def leading(self) -> tuple[Weight, int]:
         return leading_term(self.levi, self.mu)

@@ -66,9 +66,23 @@ def _load_config(args) -> JobConfig:
         raise RootSystemError("no root system given; use --system FAMILY:RANK or --config")
     datum = build_root_system(str(data["family"]).upper(), int(data["rank"]))
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
+    for key in ("threads", "guard"):
+        if int(data.get(key) or 0) < 0:
+            raise ValueError(f"config key {key} must be >= 0, got {data[key]}")
     threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
     guard = int(getattr(args, "guard", 0) or data.get("guard", 0) or DEFAULT_GROUP_GUARD)
     return JobConfig(datum, levi, threads, guard)
+
+
+def _count_arg(text: str) -> int:
+    """An option value that is a nonnegative integer (argparse names the option)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _emit(payload, out_path=None) -> None:
@@ -227,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", help="root system FAMILY:RANK, e.g. C:6")
         p.add_argument("--levi", help="retained simple-root indices, e.g. 1,2,4,5,6")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--guard", type=int, default=0,
+        p.add_argument("--guard", type=_count_arg, default=0,
                        help="Weyl-group enumeration guard (default 2e6)")
         p.add_argument("--out", help="write primary output to this file")
 
@@ -237,7 +251,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="Levi highest weight")
     p.add_argument("--oracle", action="store_true",
                    help="also run the restriction oracle and report diffs")
-    p.add_argument("--box-k", type=int, default=2,
+    p.add_argument("--box-k", type=_count_arg, default=2,
                    help="row box: lambda <= mu + k * highest root")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_branch)
@@ -250,8 +264,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan a dominant box for equal pairs")
     common(p)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--bound", type=_count_arg, required=True)
+    p.add_argument("--threads", type=_count_arg, default=0)
     p.add_argument("--certificates", help="append JSONL verdicts to this file")
     p.add_argument("--resume", action="store_true",
                    help="skip groups already completed in the certificate file")

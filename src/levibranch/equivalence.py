@@ -334,7 +334,8 @@ def replay_resume_state(path) -> tuple[set, int]:
 
     Verdict lines written after the last completed marker belong to an
     interrupted group; resuming truncates them and replays that group, so a
-    resumed scan reproduces the uninterrupted certificate file exactly.
+    resumed scan reproduces the uninterrupted certificate file exactly.  An
+    unterminated last line (a write cut short) is part of that group too.
     """
     done: set = set()
     offset = 0
@@ -342,6 +343,8 @@ def replay_resume_state(path) -> tuple[set, int]:
         with open(path, "rb") as fh:
             pos = 0
             for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break
                 pos += len(raw)
                 line = raw.decode().strip()
                 if not line:

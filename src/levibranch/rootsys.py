@@ -107,11 +107,6 @@ class Weight(tuple):
         return f"Weight{str(self)}"
 
 
-def pairing(beta: Weight, alpha: Weight) -> Fraction:
-    """Exact Euclidean inner product (beta, alpha)."""
-    return Fraction(beta.dot4(alpha), 4)
-
-
 def coroot_pairing(beta: Weight, alpha: Weight) -> int:
     """(beta, alpha^vee) = 2 (beta, alpha) / (alpha, alpha); exact integer."""
     aa = alpha.dot4(alpha)

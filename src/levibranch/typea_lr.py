@@ -39,10 +39,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def part(self, i: int) -> int:
         return self[i] if i < len(self) else 0
 
@@ -165,19 +161,6 @@ def multi_lr(lam: Partition, mus) -> int:
     return acc.get(lam, 0)
 
 
-def product_expand(mus) -> dict:
-    """Full Schur expansion of a product of Schur functions (no target bound)."""
-    acc = {Partition(): 1}
-    for m in mus:
-        m = Partition(m)
-        nxt: dict[Partition, int] = {}
-        for shape, c in acc.items():
-            for kappa, c2 in lr_expand_pair(shape, m):
-                nxt[kappa] = nxt.get(kappa, 0) + c * c2
-        acc = nxt
-    return acc
-
-
 # -- Kostka numbers and their inverse --------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -244,17 +227,6 @@ def _kostka_matrix(n: int):
                 raise RootSystemError("Kostka matrix is not unitriangular")
             inv[i][j] = -s
     return parts, idx, K, inv
-
-
-def inverse_kostka(lam: Partition, mu: Partition) -> int:
-    """Entry of the inverse Kostka matrix on partitions of a common size."""
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
-        raise WeightError(f"size mismatch: |{lam}| != |{mu}|")
-    if lam.size == 0:
-        return 1
-    parts, idx, _, inv = _kostka_matrix(lam.size)
-    return inv[idx[lam]][idx[mu]]
 
 
 def kostka_matrix_identity(n: int) -> bool:
@@ -370,37 +342,3 @@ def delta_shift_check(levi: LeviDatum, lam: Weight, mu: Weight, a: int,
     after = branch_multiplicity(levi, lam + delta, mu + delta, guard)
     return before == after
 
-
-def gl_blocks(levi: LeviDatum, mu: Weight) -> list[Partition]:
-    """The per-block partitions of a positive gl weight over a GL block Levi."""
-    blocks = levi.standard_gl_blocks()
-    if blocks is None:
-        raise RootSystemError(f"{levi.describe()} is not a direct sum of GL blocks")
-    coords = [c // 2 for c in mu]
-    if any(c <= 0 for c in coords):
-        raise WeightError(f"{mu} must have positive coordinates (shift first)")
-    out = []
-    for block in blocks:
-        out.append(Partition(coords[i - 1] for i in block))
-    return out
-
-
-def schur_factorization_check(levi: LeviDatum, mu: Weight, lam_box=None,
-                              guard: int = DEFAULT_GROUP_GUARD) -> bool:
-    """Branching from gl_n equals the iterated LR product of the block Schurs."""
-    if levi.parent.family != "GL":
-        raise RootSystemError("factorisation check needs a gl ambient")
-    n = levi.parent.rank
-    pieces = gl_blocks(levi, mu)
-    size = sum(p.size for p in pieces)
-    if lam_box is None:
-        lam_box = partitions_of(size, max_len=n)
-    for lam in lam_box:
-        lam = Partition(lam)
-        if len(lam) > n:
-            continue
-        lhs = branch_multiplicity(levi, lam.as_weight(n), mu, guard)
-        rhs = multi_lr(lam, pieces)
-        if lhs != rhs:
-            return False
-    return True

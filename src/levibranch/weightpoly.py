@@ -3,8 +3,9 @@
 Everything here is integer-exact: polynomials are sorted int64 row blocks
 of weights with nonzero integer coefficients, partition functions are
 counted in one dense integer table per batch, and characters come from the
-Freudenthal recursion with the alternating-sum formula retained as an
-independent cross-check.
+Freudenthal recursion.  Their independent cross-check is the Weyl sum of
+``branching.branch_multiplicity`` on the torus Levi (no retained simple
+roots), which is Kostant's weight-multiplicity formula.
 
 Characters of g and of a Levi share one frame (``_Frame``): one cone test
 and one batched dominant image, so the recursion works on row blocks.
@@ -21,8 +22,7 @@ from . import kernels
 from .kernels import BudgetError
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       chamber_cone_mask)
-from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, levi_group,
-                      weyl_group)
+from .weylgrp import DEFAULT_GROUP_GUARD, levi_group, weyl_group
 
 DEFAULT_CHAR_BUDGET = 2_000_000
 
@@ -74,10 +74,6 @@ class WeightPolynomial:
 
     def _cmax(self) -> int:
         return int(np.abs(self._coeffs).max()) if len(self._coeffs) else 0
-
-    @classmethod
-    def zero(cls) -> "WeightPolynomial":
-        return cls()
 
     @classmethod
     def monomial(cls, w: Weight, c: int = 1) -> "WeightPolynomial":
@@ -168,12 +164,6 @@ class WeightPolynomial:
 
     __rmul__ = __mul__
 
-    def apply(self, w: WeylElement) -> "WeightPolynomial":
-        if not self:
-            return self
-        rows = self._rows[:, list(w.perm)] * np.array(w.signs, dtype=np.int64)
-        return WeightPolynomial._of(rows, self._coeffs)
-
     def dimension(self) -> int:
         """Sum of all coefficients (the dimension when this is a character)."""
         return int(self._coeffs.sum())
@@ -181,19 +171,6 @@ class WeightPolynomial:
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> list:
         return [{"w": w.to_json(), "c": c} for w, c in self]
-
-    @classmethod
-    def from_json(cls, data) -> "WeightPolynomial":
-        out = {}
-        for item in data:
-            doubled = []
-            for x in item["w"]:
-                d = int(round(2 * x))
-                if d != 2 * x:
-                    raise WeightError(f"coordinate {x} is not a half-integer")
-                doubled.append(d)
-            out[Weight(doubled)] = int(item["c"])
-        return cls(out)
 
     def __repr__(self):
         head = list(zip(map(Weight, self._rows[:6].tolist()), self._coeffs[:6].tolist()))
@@ -256,11 +233,6 @@ class PartitionTable:
         out = kernels.kostant_batch(rows, self._roots_arr)
         self.values.update(zip(map(Weight, rows.tolist()), out.tolist()))
         return out
-
-
-@lru_cache(maxsize=None)
-def full_table(datum: RootDatum) -> PartitionTable:
-    return PartitionTable(datum.positive_roots, datum.rank)
 
 
 @lru_cache(maxsize=None)
@@ -418,11 +390,6 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
     return mult
 
 
-def weyl_dim(owner, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight ``lam`` (exact)."""
-    return _frame_for(owner).weyl_dim(lam)
-
-
 def weyl_character(owner, lam: Weight,
                    budget: int = DEFAULT_CHAR_BUDGET) -> WeightPolynomial:
     """Full weight multiset of the irreducible with highest weight ``lam``.
@@ -455,24 +422,7 @@ def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
     return dominant_multiplicities(datum, lam).get(tuple(dom.tolist()), 0)
 
 
-def kostka_by_kostant(datum: RootDatum, lam: Weight, beta: Weight,
-                      guard: int = DEFAULT_GROUP_GUARD) -> int:
-    """The same multiplicity through the alternating partition-function sum.
-
-    Independent of the Freudenthal route; used as a cross-check oracle.
-    """
-    group = weyl_group(datum, guard)
-    perm, sign, eps = group.arrays
-    args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
-    args -= np.array(beta + datum.rho, dtype=np.int64)
-    mask = chamber_cone_mask(datum.family, args)
-    if not mask.any():
-        return 0
-    counts = full_table(datum).count_rows(args[mask])
-    return int((eps[mask] * counts).sum())
-
-
-# -- symmetrisation and alternating sums ---------------------------------------
+# -- symmetrisation and the Weyl denominator ----------------------------------
 
 def symmetrize(datum: RootDatum, gamma: Weight,
                guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
@@ -487,31 +437,27 @@ def symmetrize(datum: RootDatum, gamma: Weight,
     return WeightPolynomial._of(img, np.ones(len(img), dtype=np.int64))
 
 
-def alternating_sum(levi: LeviDatum, gamma: Weight,
-                    guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
-    """Signed orbit sum over the Levi Weyl group; zero exactly on walls."""
-    group = levi_group(levi, guard)
-    perm, sign, eps = group.arrays
-    img = kernels.orbit_images(perm, sign, np.array(gamma, dtype=np.int64))
-    return WeightPolynomial.from_rows(img, eps)
+@lru_cache(maxsize=None)
+def _rho_drops(levi: LeviDatum):
+    """The rows rho_bar - w(rho_bar) over the Levi Weyl group, and their signs."""
+    perm, sign, eps = levi_group(levi).arrays
+    rho = np.array(levi.rho_bar, dtype=np.int64)
+    return rho[None, :] - kernels.orbit_images(perm, sign, rho), eps
 
 
 def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
     """The product of (1 - e^alpha) over the Levi positive roots.
 
-    Expanded both as a literal product and as the signed orbit sum of the
-    Levi Weyl vector; the two must agree term by term.
+    Expanded both as a literal product and as the signed rows of
+    ``_rho_drops``, the ones ``build_m`` reads (the Weyl denominator
+    identity); the two must agree term by term.
     """
-    product = WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
+    levi_group(levi, guard)  # enforce the guard before any heavy work
+    one = WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
+    product = one
     for a in levi.rbar_plus:
-        product = product * (WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
-                             - WeightPolynomial.monomial(a))
-    group = levi_group(levi, guard)
-    perm, sign, eps = group.arrays
-    img = kernels.orbit_images(perm, sign, np.array(levi.rho_bar, dtype=np.int64))
-    rows = np.array(levi.rho_bar, dtype=np.int64)[None, :] - img
-    alt = WeightPolynomial.from_rows(rows, eps)
-    if product != alt:
+        product = product * (one - WeightPolynomial.monomial(a))
+    if product != WeightPolynomial.from_rows(*_rho_drops(levi)):
         raise WeightError("product and alternating expansions of nabla disagree")
     return product
 

@@ -62,13 +62,6 @@ class WeylElement:
             tuple(s1[i] * s2[p1[i]] for i in range(len(p1))),
         )
 
-    def inverse(self) -> "WeylElement":
-        n = len(self.perm)
-        inv = [0] * n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return WeylElement(tuple(inv), tuple(self.signs[inv[i]] for i in range(n)))
-
     def sign(self) -> int:
         perm = self.perm
         inv = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
@@ -87,10 +80,6 @@ class WeylElement:
 
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "signs": list(self.signs)}
-
-    @staticmethod
-    def from_json(data: dict) -> "WeylElement":
-        return WeylElement(tuple(p - 1 for p in data["perm"]), tuple(data["signs"]))
 
     @staticmethod
     def reflection(alpha: Weight) -> "WeylElement":

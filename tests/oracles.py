@@ -10,7 +10,11 @@ diagram automorphisms.  They share no code with the array builders of
 of a Levi, and ``levi_cone`` decides the Levi dominance order by counting
 partitions over the Levi positive roots: the oracles for the frames'
 batched dominant image and Levi cone test in ``levibranch.weightpoly``.
-``every_levi`` lists the Levis the comparisons run over.
+``e_set`` builds the E-set of a Levi weight one element at a time, and
+``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
+a chamber holding it: the reference route for ``branching.far_from_walls``,
+which tests w1 alone.  ``every_levi`` lists the Levis the comparisons run
+over.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from levibranch import kernels
 from levibranch.rootsys import (LeviDatum, RootDatum, Weight, build_levi,
                                 coroot_pairing)
-from levibranch.weightpoly import PartitionTable
-from levibranch.weylgrp import WeylElement
+from levibranch.weightpoly import PartitionTable, _rho_drops
+from levibranch.weylgrp import (WeylElement, dominant_representative,
+                                stabilizer_subgroup)
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +86,11 @@ def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
     return tuple(sorted(autos, key=lambda u: (not u.is_identity(), u.sort_key())))
 
 
+# the systems the every-Levi comparisons run over: GL2-5, B2-4, C2-4, D3-5
+LEVI_SYSTEMS = ([("GL", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]
+                + [("C", n) for n in range(2, 5)] + [("D", n) for n in range(3, 6)])
+
+
 def every_levi(datum: RootDatum):
     """The Levi of every subset of the simple roots, the empty one first."""
     m = len(datum.simple_roots)
@@ -113,3 +124,30 @@ def levi_cone(levi: LeviDatum, rows: np.ndarray) -> np.ndarray:
     if not levi.rbar_plus:
         return ~rows.any(axis=1)
     return _rbar_table(levi).count_rows(rows) > 0
+
+
+def e_set(levi: LeviDatum, mu: Weight) -> tuple[Weight, ...]:
+    """The E-set mu + rho_bar - w(rho_bar), one Levi Weyl element at a time."""
+    return tuple(mu + levi.rho_bar - w.act(levi.rho_bar) for w in levi_elements(levi))
+
+
+def far_from_walls_by_cosets(levi: LeviDatum, mu: Weight) -> bool:
+    """Is the E-set in one closed chamber?  Searches the whole coset Stab(lam) w1.
+
+    A chamber containing the E-set contains its mean mu + rho_bar, so the
+    chamber is sigma w1 of the dominant one for some sigma in the stabiliser
+    of lam = w1(mu + rho_bar).  Every E-set row goes through every coset
+    element in one dominance mask.
+    """
+    datum = levi.parent
+    drops, _ = _rho_drops(levi)
+    rows = np.array(mu, dtype=np.int64)[None, :] + drops
+    w1, lam = dominant_representative(datum, mu + levi.rho_bar)
+    stab_perm, stab_sign, _ = stabilizer_subgroup(datum, lam).arrays
+    # sigma o w1 as arrays: perm = w1.perm[sigma.perm], signs likewise
+    perm = np.array(w1.perm, dtype=np.int64)[stab_perm]
+    sign = stab_sign * np.array(w1.signs, dtype=np.int64)[stab_perm]
+    images = (sign[None, :, :] * rows[:, perm]).reshape(-1, datum.rank)
+    code = kernels.FAMILY_CODE[datum.family]
+    dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
+    return bool(dominant.reshape(len(rows), len(stab_perm)).all(axis=0).any())

@@ -217,7 +217,7 @@ def test_criterion_5_leading_terms(gl4, gl6, c2, c3, b3, d4):
             if sign != w0sign:
                 failures += 1
             fn = build_m(levi, mu)
-            if fn.as_dict.get(lam) != w0sign:
+            if dict(fn.coeffs).get(lam) != w0sign:
                 failures += 1
             poly = fn.poly()
             shifted = mu + levi.two_rho_bar

@@ -106,6 +106,21 @@ class TestSearchCommand:
         assert out.returncode == 0
         assert partial.read_text() == full.read_text()
 
+    def test_resume_after_a_torn_last_line(self, tmp_path):
+        # a write cut mid-line (SIGKILL, full disk) leaves an unterminated line
+        scan = ("search", "--system", "C:3", "--levi", "1,2", "--bound", "2")
+        full = tmp_path / "full.jsonl"
+        assert run(*scan, "--certificates", str(full)).returncode == 0
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(full.read_bytes()[:-20])
+        out = run(*scan, "--certificates", str(torn), "--resume")
+        assert out.returncode == 0
+        assert torn.read_bytes() == full.read_bytes()
+        # a malformed line that did end is still refused
+        torn.write_bytes(full.read_bytes() + b'{"bad": \n')
+        out = run(*scan, "--certificates", str(torn), "--resume")
+        assert out.returncode == 2 and out.stderr.startswith("error:")
+
     def test_killed_scan_resumes_byte_identical(self, tmp_path):
         scan = ("search", "--system", "D:5", "--levi", "1,2,4,5", "--bound", "2")
         full = tmp_path / "full.jsonl"
@@ -223,10 +238,25 @@ class TestConfigAndErrors:
                   "--threads", "2")
         assert out.returncode == 2 and "--threads" in out.stderr
 
-    def test_validation_exit(self):
+    def test_validation_exit(self, tmp_path):
         assert run("branch", "--system", "X:9", "--mu", "0").returncode == 2
         assert run("branch", "--system", "C:2", "--levi", "1",
                    "--lam", "0,1", "--mu", "0,0").returncode == 2
+        # negative limits name their option; 0 keeps meaning the default
+        c3 = ("--system", "C:3", "--levi", "1,2")
+        for args, name in ((("search", *c3, "--bound", "-1"), "--bound"),
+                           (("branch", *c3, "--mu", "1,0,0", "--box-k", "-1"), "--box-k"),
+                           (("search", *c3, "--bound", "1", "--threads", "-4"), "--threads"),
+                           (("u", *c3, "--guard", "-5"), "--guard")):
+            out = run(*args)
+            assert out.returncode == 2 and f"argument {name}: must be >= 0" in out.stderr
+        cfg = tmp_path / "cfg.json"
+        for key in ("threads", "guard"):
+            cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], key: -4}))
+            out = run("search", "--config", str(cfg), "--bound", "1")
+            assert out.returncode == 2 and f"config key {key} must be >= 0" in out.stderr
+        assert run("search", *c3, "--bound", "1", "--threads", "0",
+                   "--guard", "0").returncode == 0
 
     def test_guard_exit(self):
         out = run("u", "--system", "C:8", "--levi", "1,2")

@@ -1,12 +1,11 @@
 import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levibranch import (Weight, WeightError, build_levi, build_root_system,
-                        coroot_pairing, pairing)
+                        coroot_pairing)
 from levibranch.rootsys import (RootSystemError, _simple_coordinates,
                                 chamber_cone_mask)
 
@@ -121,8 +120,13 @@ class TestPairings:
         assert coroot_pairing(alpha, alpha) == 2
 
     def test_pairing_is_rational_exact(self):
-        assert pairing(Weight((1, -1)), Weight((1, 1))) == Fraction(0)
-        assert pairing(Weight((1, 1)), Weight((1, 1))) == Fraction(1, 2)
+        # half-integral weights pair exactly; a non-integer pairing is refused
+        spin = Weight((1, 1, 1))
+        assert coroot_pairing(spin, Weight.of(1, 0, 0)) == 1
+        assert coroot_pairing(spin, Weight.of(1, -1, 0)) == 0
+        assert coroot_pairing(Weight((3, -1, 1)), Weight.of(1, 1, 0)) == 1
+        with pytest.raises(WeightError, match="non-integral"):
+            coroot_pairing(spin, Weight.of(2, 0, 0))
 
     def test_zero_root_rejected(self):
         with pytest.raises(WeightError):

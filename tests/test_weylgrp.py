@@ -36,7 +36,9 @@ class TestElements:
             beta = Weight.of(*(rng.randint(-5, 5) for _ in range(n)))
             assert w1.compose(w2).act(beta) == w1.act(w2.act(beta))
             assert w1.sign() * w2.sign() == w1.compose(w2).sign()
-            assert w1.inverse().act(w1.act(beta)) == beta
+            inv = next(g for g in elems if g.compose(w1).is_identity())
+            assert w1.compose(inv).is_identity() and inv.sign() == w1.sign()
+            assert inv.act(w1.act(beta)) == beta
 
     def test_action_preserves_pairing(self, rng, d4):
         elems = list(weyl_group(d4))
@@ -45,10 +47,6 @@ class TestElements:
             b = Weight.of(*(rng.randint(-4, 4) for _ in range(4)))
             g = Weight.of(*(rng.randint(-4, 4) for _ in range(4)))
             assert w.act(b).dot4(w.act(g)) == b.dot4(g)
-
-    def test_json_roundtrip(self):
-        w = WeylElement((2, 0, 1), (1, -1, 1))
-        assert WeylElement.from_json(w.to_json()) == w
 
 
 class TestEnumeration:
