@@ -16,6 +16,11 @@ finite M-function: the signed sum over the Levi Weyl group of full orbit
 sums of mu + rho_bar - w(rho_bar).  M-functions are stored compactly on the
 orbit-sum basis (coefficients indexed by dominant representatives); the low
 term count makes exact equality checks cheap even for large Weyl groups.
+``m_terms`` builds them, one weight or a batch of weights at a time, and
+checks each in O(|Wbar|): the signed rows against the Weyl denominator
+identity once per Levi (in ``weightpoly._rho_drops``), and per weight the
+W-invariance of the dominant images, the order and two moments of the
+bucketed terms, the leading term and the cone below it.
 """
 
 from __future__ import annotations
@@ -23,21 +28,22 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import kernels
-from .rootsys import (LeviDatum, Weight, WeightError, _simple_coordinates,
-                      chamber_cone_mask)
+from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
+                      _positive_set, _simple_coordinates, chamber_cone_mask)
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
                          _rho_drops, decompose_character, levi_table,
                          signed_bucket, weyl_character)
-from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative,
-                      levi_group, weyl_group)
+from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement,
+                      dominant_representative, levi_group, weyl_group)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
-# product rows per chunk of the dual M-construction
-DUAL_CHUNK_ROWS = 2_000_000
+# E-set rows per batch of M-function builds
+M_BATCH_ROWS = 1 << 15
 
 
 def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
@@ -230,68 +236,173 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     """Construct the M-function of ``mu`` on the orbit-sum basis.
 
     Each translate mu + rho_bar - w(rho_bar) contributes its sign at its
-    dominant representative.  A second, independent construction (the
-    product of the two Levi alternants, summed over the group and divided
-    by |Wbar|) is recomputed on every call and must agree exactly; the
-    leading-term shape is also asserted.
+    dominant representative (``m_terms``).  The leading term it is checked
+    against comes from ``leading_term``, a route that does not use the
+    batched dominant images.  ``self_check=False`` skips the per-weight
+    checks of ``m_terms`` that cost O(|Wbar|) rows; the leading-term and
+    cone assertions always run.
     """
     levi.require_dominant(mu)
-    datum = levi.parent
     levi_group(levi, guard)  # enforce the guard before any heavy work
-    drops, eps = _rho_drops(levi)
-    rows = np.array(mu, dtype=np.int64)[None, :] + drops
-    code = kernels.FAMILY_CODE[datum.family]
-    dom = kernels.dominant_rows(rows, code)
-    urows, sums, _ = signed_bucket(dom, eps)
-    keep = sums != 0
-    urows, sums = urows[keep], sums[keep]
-    coeffs = tuple(zip(map(Weight, urows.tolist()), sums.tolist()))
-    fn = MFunction(levi, mu, coeffs)
-    lam_top, lead = leading_term(levi, mu)
-    if dict(coeffs).get(lam_top) != lead:
-        raise WeightError(f"leading coefficient of M at {mu} is not {lead}")
-    below = chamber_cone_mask(datum.family, np.array(lam_top, dtype=np.int64) - urows)
-    if not below.all():
-        w = Weight(urows[int(np.argmin(below))].tolist())
-        raise WeightError(f"M-term {w} not dominated by the leading {lam_top}")
-    if self_check:
-        _check_dual_construction(levi, mu, urows, sums)
-    return fn
+    lam_top, _ = leading_term(levi, mu)
+    (urows, sums), = m_terms(levi, [mu], [lam_top], self_check=self_check)
+    return MFunction(levi, mu, tuple(zip(map(Weight, urows.tolist()), sums.tolist())))
 
 
-def _check_dual_construction(levi: LeviDatum, mu: Weight,
-                             urows: np.ndarray, sums: np.ndarray) -> None:
-    """Cross-check build_m through the product of the two Levi alternants.
+def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
+    """The M-functions of the Levi-dominant weights ``mus``, as arrays.
 
-    The alternants of mu + rho_bar and of rho_bar multiply to a Levi-invariant
-    polynomial X; summing w(X) over the whole Weyl group gives |Wbar| times
-    the M-function up to the sign of the longest Levi element.  On the
-    orbit-sum basis that is a bucket sum of the |Wbar|^2 product terms, so the
-    check stays cheap even when the ambient Weyl group is large.  The result
-    must equal build_m's distinct rows ``urows`` and nonzero ``sums``.
+    ``tops[i]`` is the dominant image of mus[i] + 2 rho_bar, the leading
+    term.  Returns one (rows, sums) pair per weight: the distinct dominant
+    images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero signed
+    count, in lexicographic order, and those counts.  Up to ``M_BATCH_ROWS``
+    rows share one ``dominant_rows`` and one ``signed_bucket`` call; a
+    member-id column keeps the weights' buckets apart.
+
+    The signed rows were checked once per Levi against the Weyl denominator
+    identity (``weightpoly._rho_drops``).  With ``self_check``, each
+    weight's dominant images must not change when the longest element or a
+    Coxeter element of W moves the rows first, and each image must keep its
+    row's norm and, in GL and D, its coordinate product (W-invariants that
+    a sign flip in D or a lost coordinate changes).  Then
+    ``_check_buckets``.  All of it costs O(|Wbar|) rows per weight.  The
+    leading-term and cone assertions of ``_check_leading`` always run.
     """
-    datum = levi.parent
-    group = levi_group(levi)
-    perm, sign, eps = group.arrays
-    a_rows = kernels.orbit_images(perm, sign, np.array(mu + levi.rho_bar, np.int64))
-    b_rows = kernels.orbit_images(perm, sign, np.array(levi.rho_bar, np.int64))
-    k = len(eps)
-    code = kernels.FAMILY_CODE[datum.family]
-    chunk = max(1, DUAL_CHUNK_ROWS // max(k, 1))
-    parts = []
-    for start in range(0, k, chunk):
-        stop = min(start + chunk, k)
-        block = (a_rows[start:stop, None, :] + b_rows[None, :, :])
-        block = block.reshape((stop - start) * k, -1)
-        block_eps = (eps[start:stop, None] * eps[None, :]).reshape((stop - start) * k)
-        parts.append(signed_bucket(kernels.dominant_rows(block, code), block_eps))
-    acc_rows, acc, _ = parts[0] if len(parts) == 1 else signed_bucket(
-        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
-    keep = acc != 0
-    w0sign = -1 if len(levi.rbar_plus) % 2 else 1
-    acc_rows, acc = acc_rows[keep], w0sign * acc[keep]
-    if (acc % k).any():
-        raise WeightError("dual M-construction is not divisible by |Wbar|")
-    if not (np.array_equal(acc_rows, urows) and np.array_equal(acc // k, sums)):
-        raise WeightError(f"dual M-constructions disagree at mu = {mu}")
+    if not len(mus):
+        return []
+    _, eps = _rho_drops(levi)
+    # member ids stay below the packing offset of one more column
+    per = min(kernels.pack_spec(levi.parent.rank + 1)[1], max(1, M_BATCH_ROWS // len(eps)))
+    out = []
+    for lo in range(0, len(mus), per):
+        out += _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)
+    return out
 
+
+@lru_cache(maxsize=None)
+def _invariance_elements(datum: RootDatum) -> tuple[WeylElement, WeylElement]:
+    """The longest element and the Coxeter element s_1 s_2 ... s_r of W.
+
+    Both are composed from the simple reflections, without enumerating W.
+    The longest element grows from the identity: while w keeps some simple
+    root alpha positive, w s_alpha is one longer; when w sends every simple
+    root to a negative root, w is the longest element.
+    """
+    pos = _positive_set(datum)
+    refl = [(a, WeylElement.reflection(a)) for a in datum.simple_roots]
+    identity = WeylElement.identity(datum.rank)
+    w0 = identity
+    while (s := next((s for a, s in refl if w0.act(a) in pos), None)) is not None:
+        w0 = w0.compose(s)
+    return w0, reduce(WeylElement.compose, (s for _, s in refl), identity)
+
+
+def _invariants(rows: np.ndarray, family: str) -> np.ndarray:
+    """<x, x> of each row and, in GL and D, its coordinate product, modulo 2^64."""
+    x = rows.view(np.uint64)  # two's complement, so the ring operations agree
+    cols = [(x * x).sum(axis=1)]
+    if family in ("GL", "D"):
+        cols.append(x.prod(axis=1))
+    return np.stack(cols, axis=1)
+
+
+def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
+    datum = levi.parent
+    n = datum.rank
+    drops, eps = _rho_drops(levi)
+    m, k = len(mus), len(eps)
+    rows = (np.array(mus, dtype=np.int64).reshape(m, 1, n) + drops).reshape(m * k, n)
+    moved = [rows[:, list(g.perm)] * np.array(g.signs, dtype=np.int64)
+             for g in _invariance_elements(datum)] if self_check else []
+    images = kernels.dominant_rows(np.concatenate([rows, *moved]),
+                                   kernels.FAMILY_CODE[datum.family])
+    images = images.reshape(len(moved) + 1, m * k, n)
+    dom = images[0]
+    if self_check:
+        ok = ((images == dom).all(axis=(0, 2))
+              & (_invariants(dom, datum.family) == _invariants(rows, datum.family)).all(axis=1))
+        if not ok.all():
+            raise WeightError(f"dominant images of the E-set of {mus[int(np.argmin(ok)) // k]} "
+                              "change under W or lose the W-invariants of their rows")
+    if m > 1:
+        tagged, sums, _ = signed_bucket(np.column_stack((np.repeat(np.arange(m), k), dom)),
+                                        np.tile(eps, m))
+        member, urows = tagged[:, 0], tagged[:, 1:]
+    else:  # one weight keeps the packing range of its own rank
+        urows, sums, _ = signed_bucket(dom, eps)
+        member = np.zeros(len(urows), dtype=np.int64)
+    keep = sums != 0
+    urows, sums, member = urows[keep], sums[keep], member[keep]
+    if self_check:
+        _check_buckets(levi, mus, dom, urows, sums, member)
+    _check_leading(levi, mus, tops, urows, sums, member)
+    cuts = np.searchsorted(member, np.arange(1, m))
+    return list(zip(np.split(urows, cuts), np.split(sums, cuts)))
+
+
+# odd multipliers and the splitmix64 finaliser of the row fingerprint
+_FP_MULT = np.uint64(0x9E3779B97F4A7C15)
+_FP_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _fingerprint(rows: np.ndarray) -> np.ndarray:
+    """A mixing hash of each row into uint64 (arithmetic modulo 2^64)."""
+    odd = np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * _FP_MULT
+    h = (rows.view(np.uint64) * odd).sum(axis=1)
+    h ^= h >> np.uint64(30)
+    h *= _FP_MIX[0]
+    h ^= h >> np.uint64(27)
+    h *= _FP_MIX[1]
+    return h ^ (h >> np.uint64(31))
+
+
+def _check_buckets(levi: LeviDatum, mus, dom: np.ndarray, urows: np.ndarray,
+                   sums: np.ndarray, member: np.ndarray) -> None:
+    """Raise unless the terms (urows, sums) of each ``member`` id bucket ``dom``.
+
+    ``dom`` holds the unbucketed dominant images, |Wbar| rows per weight in
+    the order of ``mus``, with the signs eps(w) of ``_rho_drops``.  In
+    O(|Wbar|) per weight:
+
+    * each weight's rows strictly increase in lexicographic order;
+    * the buckets keep two moments of the signed images: the sum of the
+      signs, and the sum of sign times a mixing hash of the row.  Mod 2^64
+      the second changes with any dropped, added, moved or misweighted
+      bucket.  (The norm moment sum c <x, x> would not do: summed against
+      eps(w) it vanishes once the Levi has two positive roots.)
+    """
+    m = len(mus)
+    step = np.diff(np.column_stack((member, urows)), axis=0)
+    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+        raise WeightError("M-terms are not in strictly increasing weight order")
+    signs = _rho_drops(levi)[1].view(np.uint64)
+    want = np.stack([np.broadcast_to(signs.sum(), m),
+                     (_fingerprint(dom).reshape(m, -1) * signs).sum(axis=1)], axis=1)
+    got = np.zeros_like(want)
+    np.add.at(got, member, sums.view(np.uint64)[:, None]
+              * np.column_stack((np.ones(len(urows), np.uint64), _fingerprint(urows))))
+    agree = (got == want).all(axis=1)
+    if not agree.all():
+        raise WeightError(f"M-terms and signed rows disagree at mu = "
+                          f"{mus[int(np.argmin(agree))]}")
+
+
+def _check_leading(levi: LeviDatum, mus, tops, urows: np.ndarray, sums: np.ndarray,
+                   member: np.ndarray) -> None:
+    """The term at ``tops[i]`` has the sign of the longest Levi element, and
+    every term of weight i lies below it in the dominance order."""
+    datum = levi.parent
+    m = len(mus)
+    tops = np.array(tops, dtype=np.int64).reshape(m, datum.rank)
+    lead = -1 if len(levi.rbar_plus) % 2 else 1
+    hit = (urows == tops[member]).all(axis=1)
+    at_top = np.zeros(m, dtype=np.int64)
+    np.add.at(at_top, member[hit], sums[hit])
+    if (at_top != lead).any():
+        raise WeightError(f"leading coefficient of M at "
+                          f"{mus[int(np.argmax(at_top != lead))]} is not {lead}")
+    below = chamber_cone_mask(datum.family, tops[member] - urows)
+    if not below.all():
+        i = int(np.argmin(below))
+        raise WeightError(f"M-term {Weight(urows[i].tolist())} not dominated by the "
+                          f"leading {Weight(tops[member[i]].tolist())}")

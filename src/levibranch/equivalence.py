@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .branching import build_m, far_from_walls, leading_term
+from .branching import build_m, far_from_walls, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, diagram_automorphisms,
-                      dominant_representative)
+                      dominant_representative, levi_group)
 
 SAME_CHAMBER = "SAME_CHAMBER"
 FAR_FROM_WALLS = "FAR_FROM_WALLS"
@@ -235,9 +235,11 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     walk goes by equality class, not by pair:
 
     * the leading terms of all weights come from one ``dominant_rows`` call;
-    * ``build_m`` (self-check on) runs once for each weight that shares its
-      leading term with another member, and the built weights are
-      partitioned by their M-function coefficients;
+    * the M-functions of the weights that share their leading term with
+      another member are built together, with every check of ``build_m``
+      (``branching.m_terms``, one batch per group unless the group exceeds
+      ``M_BATCH_ROWS`` rows), and the built weights are partitioned by
+      their M-function coefficients;
     * each weight in a class of two or more gets, once, a map from its
       automorphism images to the first automorphism giving them and its
       FAR_FROM_WALLS and MU_2RHO_DOMINANT flags;
@@ -254,6 +256,7 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     t0 = time.monotonic()
     datum = levi.parent
     code = kernels.FAMILY_CODE[datum.family]
+    levi_group(levi, guard)  # enforce the guard before any build
     box = dominant_box(levi, coord_bound)
     rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
     groups: dict[Weight, list[int]] = {}
@@ -276,9 +279,13 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         members = [box[i] for i in idx]
         tested = len(idx) * (len(idx) - 1) // 2
         shared_top = Counter(tops[i] for i in idx)
+        built = [j for j, i in enumerate(idx) if shared_top[tops[i]] > 1]
+        terms = m_terms(levi, [members[j] for j in built],
+                        top_rows[[idx[j] for j in built]])
         classes: dict = {}
-        cls = [classes.setdefault(build_m(levi, box[i], guard=guard).coeffs, i)
-               if shared_top[tops[i]] > 1 else None for i in idx]
+        cls: list = [None] * len(idx)
+        for j, (urows, sums) in zip(built, terms):
+            cls[j] = classes.setdefault((urows.tobytes(), sums.tobytes()), idx[j])
         sizes = Counter(c for c in cls if c is not None)
         paired = [j for j, c in enumerate(cls) if c is not None and sizes[c] > 1]
         if not paired:

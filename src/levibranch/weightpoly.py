@@ -439,27 +439,45 @@ def symmetrize(datum: RootDatum, gamma: Weight,
 
 @lru_cache(maxsize=None)
 def _rho_drops(levi: LeviDatum):
-    """The rows rho_bar - w(rho_bar) over the Levi Weyl group, and their signs."""
+    """The rows rho_bar - w(rho_bar) over the Levi Weyl group, and their signs.
+
+    Checked once per Levi, when first made, by ``_check_denominator``.
+    """
     perm, sign, eps = levi_group(levi).arrays
     rho = np.array(levi.rho_bar, dtype=np.int64)
-    return rho[None, :] - kernels.orbit_images(perm, sign, rho), eps
+    drops = rho[None, :] - kernels.orbit_images(perm, sign, rho)
+    _check_denominator(levi, drops, eps)
+    drops.flags.writeable = False  # shared by every caller
+    return drops, eps
+
+
+def _check_denominator(levi: LeviDatum, drops: np.ndarray, eps: np.ndarray) -> None:
+    """The Weyl denominator identity on the signed rows of ``_rho_drops``.
+
+    As a polynomial, sum eps(w) e^(rho_bar - w(rho_bar)) must equal the
+    product of (1 - e^alpha) over the Levi positive roots, which reads the
+    roots alone.  The terms rho_bar - w(rho_bar) are distinct, so a wrong
+    sign, a missing or a foreign group element, or a wrong row shows.
+    """
+    one = WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
+    product = one
+    for a in levi.rbar_plus:
+        product = product * (one - WeightPolynomial.monomial(a))
+    if product != WeightPolynomial.from_rows(drops, eps):
+        raise WeightError(
+            f"the signed Levi Weyl group rows of {levi.describe()} break the "
+            "Weyl denominator identity")
 
 
 def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
     """The product of (1 - e^alpha) over the Levi positive roots.
 
-    Expanded both as a literal product and as the signed rows of
-    ``_rho_drops``, the ones ``build_m`` reads (the Weyl denominator
-    identity); the two must agree term by term.
+    Read off the signed rows of ``_rho_drops``, the ones ``build_m`` reads;
+    ``_rho_drops`` has checked them against the literal product (the Weyl
+    denominator identity).
     """
     levi_group(levi, guard)  # enforce the guard before any heavy work
-    one = WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
-    product = one
-    for a in levi.rbar_plus:
-        product = product * (one - WeightPolynomial.monomial(a))
-    if product != WeightPolynomial.from_rows(*_rho_drops(levi)):
-        raise WeightError("product and alternating expansions of nabla disagree")
-    return product
+    return WeightPolynomial.from_rows(*_rho_drops(levi))
 
 
 # -- highest-weight stripping ---------------------------------------------------

@@ -13,7 +13,9 @@ batched dominant image and Levi cone test in ``levibranch.weightpoly``.
 ``e_set`` builds the E-set of a Levi weight one element at a time, and
 ``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
 a chamber holding it: the reference route for ``branching.far_from_walls``,
-which tests w1 alone.  ``every_levi`` lists the Levis the comparisons run
+which tests w1 alone.  ``dual_m_construction`` builds an M-function from
+the |Wbar|^2 products of two Levi alternants: the reference route for
+``branching.m_terms``.  ``every_levi`` lists the Levis the comparisons run
 over.
 """
 
@@ -27,9 +29,9 @@ import numpy as np
 from levibranch import kernels
 from levibranch.rootsys import (LeviDatum, RootDatum, Weight, build_levi,
                                 coroot_pairing)
-from levibranch.weightpoly import PartitionTable, _rho_drops
+from levibranch.weightpoly import PartitionTable, _rho_drops, signed_bucket
 from levibranch.weylgrp import (WeylElement, dominant_representative,
-                                stabilizer_subgroup)
+                                levi_group, stabilizer_subgroup)
 
 
 @lru_cache(maxsize=None)
@@ -151,3 +153,36 @@ def far_from_walls_by_cosets(levi: LeviDatum, mu: Weight) -> bool:
     code = kernels.FAMILY_CODE[datum.family]
     dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
     return bool(dominant.reshape(len(rows), len(stab_perm)).all(axis=0).any())
+
+
+def dual_m_construction(levi: LeviDatum, mu: Weight, chunk_rows: int = 2_000_000):
+    """The M-function of ``mu`` through the product of the two Levi alternants.
+
+    The alternants of mu + rho_bar and of rho_bar multiply to a Levi-invariant
+    polynomial X; summing w(X) over the whole Weyl group gives |Wbar| times
+    the M-function up to the sign of the longest Levi element.  On the
+    orbit-sum basis that is a bucket sum of the |Wbar|^2 product terms, made
+    ``chunk_rows`` product rows at a time.  Returns the distinct dominant
+    rows with nonzero coefficient, in lexicographic order, and their
+    coefficients.
+    """
+    datum = levi.parent
+    perm, sign, eps = levi_group(levi).arrays
+    a_rows = kernels.orbit_images(perm, sign, np.array(mu + levi.rho_bar, np.int64))
+    b_rows = kernels.orbit_images(perm, sign, np.array(levi.rho_bar, np.int64))
+    k = len(eps)
+    code = kernels.FAMILY_CODE[datum.family]
+    chunk = max(1, chunk_rows // k)
+    parts = []
+    for start in range(0, k, chunk):
+        stop = min(start + chunk, k)
+        block = (a_rows[start:stop, None, :] + b_rows[None, :, :]).reshape((stop - start) * k, -1)
+        block_eps = (eps[start:stop, None] * eps[None, :]).reshape((stop - start) * k)
+        parts.append(signed_bucket(kernels.dominant_rows(block, code), block_eps))
+    rows, acc, _ = parts[0] if len(parts) == 1 else signed_bucket(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+    keep = acc != 0
+    w0sign = -1 if len(levi.rbar_plus) % 2 else 1
+    rows, acc = rows[keep], w0sign * acc[keep]
+    assert not (acc % k).any(), "dual M-construction is not divisible by |Wbar|"
+    return rows, acc // k

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
                         branch_row, build_levi, build_root_system, build_m,
                         dominant_box, dominant_representative, far_from_walls,
                         leading_term, symmetrize)
-from levibranch.branching import default_lambda_box
+from levibranch import branching, equivalence, kernels, weightpoly, weylgrp
+from levibranch.branching import default_lambda_box, m_terms
+from levibranch.equivalence import search_box
 from levibranch.rootsys import WeightError, chamber_cone_mask
 from levibranch.weightpoly import _rho_drops, dominants_below
-from levibranch.weylgrp import levi_group
+from levibranch.weylgrp import WeylElement, levi_group
 
 
 class TestBranchMultiplicity:
@@ -138,24 +141,24 @@ class TestMFunction:
             fn = build_m(levi, mu)
             assert fn.poly() == symmetrize(gl3, mu)
 
-    def test_dual_check_rejects_a_wrong_m(self, levi_b3_gl2_so3, monkeypatch):
-        import numpy as np
-
-        from levibranch import branching
+    def test_dual_check_rejects_a_wrong_m(self, levi_b3_gl2_so3):
         levi = levi_b3_gl2_so3
         for mu in (Weight.of(2, 0, 1), Weight((3, -1, 1))):  # integral and spin
             fn = build_m(levi, mu)
             rows = np.array([w for w, _ in fn.coeffs], dtype=np.int64)
             sums = np.array([c for _, c in fn.coeffs], dtype=np.int64)
-            branching._check_dual_construction(levi, mu, rows, sums)
+            # the unbucketed signed images the check compares against
+            dom = kernels.dominant_rows(np.array(mu, dtype=np.int64) + _rho_drops(levi)[0],
+                                        kernels.FAMILY_CODE["B"])
+
+            def check(r, c):
+                branching._check_buckets(levi, [mu], dom, r, c, np.zeros(len(r), np.int64))
+
+            check(rows, sums)
             for bad_rows, bad_sums in ((rows, sums + 1), (rows[1:], sums[1:]),
                                        (rows, -sums), (rows + 2, sums)):
                 with pytest.raises(WeightError, match="disagree"):
-                    branching._check_dual_construction(levi, mu, bad_rows, bad_sums)
-            # the product terms accumulate across chunks to the same M
-            monkeypatch.setattr(branching, "DUAL_CHUNK_ROWS", 5)
-            branching._check_dual_construction(levi, mu, rows, sums)
-            monkeypatch.undo()
+                    check(bad_rows, bad_sums)
 
     def test_rem_ce_pair_differs(self, levi_gl6_42):
         mu = Weight.of(5, 2, 2, 1, 4, 3)
@@ -205,6 +208,148 @@ class TestMFunction:
             piece = wbar.sign() * symmetrize(datum, gamma)
             total = piece if total is None else total + piece
         assert fn.poly() == total
+
+
+def _oracle_coeffs(levi, mu):
+    rows, sums = oracles.dual_m_construction(levi, mu)
+    return tuple(zip(map(Weight, rows.tolist()), sums.tolist()))
+
+
+def _terms_coeffs(terms):
+    return [tuple(zip(map(Weight, rows.tolist()), sums.tolist())) for rows, sums in terms]
+
+
+class TestMAgainstDualOracle:
+    """``build_m`` and the batched builds against the |Wbar|^2 dual construction."""
+
+    @pytest.mark.parametrize("family,rank", oracles.LEVI_SYSTEMS,
+                             ids=[f"{f}{n}" for f, n in oracles.LEVI_SYSTEMS])
+    def test_every_proper_levi_at_bound_1(self, family, rank, monkeypatch):
+        # integral and spin weights; single builds, one batch over the whole
+        # box, and the batches the scan makes
+        datum = build_root_system(family, rank)
+        code = kernels.FAMILY_CODE[family]
+        for levi in oracles.every_levi(datum):
+            if len(levi.sbar) == len(datum.simple_roots):
+                continue
+            box = dominant_box(levi, 1)
+            want = [_oracle_coeffs(levi, mu) for mu in box]
+            assert [build_m(levi, mu).coeffs for mu in box] == want, levi.describe()
+            tops = kernels.dominant_rows(np.array(box, dtype=np.int64)
+                                         + np.array(levi.two_rho_bar, dtype=np.int64), code)
+            assert _terms_coeffs(m_terms(levi, box, tops)) == want, levi.describe()
+            batches = []
+            monkeypatch.setattr(equivalence, "m_terms", lambda levi, mus, tops: batches.append(
+                (mus, m_terms(levi, mus, tops))) or batches[-1][1])
+            search_box(levi, 1)
+            monkeypatch.undo()
+            for mus, terms in batches:
+                assert _terms_coeffs(terms) == [want[box.index(mu)] for mu in mus]
+
+    def test_sp12_gl3_sp6(self, levi_sp12, monkeypatch):
+        mus = [Weight.of(1, 0, 0, 1, 0, 0), Weight.of(2, 1, 0, 1, 1, 0),
+               Weight.of(0, 0, -1, 2, 1, 1), Weight.of(1, 1, 1, 0, 0, 0),
+               Weight.of(2, 2, 2, 1, 1, 1)]
+        want = [_oracle_coeffs(levi_sp12, mu) for mu in mus]
+        assert [build_m(levi_sp12, mu).coeffs for mu in mus] == want
+        tops = [leading_term(levi_sp12, mu)[0] for mu in mus]
+        assert _terms_coeffs(m_terms(levi_sp12, mus, tops)) == want
+        # batches of two weights and a last one of one (|Wbar| = 288)
+        monkeypatch.setattr(branching, "M_BATCH_ROWS", 2 * 288)
+        assert _terms_coeffs(m_terms(levi_sp12, mus, tops)) == want
+
+    def test_product_terms_accumulate_across_chunks(self, levi_b3_gl2_so3):
+        for mu in (Weight.of(2, 0, 1), Weight((3, -1, 1))):
+            rows, sums = oracles.dual_m_construction(levi_b3_gl2_so3, mu)
+            small = oracles.dual_m_construction(levi_b3_gl2_so3, mu, chunk_rows=5)
+            assert np.array_equal(small[0], rows) and np.array_equal(small[1], sums)
+
+
+@pytest.fixture
+def fresh_drops():
+    """Signed Levi rows made anew under a fault, and again after it."""
+    _rho_drops.cache_clear()
+    yield
+    _rho_drops.cache_clear()
+
+
+def _group_with(levi, keep=None, flip=None):
+    """The Levi group's arrays with only the rows ``keep`` and ``eps[flip]`` negated."""
+    perm, sign, eps = levi_group(levi).arrays
+    keep = np.arange(len(eps)) if keep is None else np.array(keep)
+    eps = eps[keep].copy()
+    if flip is not None:
+        eps[flip] = -eps[flip]
+    return SimpleNamespace(arrays=(perm[keep], sign[keep], eps))
+
+
+class TestChecksCatchFaults:
+    """Faults a monkeypatch can inject; each must make ``build_m`` raise."""
+
+    B3 = build_levi(build_root_system("B", 3), [1, 3])
+    MU = Weight.of(2, 0, 1)
+
+    def test_eps_flipped_on_one_row(self, monkeypatch, fresh_drops):
+        monkeypatch.setattr(weightpoly, "levi_group", lambda levi: _group_with(levi, flip=1))
+        with pytest.raises(WeightError, match="denominator"):
+            build_m(self.B3, self.MU)
+
+    def test_wrong_levi_generator(self, monkeypatch, fresh_drops):
+        # gl2+gl2+gl1 from the simple roots 1 and 4 instead of 1 and 3: same order
+        levi = build_levi(build_root_system("GL", 5), [1, 3])
+        monkeypatch.setattr(weightpoly, "levi_group",
+                            lambda levi: weylgrp._parabolic(levi.parent, (1, 4)))
+        with pytest.raises(WeightError, match="denominator"):
+            build_m(levi, Weight.of(3, 1, 2, 0, 0))
+
+    def test_one_round_closure(self, monkeypatch, fresh_drops):
+        # the identity and the generators only
+        levi = build_levi(build_root_system("C", 3), [1, 2])
+        gens = {WeylElement.reflection(a) for a in levi.sbar_roots}
+        keep = [i for i, w in enumerate(levi_group(levi).elements)
+                if w.is_identity() or w in gens]
+        monkeypatch.setattr(weightpoly, "levi_group", lambda levi: _group_with(levi, keep))
+        with pytest.raises(WeightError, match="denominator"):
+            build_m(levi, Weight.of(1, 0, -1))
+
+    def test_corrupted_rho_drops(self, monkeypatch, fresh_drops):
+        def orbit_images(perm, sign, vec):
+            img = kernels.orbit_images(perm, sign, vec)
+            img[1] *= 2
+            return img
+
+        monkeypatch.setattr(weightpoly, "kernels",
+                            SimpleNamespace(**{**vars(kernels), "orbit_images": orbit_images}))
+        with pytest.raises(WeightError, match="denominator"):
+            build_m(self.B3, self.MU)
+
+    def test_dominant_rows_without_the_d_sign_flip(self, monkeypatch):
+        real = kernels.dominant_rows
+        monkeypatch.setattr(kernels, "dominant_rows",
+                            lambda rows, code: real(rows, 1 if code == 2 else code))
+        levi = build_levi(build_root_system("D", 4), [1, 2, 3])
+        with pytest.raises(WeightError, match="W-invariants"):
+            build_m(levi, Weight.of(-1, -1, -1, -1))
+        # the scan reads its leading terms from the same faulty kernel
+        with pytest.raises(WeightError, match="W-invariants"):
+            search_box(build_levi(build_root_system("D", 5), [1, 2, 4, 5]), 1)
+
+    def test_misordered_bucket_keys(self, monkeypatch):
+        def pack_rows(rows):  # coordinate 0 least significant
+            return real(np.ascontiguousarray(np.asarray(rows)[:, ::-1]))
+
+        real = kernels.pack_rows
+        monkeypatch.setattr(kernels, "pack_rows", pack_rows)
+        with pytest.raises(WeightError, match="strictly increasing"):
+            build_m(self.B3, Weight.of(-2, -2, 0))
+
+    def test_signed_bucket_dropping_a_row(self, monkeypatch):
+        real = branching.signed_bucket
+        monkeypatch.setattr(branching, "signed_bucket",
+                            lambda rows, coeffs: real(rows[1:], coeffs[1:]))
+        for mu in (self.MU, Weight((3, -1, 1))):
+            with pytest.raises(WeightError, match="disagree"):
+                build_m(self.B3, mu)
 
 
 def _m_coefficient(levi, lam, mu):

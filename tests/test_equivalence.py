@@ -184,9 +184,9 @@ class TestSearch:
 
     def test_groups_stream_to_a_write_only_sink(self, levi_b3_gl2_so3, monkeypatch):
         tested = []  # one entry per M-function the scan builds
-        real = equivalence.build_m
-        monkeypatch.setattr(equivalence, "build_m",
-                            lambda *a, **k: tested.append(a) or real(*a, **k))
+        real = equivalence.m_terms
+        monkeypatch.setattr(equivalence, "m_terms",
+                            lambda levi, mus, tops: tested.extend(mus) or real(levi, mus, tops))
 
         class WriteOnly:
             def __init__(self):

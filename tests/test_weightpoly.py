@@ -473,7 +473,7 @@ class TestNabla:
     @pytest.mark.parametrize("fixture", [
         "levi_c3_gl3", "levi_b3_gl2_so3", "levi_d4_gl4", "levi_gl4_22"])
     def test_product_equals_alternating(self, fixture, request):
-        # nabla_bar raises internally when the two expansions disagree
+        # _rho_drops raises when the product and the signed rows disagree
         nabla_bar(request.getfixturevalue(fixture))
 
     @pytest.mark.parametrize("family,rank", oracles.LEVI_SYSTEMS,
