@@ -36,8 +36,8 @@ from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       _positive_set, _simple_coordinates, chamber_cone_mask)
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
-                         _rho_drops, decompose_character, levi_table,
-                         signed_bucket, weyl_character)
+                         _frame_for, _rho_drops, decompose_character,
+                         levi_table, signed_bucket, weyl_character)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement,
                       dominant_representative, levi_group, weyl_group)
 
@@ -72,8 +72,7 @@ def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
     w1, _ = dominant_representative(datum, mu + levi.rho_bar)
     rows = np.array(mu, dtype=np.int64) + drops
     rows = rows[:, list(w1.perm)] * np.array(w1.signs, dtype=np.int64)
-    code = kernels.FAMILY_CODE[datum.family]
-    return bool((kernels.dominant_rows(rows, code) == rows).all())
+    return bool((_frame_for(datum).dominant(rows) == rows).all())
 
 
 # -- alternating-sum branching ----------------------------------------------
@@ -193,23 +192,24 @@ class MFunction:
         return leading_term(self.levi, self.mu)
 
     def poly(self, budget: int = DEFAULT_EXPAND_BUDGET) -> WeightPolynomial:
-        """Materialise the full weight polynomial (all orbit points)."""
+        """Materialise the full weight polynomial (all orbit points).
+
+        The term a at lam is a times the full orbit sum over W, which puts
+        a |W| / |W lam| at each point of the orbit W lam; ``budget`` caps
+        the number of orbit points.
+        """
         datum = self.levi.parent
-        group = weyl_group(datum)
-        perm, sign, _ = group.arrays
-        total_rows = len(group) * len(self.coeffs)
-        if total_rows > budget:
-            raise BudgetError(
-                f"expansion needs {total_rows} rows > budget {budget}")
-        chunks = []
-        weights = []
-        for lam, a in self.coeffs:
-            img = kernels.orbit_images(perm, sign, np.array(lam, dtype=np.int64))
-            chunks.append(img)
-            weights.append(np.full(len(img), a, dtype=np.int64))
-        rows = np.concatenate(chunks) if chunks else np.zeros((0, datum.rank), np.int64)
-        coeffs = np.concatenate(weights) if weights else np.zeros(0, np.int64)
-        return WeightPolynomial.from_rows(rows, coeffs)
+        orbits, total = [], 0
+        for lam, _ in self.coeffs:
+            orbits.append(_frame_for(datum).orbit_rows(lam))
+            total += len(orbits[-1])
+            if total > budget:
+                raise BudgetError(
+                    f"expansion needs more than the budget of {budget} orbit points")
+        sizes = [len(orbit) for orbit in orbits]
+        coeffs = [a * datum.weyl_order() // k for (_, a), k in zip(self.coeffs, sizes)]
+        return WeightPolynomial.from_rows(np.concatenate(orbits),
+                                          np.repeat(np.array(coeffs, np.int64), sizes))
 
     def to_json(self) -> dict:
         return {
@@ -256,7 +256,7 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     term.  Returns one (rows, sums) pair per weight: the distinct dominant
     images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero signed
     count, in lexicographic order, and those counts.  Up to ``M_BATCH_ROWS``
-    rows share one ``dominant_rows`` and one ``signed_bucket`` call; a
+    rows share one frame ``dominant`` and one ``signed_bucket`` call; a
     member-id column keeps the weights' buckets apart.
 
     The signed rows were checked once per Levi against the Weyl denominator
@@ -314,8 +314,7 @@ def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
     rows = (np.array(mus, dtype=np.int64).reshape(m, 1, n) + drops).reshape(m * k, n)
     moved = [rows[:, list(g.perm)] * np.array(g.signs, dtype=np.int64)
              for g in _invariance_elements(datum)] if self_check else []
-    images = kernels.dominant_rows(np.concatenate([rows, *moved]),
-                                   kernels.FAMILY_CODE[datum.family])
+    images = _frame_for(datum).dominant(np.concatenate([rows, *moved]))
     images = images.reshape(len(moved) + 1, m * k, n)
     dom = images[0]
     if self_check:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .branching import build_m, far_from_walls, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
+from .weightpoly import _frame_for
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, diagram_automorphisms,
                       dominant_representative, levi_group)
 
@@ -234,7 +234,7 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     order and every equal pair is emitted as one verdict.  Within a group the
     walk goes by equality class, not by pair:
 
-    * the leading terms of all weights come from one ``dominant_rows`` call;
+    * the leading terms of all weights come from one batched dominant image;
     * the M-functions of the weights that share their leading term with
       another member are built together, with every check of ``build_m``
       (``branching.m_terms``, one batch per group unless the group exceeds
@@ -255,18 +255,18 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     """
     t0 = time.monotonic()
     datum = levi.parent
-    code = kernels.FAMILY_CODE[datum.family]
+    dominant = _frame_for(datum).dominant
     levi_group(levi, guard)  # enforce the guard before any build
     box = dominant_box(levi, coord_bound)
     rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
     groups: dict[Weight, list[int]] = {}
-    for i, key in enumerate(kernels.dominant_rows(rows, code).tolist()):
+    for i, key in enumerate(dominant(rows).tolist()):
         groups.setdefault(Weight(key), []).append(i)
     keys = sorted(groups)
     # per weight: the leading term of its M-function, the dominant image of
     # mu + 2 rho_bar, and whether mu + 2 rho_bar is already dominant
     shifted = rows + np.array(levi.two_rho_bar, dtype=np.int64)
-    top_rows = kernels.dominant_rows(shifted, code)
+    top_rows = dominant(shifted)
     tops = list(map(tuple, top_rows.tolist()))
     two_rho_dominant = (top_rows == shifted).all(axis=1).tolist()
     levi_cases = _levi_cases(levi)

@@ -5,7 +5,9 @@ Every value is an exact integer; rows carry doubled coordinates.
 Kernels:
 
 * ``orbit_images``   -- apply every signed permutation of a group to a vector,
-* ``dominant_rows``  -- per-row dominant representative (sort normal form),
+* ``dominant_rows``  -- per-row dominant representative (sort normal form)
+  for GL, B, C or D; ``weightpoly`` frames apply it to each factor block of
+  g or of a Levi,
 * ``kostant_batch``  -- vector-partition counts over a root list, from one
   dense table per batch.
 

@@ -304,6 +304,7 @@ class LeviDatum:
     rbar_plus: tuple[Weight, ...]
     rho_bar: Weight
     components: tuple[LeviComponent, ...]
+    blocks: tuple[tuple[int, int, str, bool], ...]  # see ``_factor_blocks``
 
     @property
     def sbar_roots(self) -> tuple[Weight, ...]:
@@ -333,45 +334,16 @@ class LeviDatum:
         return order
 
     def standard_gl_blocks(self) -> tuple[tuple[int, ...], ...] | None:
-        """Consecutive GL coordinate blocks partitioning the ambient space.
-
-        Returns None unless every component is a straight GL block (roots
-        exactly e_a - e_b on a consecutive coordinate run) and the blocks,
-        together with untouched gl1 coordinates, tile 1..n.
-        """
-        n = self.parent.rank
-        blocks = []
-        used: set[int] = set()
-        for comp in self.components:
-            if comp.family != "GL":
-                return None
-            coords = comp.coords
-            if len(coords) != comp.rank:
-                return None
-            if any(coords[k + 1] - coords[k] != 1 for k in range(len(coords) - 1)):
-                return None
-            expected = {
-                _unit(n, i - 1) - _unit(n, j - 1)
-                for i, j in itertools.combinations(coords, 2)
-            }
-            actual = {a for a in self.rbar_plus
-                      if all(a[i] == 0 for i in range(n) if i + 1 not in coords)}
-            if expected != actual:
-                return None
-            if used & set(coords):
-                return None
-            used |= set(coords)
-            blocks.append(coords)
-        if used != set(range(1, n + 1)):
+        """The 1-based coordinate runs of the factor blocks, when all are plain
+        gl blocks (``blocks``), else None."""
+        if any(fam != "GL" or flip for _, _, fam, flip in self.blocks):
             return None
-        return tuple(sorted(blocks))
+        return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi, _, _ in self.blocks)
 
     def is_full_gl_levi(self) -> bool:
         """True when the Levi is the standard gl_n inside B_n, C_n or D_n."""
-        if self.parent.family not in ("B", "C", "D"):
-            return False
-        blocks = self.standard_gl_blocks()
-        return blocks is not None and len(blocks) == 1
+        return (self.parent.family != "GL"
+                and self.blocks == ((0, self.parent.rank, "GL", False),))
 
 
 def _component_weyl_order(comp: LeviComponent) -> int:
@@ -450,7 +422,30 @@ def build_levi(datum: RootDatum, sbar) -> LeviDatum:
     rho_bar = Weight(c // 2 for c in total)
 
     components = _components(datum, indices)
-    return LeviDatum(datum, indices, rbar, rho_bar, components)
+    blocks = _factor_blocks(datum.family, datum.rank, indices)
+    return LeviDatum(datum, indices, rbar, rho_bar, components, blocks)
+
+
+def _factor_blocks(family: str, n: int, sbar) -> tuple[tuple[int, int, str, bool], ...]:
+    """The Levi on ``sbar`` as factor blocks (lo, hi, family, flip).
+
+    The Levi Weyl group is a product of classical groups, one per block,
+    each acting on its coordinate run [lo, hi) (0-based); the runs tile
+    0..n.  Runs of simple roots e_i - e_(i+1) are ``"GL"`` blocks (of width
+    1 on a coordinate no root touches).  With alpha_n, the run ending at
+    coordinate n is a tail of the parent's family in B and C, and in D when
+    alpha_(n-1) is retained too (D2 included).  Otherwise alpha_n =
+    e_(n-1) + e_n joins the run ending at n-1 and coordinate n into one gl
+    block on (x_lo, ..., x_(n-1), -x_n), marked ``flip``.
+    """
+    cuts = [0] + [i for i in range(1, n) if i not in sbar] + [n]
+    blocks = [(lo, hi, "GL", False) for lo, hi in zip(cuts, cuts[1:])]
+    if family != "GL" and n in sbar:
+        if family == "D" and n - 1 not in sbar:
+            blocks[-2:] = [(blocks[-2][0], n, "GL", True)]
+        else:
+            blocks[-1] = (blocks[-1][0], n, family, False)
+    return tuple(blocks)
 
 
 def _components(datum: RootDatum, indices: tuple[int, ...]) -> tuple[LeviComponent, ...]:

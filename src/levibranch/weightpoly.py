@@ -8,7 +8,8 @@ Freudenthal recursion.  Their independent cross-check is the Weyl sum of
 roots), which is Kostant's weight-multiplicity formula.
 
 Characters of g and of a Levi share one frame (``_Frame``): one cone test
-and one batched dominant image, so the recursion works on row blocks.
+and one batched dominant image, a ``kernels.dominant_rows`` sort on each
+factor block of coordinates, so the recursion works on row blocks.
 """
 
 from __future__ import annotations
@@ -250,6 +251,9 @@ class _Frame:
     The frame's dominance order is the cone test ``chamber_cone_mask``, with
     ``sbar`` selecting the Levi cone (None for g), and ``dominant`` is its
     one batched dominant image.  Rows are int64 doubled coordinates.
+    ``blocks`` are the factor blocks ``dominant`` sorts (``LeviDatum.blocks``,
+    one block for g) with their ``kernels.FAMILY_CODE``, less the lone gl
+    coordinates, whose groups are trivial.
     """
 
     def __init__(self, owner):
@@ -259,47 +263,38 @@ class _Frame:
             self.sbar = owner.sbar
             self.rho = owner.rho_bar
             simple_roots, positive_roots = owner.sbar_roots, owner.rbar_plus
+            blocks = owner.blocks
         else:
             self.datum = owner
             self.sbar = None
             self.rho = owner.rho
             simple_roots, positive_roots = owner.simple_roots, owner.positive_roots
+            blocks = [(0, owner.rank, owner.family, False)]  # the Levi on all of S
         self.n = self.datum.rank
+        self.blocks = [(lo, hi, kernels.FAMILY_CODE[fam], flip)
+                       for lo, hi, fam, flip in blocks if hi - lo > 1 or fam != "GL"]
         self.simple = np.array(simple_roots, dtype=np.int64).reshape(-1, self.n)
-        self.norms = (self.simple * self.simple).sum(axis=1).tolist()
         self.roots = np.array(positive_roots, dtype=np.int64).reshape(-1, self.n)
         self.two_rho = self.roots.sum(axis=0)  # doubled coords of 2*rho_frame
 
     def dominant(self, rows: np.ndarray) -> np.ndarray:
         """The frame-dominant image of every row.
 
-        g sorts (``kernels.dominant_rows``).  A Levi reflects: each pass takes
-        the rows that pair negatively with some Levi simple root and reflects
-        each of them in every Levi simple root it pairs negatively with, one
-        root after the other, until no row pairs negatively with any.  Each
-        reflection adds a positive root multiple, so the passes end, and their
-        cost does not depend on the order of the Levi Weyl group.
+        The frame's Weyl group is the product of its factor blocks' groups,
+        so each block's coordinates get the dominant image of the block's
+        family (``kernels.dominant_rows``), g's included: a sort, with
+        signs in B, C and D.  A ``flip`` block sorts with its last
+        coordinate negated, and negates it back.
         """
-        if self.sbar is None:
-            return kernels.dominant_rows(rows, kernels.FAMILY_CODE[self.datum.family])
         out = np.array(rows, dtype=np.int64)
-        todo = np.arange(len(out))
-        while True:
-            cur = out[todo]
-            below = (cur @ self.simple.T < 0).any(axis=1)
-            if not below.any():
-                return out
-            todo, cur = todo[below], cur[below]
-            for a, aa in zip(self.simple, self.norms):
-                num = 2 * (cur @ a)
-                neg = num < 0
-                if not neg.any():
-                    continue
-                p, r = np.divmod(num[neg], aa)
-                if r.any():
-                    raise WeightError(f"non-integral coroot pairing against {Weight(a)}")
-                cur[neg] -= p[:, None] * a
-            out[todo] = cur
+        for lo, hi, code, flip in self.blocks:
+            block = out[:, lo:hi]  # a view, written in place
+            if flip:
+                block[:, -1] *= -1
+            block[...] = kernels.dominant_rows(block, code)
+            if flip:
+                block[:, -1] *= -1
+        return out
 
     def orbit_rows(self, beta: Weight) -> np.ndarray:
         """The distinct frame-Weyl images of ``beta``, in lexicographic order."""

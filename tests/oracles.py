@@ -15,8 +15,10 @@ batched dominant image and Levi cone test in ``levibranch.weightpoly``.
 a chamber holding it: the reference route for ``branching.far_from_walls``,
 which tests w1 alone.  ``dual_m_construction`` builds an M-function from
 the |Wbar|^2 products of two Levi alternants: the reference route for
-``branching.m_terms``.  ``every_levi`` lists the Levis the comparisons run
-over.
+``branching.m_terms``.  ``standard_gl_blocks_by_roots`` compares root sets
+component by component: the reference route for
+``LeviDatum.standard_gl_blocks``, which reads the factor blocks off sbar.
+``every_levi`` lists the Levis the comparisons run over.
 """
 
 from __future__ import annotations
@@ -113,6 +115,34 @@ def domrep(owner, beta: Weight) -> Weight:
                 break
         else:
             return cur
+
+
+def standard_gl_blocks_by_roots(levi: LeviDatum):
+    """Consecutive gl coordinate blocks tiling 1..n, found from the roots.
+
+    None unless every component is a straight gl block (its roots exactly
+    e_a - e_b on a consecutive coordinate run) and the blocks, with the
+    untouched gl1 coordinates, tile 1..n.
+    """
+    n = levi.parent.rank
+    blocks, used = [], set()
+    for comp in levi.components:
+        coords = comp.coords
+        if (comp.family != "GL" or len(coords) != comp.rank
+                or coords != tuple(range(coords[0], coords[0] + len(coords)))
+                or used & set(coords)):
+            return None
+        expected = {Weight(2 * ((k == i - 1) - (k == j - 1)) for k in range(n))
+                    for i, j in itertools.combinations(coords, 2)}
+        actual = {a for a in levi.rbar_plus
+                  if all(a[k] == 0 for k in range(n) if k + 1 not in coords)}
+        if expected != actual:
+            return None
+        used |= set(coords)
+        blocks.append(coords)
+    if used != set(range(1, n + 1)):
+        return None
+    return tuple(sorted(blocks))
 
 
 @lru_cache(maxsize=None)

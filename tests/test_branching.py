@@ -209,6 +209,18 @@ class TestMFunction:
             total = piece if total is None else total + piece
         assert fn.poly() == total
 
+    def test_poly_budget_counts_distinct_orbit_points(self, levi_c3_gl3):
+        # mu = 0 has terms with zero coordinates, whose W-stabilisers are nontrivial
+        fn = build_m(levi_c3_gl3, Weight.zero(3))
+        datum = levi_c3_gl3.parent
+        points = sum(len(symmetrize(datum, lam)) for lam, _ in fn.coeffs)
+        assert points < datum.weyl_order() * len(fn.coeffs)
+        full = fn.poly()
+        for budget in (points, datum.weyl_order() * len(fn.coeffs) - 1):
+            assert fn.poly(budget=budget) == full
+        with pytest.raises(weightpoly.BudgetError):
+            fn.poly(budget=points - 1)
+
 
 def _oracle_coeffs(levi, mu):
     rows, sums = oracles.dual_m_construction(levi, mu)

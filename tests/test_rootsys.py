@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+
+import oracles
 
 from levibranch import (Weight, WeightError, build_levi, build_root_system,
                         coroot_pairing)
@@ -190,6 +193,42 @@ class TestLevi:
     def test_standard_gl_blocks(self, levi_gl6_42, levi_sp12):
         assert levi_gl6_42.standard_gl_blocks() == ((1, 2, 3, 4), (5, 6))
         assert levi_sp12.standard_gl_blocks() is None
+
+    # the family systems of the block comparisons: GL1-7, B1-7, C1-7, D2-7
+    BLOCK_SYSTEMS = ([("GL", n) for n in range(1, 8)] + [("B", n) for n in range(1, 8)]
+                     + [("C", n) for n in range(1, 8)] + [("D", n) for n in range(2, 8)])
+
+    def test_standard_gl_blocks_match_root_sets(self):
+        count = 0
+        for family, rank in self.BLOCK_SYSTEMS:
+            for levi in oracles.every_levi(build_root_system(family, rank)):
+                blocks = oracles.standard_gl_blocks_by_roots(levi)
+                assert levi.standard_gl_blocks() == blocks, (family, rank, levi.sbar)
+                assert levi.is_full_gl_levi() == (
+                    family != "GL" and blocks is not None and len(blocks) == 1)
+                count += 1
+        assert count == 887
+
+    def test_levi_on_every_simple_root_is_one_block(self):
+        for family, rank in self.BLOCK_SYSTEMS:
+            datum = build_root_system(family, rank)
+            levi = build_levi(datum, range(1, len(datum.simple_roots) + 1))
+            assert levi.blocks == ((0, rank, family, False),)
+
+    @pytest.mark.parametrize("family,rank,sbar,blocks", [
+        ("D", 5, (1, 2, 4, 5), ((0, 3, "GL", False), (3, 5, "D", False))),
+        ("D", 4, (1, 2, 4), ((0, 4, "GL", True),)),
+        ("D", 4, (2, 3, 4), ((0, 1, "GL", False), (1, 4, "D", False))),
+        ("D", 4, (3,), ((0, 1, "GL", False), (1, 2, "GL", False), (2, 4, "GL", False))),
+        ("D", 4, (4,), ((0, 1, "GL", False), (1, 2, "GL", False), (2, 4, "GL", True))),
+        ("B", 3, (1, 3), ((0, 2, "GL", False), (2, 3, "B", False))),
+    ], ids=["D5-gl3+D2", "D4-flipped-gl4", "D4-D3-tail", "D4-3", "D4-4", "B3-gl2+so3"])
+    def test_factor_blocks(self, family, rank, sbar, blocks):
+        levi = build_levi(build_root_system(family, rank), sbar)
+        assert levi.blocks == blocks
+        # the blocks' group orders multiply to |Wbar|
+        assert math.prod(build_root_system(fam, hi - lo).weyl_order()
+                         for lo, hi, fam, _ in blocks) == levi.weylbar_order()
 
     def test_twisted_d_component(self, d4):
         # simple root e3 + e4 alone: an A1 acting on two coordinates
