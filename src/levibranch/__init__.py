@@ -11,7 +11,7 @@ from .branching import (BranchingRow, MFunction, branch_by_restriction,
 from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      build_levi, build_root_system, coroot_pairing)
+                      build_levi, build_root_system)
 from .typea_lr import (Partition, SignedSplit, kostka_number, lr_coefficient,
                        multi_lr, polarisation_branch, split_signed)
 from .weightpoly import (PartitionTable, WeightPolynomial, kostka_multiplicity,
@@ -27,11 +27,11 @@ __all__ = [
     "PartitionTable", "RootDatum", "SignedSplit", "Weight", "WeightError",
     "WeightPolynomial", "WeylElement", "branch_by_restriction",
     "branch_multiplicity", "branch_row", "build_levi", "build_m",
-    "build_root_system", "classify_pair", "coroot_pairing",
-    "coset_decompose", "diagram_automorphisms", "dominant_box",
-    "dominant_representative", "far_from_walls", "induced_equal",
-    "kostka_multiplicity", "kostka_number", "leading_term",
-    "lr_coefficient", "multi_lr", "nabla_bar", "polarisation_branch",
-    "relating_automorphism", "search_box", "split_signed", "straighten",
-    "symmetrize", "transversal", "weyl_character", "weyl_group",
+    "build_root_system", "classify_pair", "coset_decompose",
+    "diagram_automorphisms", "dominant_box", "dominant_representative",
+    "far_from_walls", "induced_equal", "kostka_multiplicity",
+    "kostka_number", "leading_term", "lr_coefficient", "multi_lr",
+    "nabla_bar", "polarisation_branch", "relating_automorphism",
+    "search_box", "split_signed", "straighten", "symmetrize",
+    "transversal", "weyl_character", "weyl_group",
 ]

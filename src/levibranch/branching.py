@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      _positive_set, _simple_coordinates, chamber_cone_mask)
+                      _positive_set, _scaled_coordinates, chamber_cone_mask)
 from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
                          _frame_for, _rho_drops, decompose_character,
                          levi_table, signed_bucket, weyl_character)
@@ -141,7 +141,8 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
     """
     datum = levi.parent
     top = np.array(mu + k * datum.highest_root, dtype=np.int64)
-    d = [k * c for c in _simple_coordinates(datum)[datum.highest_root]]
+    t, scale = _scaled_coordinates(datum.family, [k * datum.highest_root])
+    d = (t[0] // scale)[:len(datum.simple_roots)].tolist()
     steps = np.indices([max(c + 1, 0) for c in d]).reshape(len(d), -1).T
     simple = np.array(datum.simple_roots, dtype=np.int64).reshape(len(d), datum.rank)
     rows = top - steps @ simple

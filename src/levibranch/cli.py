@@ -53,9 +53,16 @@ def _load_config(args) -> JobConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise RootSystemError(
+                f"config must be a JSON object, got {type(data).__name__} {data!r}")
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise RootSystemError(f"unknown config fields: {sorted(unknown)}")
+        levi = data.get("levi", [])
+        if not (isinstance(levi, list) and all(type(i) is int for i in levi)):
+            raise RootSystemError(
+                f"config field levi must be a list of integers, got {levi!r}")
     if args.system:
         fam, _, rk = args.system.partition(":")
         data["family"] = fam

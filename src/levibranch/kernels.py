@@ -1,4 +1,4 @@
-"""Hot integer array kernels, in numpy and plain Python.
+"""Hot integer array kernels, in numpy.
 
 Every value is an exact integer; rows carry doubled coordinates.
 

@@ -14,11 +14,10 @@ anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -107,18 +106,6 @@ class Weight(tuple):
         return f"Weight{str(self)}"
 
 
-def coroot_pairing(beta: Weight, alpha: Weight) -> int:
-    """(beta, alpha^vee) = 2 (beta, alpha) / (alpha, alpha); exact integer."""
-    aa = alpha.dot4(alpha)
-    if aa == 0:
-        raise WeightError("pairing against the zero vector")
-    num = 2 * beta.dot4(alpha)
-    q, r = divmod(num, aa)
-    if r != 0:
-        raise WeightError(f"non-integral coroot pairing of {beta} against {alpha}")
-    return q
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """A classical root system with a fixed choice of positive roots."""
@@ -133,12 +120,7 @@ class RootDatum:
         return f"{self.family}{self.rank}"
 
     def weyl_order(self) -> int:
-        n = self.rank
-        if self.family == "GL":
-            return factorial(n)
-        if self.family in ("B", "C"):
-            return factorial(n) << n
-        return factorial(n) << (n - 1)  # D
+        return _weyl_order(self.family, self.rank)
 
     @property
     def highest_root(self) -> Weight:
@@ -155,6 +137,9 @@ class RootDatum:
         return len(parities) <= 1
 
     def require_weight(self, beta: Weight) -> Weight:
+        if len(beta) != self.rank:
+            raise WeightError(f"{beta} has {len(beta)} coordinates; "
+                              f"{self.describe()} needs {self.rank}")
         if not self.is_lattice_weight(beta):
             raise WeightError(f"{beta} is not an integral weight of {self.describe()}")
         return beta
@@ -176,6 +161,14 @@ class RootDatum:
         """
         delta = np.array([beta - gamma], dtype=np.int64)
         return bool(chamber_cone_mask(self.family, delta)[0])
+
+
+def _weyl_order(family: str, n: int) -> int:
+    if family == "GL":
+        return factorial(n)
+    if family in ("B", "C"):
+        return factorial(n) << n
+    return factorial(n) << (n - 1)  # D
 
 
 @lru_cache(maxsize=None)
@@ -229,20 +222,40 @@ def build_root_system(family: str, rank: int) -> RootDatum:
     return RootDatum(family, n, tuple(simple), tuple(pos), rho)
 
 
-def chamber_cone_mask(family: str, rows: np.ndarray, sbar=None) -> np.ndarray:
-    """Rows that are N-combinations of the positive roots of g, or of a Levi.
+def _scaled_coordinates(family: str, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The simple-root coordinates c of doubled rows, scaled: t = scale * c.
 
-    A row is one exactly when its coordinates c over the simple roots are
-    nonnegative integers.  On doubled coordinates x they are read off the
-    prefix sums t_k = x_1 + ... + x_k, all in one array:
+    They are read off the prefix sums t_k = x_1 + ... + x_k, all in one
+    array:
 
     * GL: t_k = 2 c_k for k < n, and the row is in the span only if t_n = 0;
     * B:  t_k = 2 c_k;
     * C:  t_k = 2 c_k for k < n, and t_n = 4 c_n;
     * D:  t_k = 2 c_k for k < n - 1, t_(n-1) - x_n = 4 c_(n-1) and t_n = 4 c_n.
 
-    So a row passes when it is even (integral), every coordinate is
-    nonnegative and every 4 c is divisible by 4.
+    ``t`` is column-major, so that every coordinate column is contiguous.
+    In GL its last column is the span test, not a coordinate.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    t = np.empty(rows.shape, dtype=np.int64, order="F")
+    np.cumsum(rows, axis=1, out=t)
+    scale = np.full(n, 2, dtype=np.int64)
+    if family == "C":
+        scale[-1] = 4
+    elif family == "D":
+        t[:, -2] -= rows[:, -1]
+        scale[-2:] = 4
+    return t, scale
+
+
+def chamber_cone_mask(family: str, rows: np.ndarray, sbar=None) -> np.ndarray:
+    """Rows that are N-combinations of the positive roots of g, or of a Levi.
+
+    A row is one exactly when its coordinates c over the simple roots are
+    nonnegative integers.  ``_scaled_coordinates`` gives them as 2 c or 4 c,
+    so a row passes when every scaled coordinate is nonnegative and
+    divisible by its scale: even, and a multiple of 4 where the scale is 4.
 
     With ``sbar`` (1-based simple-root indices) the cone is that of the Levi
     positive roots Rbar+: a row passes when it is in the cone of g and its
@@ -251,21 +264,15 @@ def chamber_cone_mask(family: str, rows: np.ndarray, sbar=None) -> np.ndarray:
     so a row is in N.Sbar exactly when its coordinates are nonnegative
     integers that vanish off ``sbar``.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[1]
-    # column-major, so that every coordinate column read below is contiguous
-    t = np.empty(rows.shape, dtype=np.int64, order="F")
-    np.cumsum(rows, axis=1, out=t)
+    t, scale = _scaled_coordinates(family, rows)
+    n = t.shape[1]
     ok = (np.bitwise_or.reduce(t, axis=1) & 1) == 0
-    if family == "D":
-        t[:, -2] -= rows[:, -1]
-    quad = {"C": (n - 1,), "D": (n - 2, n - 1)}.get(family, ())
     for k, col in enumerate(t.T):
         if (family == "GL" and k == n - 1) or (sbar is not None and k + 1 not in sbar):
             ok &= col == 0
         else:
             ok &= col >= 0
-            if k in quad:
+            if scale[k] == 4:
                 ok &= (col & 3) == 0
     return ok
 
@@ -273,37 +280,21 @@ def chamber_cone_mask(family: str, rows: np.ndarray, sbar=None) -> np.ndarray:
 # -- Levi subsystems ------------------------------------------------------
 
 @dataclass(frozen=True)
-class LeviComponent:
-    """One irreducible summand of a Levi subalgebra.
-
-    ``family`` is the abstract Dynkin type, with A-chains reported as GL
-    blocks of rank (#vertices + 1); ``coords`` lists the 1-based ambient
-    coordinates its roots touch.
-    """
-
-    family: str
-    rank: int
-    coords: tuple[int, ...]
-
-    def describe(self) -> str:
-        if self.family == "GL":
-            return f"gl{self.rank}"
-        if self.family == "B":
-            return f"so{2 * self.rank + 1}"
-        if self.family == "C":
-            return f"sp{2 * self.rank}"
-        return f"so{2 * self.rank}"
-
-
-@dataclass(frozen=True)
 class LeviDatum:
-    """A Levi subsystem spanned by a subset of the simple roots."""
+    """A Levi subsystem spanned by a subset of the simple roots.
+
+    ``blocks`` (see ``_factor_blocks``) is the one description of its
+    structure: the Levi Weyl group is the product of the blocks' classical
+    groups, and the labels of ``describe``, the order of Wbar and
+    ``standard_gl_blocks`` are read off it, as is the Levi dominant normal
+    form in ``weightpoly``.  ``rbar_plus`` holds the positive roots in the
+    Levi cone of ``chamber_cone_mask``.
+    """
 
     parent: RootDatum
     sbar: tuple[int, ...]          # 1-based indices into parent.simple_roots
     rbar_plus: tuple[Weight, ...]
     rho_bar: Weight
-    components: tuple[LeviComponent, ...]
     blocks: tuple[tuple[int, int, str, bool], ...]  # see ``_factor_blocks``
 
     @property
@@ -315,7 +306,7 @@ class LeviDatum:
         return self.rho_bar + self.rho_bar
 
     def describe(self) -> str:
-        inner = "+".join(c.describe() for c in self.components) or "h"
+        inner = "+".join(_block_label(fam, hi - lo) for lo, hi, fam, _ in self.blocks)
         return f"{self.parent.describe()}>{inner}"
 
     def is_dominant(self, beta: Weight) -> bool:
@@ -328,10 +319,7 @@ class LeviDatum:
         return beta
 
     def weylbar_order(self) -> int:
-        order = 1
-        for comp in self.components:
-            order *= _component_weyl_order(comp)
-        return order
+        return prod(_weyl_order(fam, hi - lo) for lo, hi, fam, _ in self.blocks)
 
     def standard_gl_blocks(self) -> tuple[tuple[int, ...], ...] | None:
         """The 1-based coordinate runs of the factor blocks, when all are plain
@@ -346,60 +334,16 @@ class LeviDatum:
                 and self.blocks == ((0, self.parent.rank, "GL", False),))
 
 
-def _component_weyl_order(comp: LeviComponent) -> int:
-    r = comp.rank
-    if comp.family == "GL":
-        return factorial(r)
-    if comp.family in ("B", "C"):
-        return factorial(r) << r
-    return factorial(r) << (r - 1)
-
-
-@lru_cache(maxsize=None)
-def _simple_coordinates(datum: RootDatum) -> dict:
-    """Expansion of each positive root over the simple roots (exact)."""
-    simple = datum.simple_roots
-    out = {}
-    for root in datum.positive_roots:
-        coeffs = _solve_integer(simple, root)
-        out[root] = coeffs
-    return out
-
-
-def _solve_integer(basis: tuple[Weight, ...], target: Weight) -> tuple[int, ...]:
-    """Solve target = sum c_k basis_k exactly; the c_k must be integers >= 0."""
-    m = len(basis)
-    n = len(target)
-    rows = [[Fraction(basis[k][i]) for k in range(m)] + [Fraction(target[i])]
-            for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = [x * inv for x in pr]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    coeffs = [Fraction(0)] * m
-    for idx, c in enumerate(pivots):
-        coeffs[c] = rows[idx][m]
-    for i in range(r, n):
-        if rows[i][m] != 0:
-            raise RootSystemError(f"{target} is not in the span of the simple roots")
-    out = []
-    for q in coeffs:
-        if q.denominator != 1 or q < 0:
-            raise RootSystemError(f"non-integral expansion of {target}")
-        out.append(int(q))
-    return tuple(out)
+def _block_label(family: str, width: int) -> str:
+    """The summands of one factor block: a D tail of width 2 is A1 x A1 and
+    one of width 3 is A3, named as gl blocks."""
+    if family == "GL":
+        return f"gl{width}"
+    if family == "B":
+        return f"so{2 * width + 1}"
+    if family == "C":
+        return f"sp{2 * width}"
+    return {2: "gl2+gl2", 3: "gl4"}.get(width, f"so{2 * width}")
 
 
 def build_levi(datum: RootDatum, sbar) -> LeviDatum:
@@ -410,20 +354,15 @@ def build_levi(datum: RootDatum, sbar) -> LeviDatum:
         if not 1 <= i <= nsimple:
             raise RootSystemError(f"simple-root index {i} out of range 1..{nsimple}")
 
-    support = _simple_coordinates(datum)
-    keep = set(i - 1 for i in indices)
-    rbar = tuple(
-        root for root in datum.positive_roots
-        if all(c == 0 for k, c in enumerate(support[root]) if k not in keep)
-    )
+    roots = np.array(datum.positive_roots, dtype=np.int64).reshape(-1, datum.rank)
+    keep = chamber_cone_mask(datum.family, roots, indices).tolist()
+    rbar = tuple(a for a, k in zip(datum.positive_roots, keep) if k)
     total = Weight.zero(datum.rank)
     for a in rbar:
         total = total + a
     rho_bar = Weight(c // 2 for c in total)
-
-    components = _components(datum, indices)
     blocks = _factor_blocks(datum.family, datum.rank, indices)
-    return LeviDatum(datum, indices, rbar, rho_bar, components, blocks)
+    return LeviDatum(datum, indices, rbar, rho_bar, blocks)
 
 
 def _factor_blocks(family: str, n: int, sbar) -> tuple[tuple[int, int, str, bool], ...]:
@@ -446,66 +385,3 @@ def _factor_blocks(family: str, n: int, sbar) -> tuple[tuple[int, int, str, bool
         else:
             blocks[-1] = (blocks[-1][0], n, family, False)
     return tuple(blocks)
-
-
-def _components(datum: RootDatum, indices: tuple[int, ...]) -> tuple[LeviComponent, ...]:
-    simple = datum.simple_roots
-    chosen = [simple[i - 1] for i in indices]
-    # connected components of the induced Dynkin subgraph
-    adj = {i: set() for i in range(len(chosen))}
-    for a, b in itertools.combinations(range(len(chosen)), 2):
-        if chosen[a].dot4(chosen[b]) != 0:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen: set[int] = set()
-    comps: list[LeviComponent] = []
-    touched: set[int] = set()
-    for start in range(len(chosen)):
-        if start in seen:
-            continue
-        stack, nodes = [start], []
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            nodes.append(v)
-            stack.extend(adj[v] - seen)
-        roots = [chosen[v] for v in sorted(nodes)]
-        coords = sorted({i + 1 for a in roots for i in range(len(a)) if a[i] != 0})
-        touched.update(coords)
-        comps.append(_classify_component(roots, tuple(coords)))
-    # untouched coordinates are central gl1 summands
-    for i in range(1, datum.rank + 1):
-        if i not in touched:
-            comps.append(LeviComponent("GL", 1, (i,)))
-    return tuple(sorted(comps, key=lambda c: (c.coords[0], c.coords)))
-
-
-def _classify_component(roots: list[Weight], coords: tuple[int, ...]) -> LeviComponent:
-    k = len(roots)
-    if k == 1:
-        a = roots[0]
-        if a.dot4(a) == 16:  # long root 2e_i
-            return LeviComponent("C", 1, coords)
-        if a.dot4(a) == 4:   # short root e_i
-            return LeviComponent("B", 1, coords)
-        return LeviComponent("GL", 2, coords)
-    degrees = [0] * k
-    has_double = False
-    max_len = max(a.dot4(a) for a in roots)
-    for i, j in itertools.combinations(range(k), 2):
-        cij = coroot_pairing(roots[i], roots[j])
-        cji = coroot_pairing(roots[j], roots[i])
-        if cij != 0:
-            degrees[i] += 1
-            degrees[j] += 1
-            if cij * cji == 2:
-                has_double = True
-    if has_double:
-        # a doubled bond arises from 2e_i (type C, long root of squared
-        # doubled norm 16) or e_i (type B, short root of norm 4)
-        return LeviComponent("C" if max_len == 16 else "B", k, coords)
-    if max(degrees) == 3:
-        return LeviComponent("D", k, coords)
-    return LeviComponent("GL", k + 1, coords)

@@ -168,8 +168,9 @@ def run_suite(seed: int = 0, stream=None) -> int:
     import sys
 
     stream = stream or sys.stdout
+    checks = _checks(seed)
     failures = 0
-    for name, fn in _checks(seed):
+    for name, fn in checks:
         try:
             ok = bool(fn())
         except Exception as exc:  # a crash is a failure with a reason
@@ -179,5 +180,5 @@ def run_suite(seed: int = 0, stream=None) -> int:
             failures += 1
         stream.write(f"[{'PASS' if ok else 'FAIL'}] {name}\n")
     stream.write(f"{'OK' if failures == 0 else 'FAILED'}: "
-                 f"{len(_checks(seed)) - failures}/{len(_checks(seed))} checks passed\n")
+                 f"{len(checks) - failures}/{len(checks)} checks passed\n")
     return failures

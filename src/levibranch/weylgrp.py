@@ -2,11 +2,12 @@
 
 A group is three int64 arrays, one row per element in ``WeylElement.sort_key``
 order: ``perm`` and ``sign`` (|G| x n) and ``eps``, the sign character.
-Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.  W is every
-permutation in lexicographic order against every admissible sign vector;
-Levi Weyl groups and stabilisers close their simple reflections over
-arrays; the transversal and the diagram automorphisms filter W block by
-block, so they never hold all of W.  ``WeylElement`` objects are built
+Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.  W, the Levi
+Weyl groups and the stabilisers are products over factor blocks
+(``LeviDatum.blocks``, one block for W) of classical groups: every
+permutation of a block's coordinates against every admissible sign vector.
+The transversal and the diagram automorphisms filter W chunk by chunk, so
+they never hold all of W.  ``WeylElement`` objects are built
 only at the edges: the automorphisms, coset decomposition and code that
 iterates a group.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                      _positive_set)
+                      _factor_blocks, _positive_set)
 
 DEFAULT_GROUP_GUARD = 2_000_000
 # rows of W per block when the transversal filters W
@@ -130,12 +131,18 @@ def _objects(perm: np.ndarray, sign: np.ndarray) -> tuple[WeylElement, ...]:
 
 
 def _lehmer(perm: np.ndarray) -> np.ndarray:
-    """Lehmer code of each row: c[i] = #{j > i : perm[j] < perm[i]}."""
+    """Lehmer code of each row: c[i] = #{j > i : perm[j] < perm[i]}.
+
+    Column by column on a transposed int16 copy (entries are below n), so
+    every comparison reads and writes contiguous memory.
+    """
     n = perm.shape[1]
-    code = np.zeros_like(perm)
+    cols = perm.T.astype(np.int16)
+    code = np.zeros(cols.shape, dtype=np.int16)
     for i in range(n - 1):
-        code[:, i] = (perm[:, i + 1:] < perm[:, i:i + 1]).sum(axis=1)
-    return code
+        for j in range(i + 1, n):
+            code[i] += cols[j] < cols[i]
+    return code.T
 
 
 def _keys(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -154,23 +161,71 @@ def _keys(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return (_lehmer(perm) @ radix << n) + (sign < 0) @ bits
 
 
-def _blocks(datum: RootDatum, rows: int):
-    """W in sort_key order as (perm, sign) blocks of about ``rows`` rows.
+def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The group of ``family`` on n coordinates as its permutations and its
+    sign vectors, each in sort_key order.
 
-    Each block is a run of whole permutations, each repeated against every
-    admissible sign vector: none negative in GL, an even number in D.
+    Every permutation goes with every admissible sign vector: none negative
+    in GL, all in B and C, an even number in D.
     """
-    n = datum.rank
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
     signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
-    if datum.family == "GL":
+    if family == "GL":
         signs = signs[:1]
-    elif datum.family == "D":
+    elif family == "D":
         signs = signs[signs.prod(axis=1) == 1]
+    return perms, signs
+
+
+def _blocks(datum: RootDatum, rows: int):
+    """W in sort_key order as (perm, sign) chunks of about ``rows`` rows.
+
+    Each chunk is a run of whole permutations, each repeated against every
+    admissible sign vector.
+    """
+    perms, signs = _signed_perms(datum.family, datum.rank)
     step = max(1, rows // len(signs))
     for lo in range(0, len(perms), step):
         block = perms[lo:lo + step]
         yield np.repeat(block, len(signs), axis=0), np.tile(signs, (len(block), 1))
+
+
+@lru_cache(maxsize=None)
+def _block_group(n: int, blocks: tuple) -> WeylGroup:
+    """The product of the factor blocks' groups on n coordinates, in sort_key order.
+
+    Block (lo, hi, family, flip) contributes ``_signed_perms(family, hi - lo)``
+    on its coordinate run: one axis of the product for its permutations and
+    one for its sign vectors, broadcast into a single pair of arrays.  A
+    ``flip`` block's gl group is conjugated by the sign of its last
+    coordinate, so its signs follow its permutation: sign i is negated when
+    exactly one of i and perm[i] is that coordinate.  Lone gl coordinates
+    stay fixed.  The product is then sorted by ``_keys``.  At most 2^rank
+    block tuples arise per root system, so the cache is bounded.
+    """
+    blocks = [b for b in blocks if b[1] - b[0] > 1 or b[2] != "GL"]
+    parts = [_signed_perms(family, hi - lo) for lo, hi, family, _ in blocks]
+    shape = [len(a) for pair in parts for a in pair]
+    perm = np.empty(shape + [n], dtype=np.int64)
+    perm[...] = np.arange(n)
+    sign = np.ones(shape + [n], dtype=np.int64)
+    for b, ((lo, hi, _, flip), (perms, signs)) in enumerate(zip(blocks, parts)):
+        axes = [1] * len(shape) + [hi - lo]
+        axes[2 * b] = len(perms)
+        perm[..., lo:hi] = (perms + lo).reshape(axes)
+        if flip:
+            d = np.ones(hi - lo, dtype=np.int64)
+            d[-1] = -1
+            sign[..., lo:hi] = (d * d[perms]).reshape(axes)
+        else:
+            axes[2 * b], axes[2 * b + 1] = 1, len(signs)
+            sign[..., lo:hi] = signs.reshape(axes)
+    perm, sign = perm.reshape(-1, n), sign.reshape(-1, n)
+    order = np.argsort(_keys(perm, sign))
+    # one array copied at a time keeps the peak at three |G| x n arrays
+    perm = perm[order]
+    sign = sign[order]
+    return WeylGroup(perm, sign)
 
 
 def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
@@ -191,43 +246,9 @@ def check_group_guard(label: str, size: int, guard: int) -> None:
         raise GroupSizeError(label, size, guard)
 
 
-@lru_cache(maxsize=None)
-def _group_for(datum: RootDatum) -> WeylGroup:
-    return WeylGroup(*next(_blocks(datum, datum.weyl_order())))
-
-
 def weyl_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
     check_group_guard(datum.describe(), datum.weyl_order(), guard)
-    return _group_for(datum)
-
-
-@lru_cache(maxsize=None)
-def _parabolic(datum: RootDatum, simple: tuple[int, ...]) -> WeylGroup:
-    """The subgroup generated by the reflections in the simple roots ``simple`` (1-based).
-
-    Breadth first over arrays: each round applies every generator to the
-    elements first reached in the round before and keeps the images whose
-    keys are new.  At most 2^rank subsets exist, so the cache is bounded.
-    """
-    n = datum.rank
-    gens = [(np.array(g.perm), np.array(g.signs)) for g in
-            (WeylElement.reflection(datum.simple_roots[i - 1]) for i in simple)]
-    perm = np.arange(n, dtype=np.int64)[None, :]
-    sign = np.ones((1, n), dtype=np.int64)
-    seen = _keys(perm, sign)
-    parts = [(perm, sign, seen)]
-    while gens and len(perm):
-        # g o w: perm = w.perm[g.perm], sign = g.signs * w.signs[g.perm]
-        perm = np.concatenate([perm[:, gp] for gp, _ in gens])
-        sign = np.concatenate([gs * sign[:, gp] for gp, gs in gens])
-        keys, first = np.unique(_keys(perm, sign), return_index=True)
-        fresh = ~np.isin(keys, seen, assume_unique=True)
-        perm, sign, keys = perm[first[fresh]], sign[first[fresh]], keys[fresh]
-        seen = np.union1d(seen, keys)
-        parts.append((perm, sign, keys))
-    order = np.argsort(np.concatenate([k for _, _, k in parts]))
-    return WeylGroup(np.concatenate([p for p, _, _ in parts])[order],
-                     np.concatenate([s for _, s, _ in parts])[order])
+    return _block_group(datum.rank, ((0, datum.rank, datum.family, False),))
 
 
 # -- normal forms ---------------------------------------------------------
@@ -258,9 +279,9 @@ def is_regular(datum: RootDatum, beta: Weight) -> bool:
 
 
 def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> WeylGroup:
-    """Stabiliser of a dominant weight: generated by the simple reflections fixing it."""
-    return _parabolic(datum, tuple(i + 1 for i, a in enumerate(datum.simple_roots)
-                                   if lam.dot4(a) == 0))
+    """Stabiliser of a dominant weight: the Levi Weyl group on the simple roots fixing it."""
+    fixed = tuple(i + 1 for i, a in enumerate(datum.simple_roots) if lam.dot4(a) == 0)
+    return _block_group(datum.rank, _factor_blocks(datum.family, datum.rank, fixed))
 
 
 def straighten(datum: RootDatum, beta: Weight):
@@ -281,12 +302,7 @@ def straighten(datum: RootDatum, beta: Weight):
 
 def levi_group(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
     check_group_guard(levi.describe(), levi.weylbar_order(), guard)
-    group = _parabolic(levi.parent, levi.sbar)
-    if len(group) != levi.weylbar_order():
-        raise RootSystemError(
-            f"Levi Weyl group size {len(group)} disagrees with the "
-            f"component formula {levi.weylbar_order()}")
-    return group
+    return _block_group(levi.parent.rank, levi.blocks)
 
 
 @lru_cache(maxsize=None)

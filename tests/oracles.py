@@ -15,22 +15,31 @@ batched dominant image and Levi cone test in ``levibranch.weightpoly``.
 a chamber holding it: the reference route for ``branching.far_from_walls``,
 which tests w1 alone.  ``dual_m_construction`` builds an M-function from
 the |Wbar|^2 products of two Levi alternants: the reference route for
-``branching.m_terms``.  ``standard_gl_blocks_by_roots`` compares root sets
-component by component: the reference route for
-``LeviDatum.standard_gl_blocks``, which reads the factor blocks off sbar.
-``every_levi`` lists the Levis the comparisons run over.
+``branching.m_terms``.
+
+``levi_components`` classifies the connected components of the Levi's
+Dynkin diagram by the coroot pairings of its simple roots, and
+``rbar_by_root_strings`` grows Rbar+ from the Levi simple roots along root
+strings.  They are the reference routes for ``LeviDatum.describe``,
+``LeviDatum.weylbar_order`` and ``LeviDatum.rbar_plus``, which read the
+factor blocks off sbar and the Levi cone off prefix sums.
+``standard_gl_blocks_by_roots`` compares root sets component by component:
+the reference route for ``LeviDatum.standard_gl_blocks``.  ``every_levi``
+lists the Levis the comparisons run over.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from levibranch import kernels
-from levibranch.rootsys import (LeviDatum, RootDatum, Weight, build_levi,
-                                coroot_pairing)
+from levibranch.rootsys import (LeviDatum, RootDatum, Weight, WeightError,
+                                build_levi)
 from levibranch.weightpoly import PartitionTable, _rho_drops, signed_bucket
 from levibranch.weylgrp import (WeylElement, dominant_representative,
                                 levi_group, stabilizer_subgroup)
@@ -103,6 +112,132 @@ def every_levi(datum: RootDatum):
             yield build_levi(datum, sbar)
 
 
+def coroot_pairing(beta: Weight, alpha: Weight) -> int:
+    """(beta, alpha^vee) = 2 (beta, alpha) / (alpha, alpha); exact integer."""
+    aa = alpha.dot4(alpha)
+    if aa == 0:
+        raise WeightError("pairing against the zero vector")
+    num = 2 * beta.dot4(alpha)
+    q, r = divmod(num, aa)
+    if r != 0:
+        raise WeightError(f"non-integral coroot pairing of {beta} against {alpha}")
+    return q
+
+
+class Component(NamedTuple):
+    """One irreducible summand of a Levi: its Dynkin type, with A-chains as
+    gl blocks of rank (#vertices + 1), and the 1-based coordinates its
+    roots touch."""
+
+    family: str
+    rank: int
+    coords: tuple[int, ...]
+
+    def describe(self) -> str:
+        if self.family == "GL":
+            return f"gl{self.rank}"
+        if self.family == "B":
+            return f"so{2 * self.rank + 1}"
+        if self.family == "C":
+            return f"sp{2 * self.rank}"
+        return f"so{2 * self.rank}"
+
+    def weyl_order(self) -> int:
+        r = self.rank
+        if self.family == "GL":
+            return factorial(r)
+        if self.family in ("B", "C"):
+            return factorial(r) << r
+        return factorial(r) << (r - 1)
+
+
+def levi_components(levi: LeviDatum) -> tuple[Component, ...]:
+    """The connected components of the Levi's Dynkin diagram, classified,
+    and a gl1 for every coordinate no Levi root touches; by first coordinate."""
+    chosen = levi.sbar_roots
+    adj = {i: set() for i in range(len(chosen))}
+    for a, b in itertools.combinations(range(len(chosen)), 2):
+        if chosen[a].dot4(chosen[b]) != 0:
+            adj[a].add(b)
+            adj[b].add(a)
+    seen: set[int] = set()
+    comps: list[Component] = []
+    touched: set[int] = set()
+    for start in range(len(chosen)):
+        if start in seen:
+            continue
+        stack, nodes = [start], []
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            nodes.append(v)
+            stack.extend(adj[v] - seen)
+        roots = [chosen[v] for v in sorted(nodes)]
+        coords = sorted({i + 1 for a in roots for i in range(len(a)) if a[i] != 0})
+        touched.update(coords)
+        comps.append(_classify_component(roots, tuple(coords)))
+    for i in range(1, levi.parent.rank + 1):
+        if i not in touched:
+            comps.append(Component("GL", 1, (i,)))
+    return tuple(sorted(comps, key=lambda c: (c.coords[0], c.coords)))
+
+
+def _classify_component(roots: list[Weight], coords: tuple[int, ...]) -> Component:
+    k = len(roots)
+    if k == 1:
+        a = roots[0]
+        if a.dot4(a) == 16:  # long root 2e_i
+            return Component("C", 1, coords)
+        if a.dot4(a) == 4:   # short root e_i
+            return Component("B", 1, coords)
+        return Component("GL", 2, coords)
+    degrees = [0] * k
+    has_double = False
+    max_len = max(a.dot4(a) for a in roots)
+    for i, j in itertools.combinations(range(k), 2):
+        cij = coroot_pairing(roots[i], roots[j])
+        cji = coroot_pairing(roots[j], roots[i])
+        if cij != 0:
+            degrees[i] += 1
+            degrees[j] += 1
+            if cij * cji == 2:
+                has_double = True
+    if has_double:
+        # a doubled bond arises from 2e_i (type C, long root of squared
+        # doubled norm 16) or e_i (type B, short root of norm 4)
+        return Component("C" if max_len == 16 else "B", k, coords)
+    if max(degrees) == 3:
+        return Component("D", k, coords)
+    return Component("GL", k + 1, coords)
+
+
+def describe_by_diagram(levi: LeviDatum) -> str:
+    inner = "+".join(c.describe() for c in levi_components(levi))
+    return f"{levi.parent.describe()}>{inner}"
+
+
+def weylbar_order_by_diagram(levi: LeviDatum) -> int:
+    return prod(c.weyl_order() for c in levi_components(levi))
+
+
+def rbar_by_root_strings(levi: LeviDatum) -> tuple[Weight, ...]:
+    """Rbar+ in the order of the positive roots, grown from Sbar.
+
+    Every positive root of the Levi that is not simple is another one plus
+    a Levi simple root, so adding Levi simple roots while the sum stays a
+    positive root of g reaches all of Rbar+ and nothing else.
+    """
+    pos = set(levi.parent.positive_roots)
+    found = set(levi.sbar_roots)
+    frontier = list(found)
+    while frontier:
+        frontier = list({a + s for a in frontier for s in levi.sbar_roots} & (pos - found))
+        found.update(frontier)
+    return tuple(a for a in levi.parent.positive_roots if a in found)
+
+
 def domrep(owner, beta: Weight) -> Weight:
     """The dominant image of ``beta`` for g or a Levi, one reflection at a time."""
     simple = owner.sbar_roots if isinstance(owner, LeviDatum) else owner.simple_roots
@@ -126,7 +261,7 @@ def standard_gl_blocks_by_roots(levi: LeviDatum):
     """
     n = levi.parent.rank
     blocks, used = [], set()
-    for comp in levi.components:
+    for comp in levi_components(levi):
         coords = comp.coords
         if (comp.family != "GL" or len(coords) != comp.rank
                 or coords != tuple(range(coords[0], coords[0] + len(coords)))

@@ -307,10 +307,12 @@ class TestChecksCatchFaults:
             build_m(self.B3, self.MU)
 
     def test_wrong_levi_generator(self, monkeypatch, fresh_drops):
-        # gl2+gl2+gl1 from the simple roots 1 and 4 instead of 1 and 3: same order
+        # gl2+gl2+gl1 on the blocks of the simple roots 1 and 4 instead of 1 and 3:
+        # same order
         levi = build_levi(build_root_system("GL", 5), [1, 3])
+        wrong = build_levi(levi.parent, [1, 4]).blocks
         monkeypatch.setattr(weightpoly, "levi_group",
-                            lambda levi: weylgrp._parabolic(levi.parent, (1, 4)))
+                            lambda levi: weylgrp._block_group(levi.parent.rank, wrong))
         with pytest.raises(WeightError, match="denominator"):
             build_m(levi, Weight.of(3, 1, 2, 0, 0))
 

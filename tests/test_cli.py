@@ -215,6 +215,25 @@ class TestConfigAndErrors:
         out = run("autos", "--config", str(cfg))
         assert out.returncode == 2
 
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1, 2]))
+        out = run("autos", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "error: config must be a JSON object, got list [1, 2]" in out.stderr
+
+    def test_config_levi_string_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": "1,2"}))
+        out = run("autos", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "error: config field levi must be a list of integers, got '1,2'" in out.stderr
+
+    def test_weight_length_named(self):
+        out = run("mfun", "--system", "C:3", "--levi", "1,2", "--mu", "1,,0")
+        assert out.returncode == 2
+        assert "error: (1,0) has 2 coordinates; C3 needs 3" in out.stderr
+
     def test_cache_dir_config_refused(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2],

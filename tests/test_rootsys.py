@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 
-from levibranch import (Weight, WeightError, build_levi, build_root_system,
-                        coroot_pairing)
-from levibranch.rootsys import (RootSystemError, _simple_coordinates,
+from levibranch import Weight, WeightError, build_levi, build_root_system
+from levibranch.rootsys import (RootSystemError, _scaled_coordinates,
                                 chamber_cone_mask)
+from oracles import coroot_pairing
 
 
 def _unit(n, i, c=1):
@@ -66,9 +66,10 @@ class TestConstruction:
         ("GL", 4), ("B", 3), ("C", 3), ("D", 4)])
     def test_positive_roots_are_nonneg_simple_combinations(self, family, rank):
         datum = build_root_system(family, rank)
-        support = _simple_coordinates(datum)
-        for root in datum.positive_roots:
-            coeffs = support[root]
+        t, scale = _scaled_coordinates(family, datum.positive_roots)
+        assert not (t % scale).any()
+        m = len(datum.simple_roots)
+        for root, coeffs in zip(datum.positive_roots, (t // scale)[:, :m].tolist()):
             assert all(c >= 0 for c in coeffs)
             rebuilt = Weight.zero(rank)
             for c, a in zip(coeffs, datum.simple_roots):
@@ -149,25 +150,25 @@ class TestLevi:
             expected.add(_unit(n, i, 2))
         assert set(levi_sp12.rbar_plus) == expected
         assert levi_sp12.rho_bar == Weight.of(1, 0, -1, 3, 2, 1)
-        assert [(c.family, c.rank, c.coords) for c in levi_sp12.components] == [
-            ("GL", 3, (1, 2, 3)), ("C", 3, (4, 5, 6))]
+        assert levi_sp12.blocks == ((0, 3, "GL", False), (3, 6, "C", False))
+        assert oracles.levi_components(levi_sp12) == (
+            ("GL", 3, (1, 2, 3)), ("C", 3, (4, 5, 6)))
 
     def test_gl6_two_rho_bar(self, levi_gl6_42):
         assert levi_gl6_42.two_rho_bar == Weight.of(3, 1, -1, -3, 1, -1)
-        assert [(c.family, c.rank) for c in levi_gl6_42.components] == [
-            ("GL", 4), ("GL", 2)]
+        assert levi_gl6_42.describe() == "GL6>gl4+gl2"
 
     def test_empty_levi(self, gl3):
         levi = build_levi(gl3, [])
         assert levi.rbar_plus == ()
         assert levi.rho_bar == Weight.zero(3)
-        assert all(c == ("GL", 1) for c in
-                   ((c.family, c.rank) for c in levi.components))
+        assert levi.blocks == tuple((i, i + 1, "GL", False) for i in range(3))
+        assert levi.describe() == "GL3>gl1+gl1+gl1"
 
     def test_gl1_component_padding(self, gl3):
         levi = build_levi(gl3, [1])
-        assert [(c.family, c.rank, c.coords) for c in levi.components] == [
-            ("GL", 2, (1, 2)), ("GL", 1, (3,))]
+        assert levi.blocks == ((0, 2, "GL", False), (2, 3, "GL", False))
+        assert oracles.levi_components(levi) == (("GL", 2, (1, 2)), ("GL", 1, (3,)))
 
     @pytest.mark.parametrize("family,rank,sbar", [
         ("C", 6, (1, 2, 4, 5, 6)), ("GL", 6, (1, 2, 3, 5)),
@@ -209,6 +210,19 @@ class TestLevi:
                 count += 1
         assert count == 887
 
+    def test_blocks_match_the_dynkin_diagram(self):
+        # labels, |Wbar| and Rbar+ read off the blocks and the Levi cone,
+        # against the diagram classification and root strings
+        count = 0
+        for family, rank in self.BLOCK_SYSTEMS:
+            for levi in oracles.every_levi(build_root_system(family, rank)):
+                key = (family, rank, levi.sbar)
+                assert levi.describe() == oracles.describe_by_diagram(levi), key
+                assert levi.weylbar_order() == oracles.weylbar_order_by_diagram(levi), key
+                assert levi.rbar_plus == oracles.rbar_by_root_strings(levi), key
+                count += 1
+        assert count == 887
+
     def test_levi_on_every_simple_root_is_one_block(self):
         for family, rank in self.BLOCK_SYSTEMS:
             datum = build_root_system(family, rank)
@@ -226,15 +240,17 @@ class TestLevi:
     def test_factor_blocks(self, family, rank, sbar, blocks):
         levi = build_levi(build_root_system(family, rank), sbar)
         assert levi.blocks == blocks
-        # the blocks' group orders multiply to |Wbar|
+        # the blocks' group orders multiply to |Wbar| of the Dynkin diagram
         assert math.prod(build_root_system(fam, hi - lo).weyl_order()
-                         for lo, hi, fam, _ in blocks) == levi.weylbar_order()
+                         for lo, hi, fam, _ in blocks) == (
+            oracles.weylbar_order_by_diagram(levi))
 
     def test_twisted_d_component(self, d4):
         # simple root e3 + e4 alone: an A1 acting on two coordinates
         levi = build_levi(d4, [4])
-        comp = [c for c in levi.components if c.rank == 2 and len(c.coords) == 2]
+        comp = [c for c in oracles.levi_components(levi) if c.rank == 2 and len(c.coords) == 2]
         assert comp and comp[0].coords == (3, 4)
+        assert levi.blocks[-1] == (2, 4, "GL", True)
         assert levi.standard_gl_blocks() is None
 
 
