@@ -35,9 +35,8 @@ import numpy as np
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       _positive_set, _scaled_coordinates, chamber_cone_mask)
-from .weightpoly import (BudgetError, DEFAULT_CHAR_BUDGET, WeightPolynomial,
-                         _frame_for, _rho_drops, decompose_character,
-                         levi_table, signed_bucket, weyl_character)
+from .weightpoly import (BudgetError, WeightPolynomial, _frame_for, _rho_drops,
+                         decompose_character, levi_table, signed_bucket, weyl_character)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement,
                       dominant_representative, levi_group, weyl_group)
 
@@ -160,8 +159,7 @@ def branch_row(levi: LeviDatum, mu: Weight, k: int = 2,
     return BranchingRow(levi, mu, entries, box)
 
 
-def branch_by_restriction(levi: LeviDatum, lam: Weight,
-                          budget: int = DEFAULT_CHAR_BUDGET) -> dict:
+def branch_by_restriction(levi: LeviDatum, lam: Weight) -> dict:
     """Restriction oracle: strip Levi highest weights off the full character.
 
     Returns the complete row {mu: multiplicity} for the ambient highest
@@ -169,8 +167,8 @@ def branch_by_restriction(levi: LeviDatum, lam: Weight,
     """
     datum = levi.parent
     datum.require_dominant(lam)
-    char = weyl_character(datum, lam, budget)
-    return decompose_character(levi, char, budget)
+    char = weyl_character(datum, lam)
+    return decompose_character(levi, char)
 
 
 # -- M-functions ---------------------------------------------------------------
@@ -192,21 +190,21 @@ class MFunction:
     def leading(self) -> tuple[Weight, int]:
         return leading_term(self.levi, self.mu)
 
-    def poly(self, budget: int = DEFAULT_EXPAND_BUDGET) -> WeightPolynomial:
+    def poly(self) -> WeightPolynomial:
         """Materialise the full weight polynomial (all orbit points).
 
         The term a at lam is a times the full orbit sum over W, which puts
-        a |W| / |W lam| at each point of the orbit W lam; ``budget`` caps
-        the number of orbit points.
+        a |W| / |W lam| at each point of the orbit W lam;
+        ``DEFAULT_EXPAND_BUDGET`` caps the number of orbit points.
         """
         datum = self.levi.parent
         orbits, total = [], 0
         for lam, _ in self.coeffs:
             orbits.append(_frame_for(datum).orbit_rows(lam))
             total += len(orbits[-1])
-            if total > budget:
-                raise BudgetError(
-                    f"expansion needs more than the budget of {budget} orbit points")
+            if total > DEFAULT_EXPAND_BUDGET:
+                raise BudgetError(f"expansion needs more than the budget of "
+                                  f"{DEFAULT_EXPAND_BUDGET} orbit points")
         sizes = [len(orbit) for orbit in orbits]
         coeffs = [a * datum.weyl_order() // k for (_, a), k in zip(self.coeffs, sizes)]
         return WeightPolynomial.from_rows(np.concatenate(orbits),

@@ -66,19 +66,29 @@ def _load_config(args) -> JobConfig:
     if args.system:
         fam, _, rk = args.system.partition(":")
         data["family"] = fam
-        data["rank"] = int(rk) if rk else None
+        data["rank"] = _integer(rk, "--system rank") if rk else None
     if getattr(args, "levi", None) is not None:
-        data["levi"] = [int(x) for x in args.levi.split(",")] if args.levi else []
+        data["levi"] = ([_integer(x, "--levi entry") for x in args.levi.split(",")]
+                        if args.levi else [])
     if "family" not in data or data.get("rank") is None:
         raise RootSystemError("no root system given; use --system FAMILY:RANK or --config")
-    datum = build_root_system(str(data["family"]).upper(), int(data["rank"]))
+    datum = build_root_system(str(data["family"]).upper(),
+                              _integer(data["rank"], "config field rank"))
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
     for key in ("threads", "guard"):
-        if int(data.get(key) or 0) < 0:
+        if _integer(data.get(key) or 0, f"config field {key}") < 0:
             raise ValueError(f"config key {key} must be >= 0, got {data[key]}")
     threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
     guard = int(getattr(args, "guard", 0) or data.get("guard", 0) or DEFAULT_GROUP_GUARD)
     return JobConfig(datum, levi, threads, guard)
+
+
+def _integer(value, name: str) -> int:
+    """``int(value)``, or a validation error that names the field it came from."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RootSystemError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _count_arg(text: str) -> int:
@@ -93,7 +103,9 @@ def _count_arg(text: str) -> int:
 
 
 def _emit(payload, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write ``payload`` as indented JSON, or as it is when it is text."""
+    text = (payload if isinstance(payload, str)
+            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -133,12 +145,7 @@ def cmd_branch(args) -> int:
             payload["oracle_diff"] = diffs
             _emit(payload, args.out)
         elif args.format == "csv":
-            text = row.to_csv()
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _emit(row.to_csv(), args.out)
         else:
             _emit(row.to_json(), args.out)
     return EXIT_OK
@@ -210,22 +217,18 @@ def cmd_mfun(args) -> int:
 
 
 def cmd_lr(args) -> int:
+    def partition(text: str) -> Partition:
+        return Partition(_integer(x, "partition entry") for x in text.split(",") if x.strip())
+
     if args.polar:
         fam, _, rk = args.polar.partition(":")
-        mu = Weight.parse(args.mu)
-        lam = Partition(int(x) for x in args.lam.split(",") if x.strip())
-        value = polarisation_branch(fam.upper(), int(rk), mu, lam)
-        sys.stdout.write(f"{value}\n")
-        return EXIT_OK
-    lam = Partition(int(x) for x in args.lam.split(",") if x.strip())
-    if args.multi:
-        mus = [Partition(int(x) for x in blk.split(",") if x.strip())
-               for blk in args.multi.split(";")]
-        sys.stdout.write(f"{multi_lr(lam, mus)}\n")
-        return EXIT_OK
-    mu = Partition(int(x) for x in args.mu.split(",") if x.strip())
-    nu = Partition(int(x) for x in args.nu.split(",") if x.strip())
-    sys.stdout.write(f"{lr_coefficient(lam, mu, nu)}\n")
+        value = polarisation_branch(fam.upper(), _integer(rk, "--polar rank"),
+                                    Weight.parse(args.mu), partition(args.lam))
+    elif args.multi:
+        value = multi_lr(partition(args.lam), [partition(b) for b in args.multi.split(";")])
+    else:
+        value = lr_coefficient(partition(args.lam), partition(args.mu), partition(args.nu))
+    sys.stdout.write(f"{value}\n")
     return EXIT_OK
 
 

@@ -187,40 +187,28 @@ class SearchSummary:
 
 
 def dominant_box(levi: LeviDatum, bound: int) -> list[Weight]:
-    """All Levi-dominant lattice weights with every |coordinate| <= bound.
+    """All Levi-dominant lattice weights with every |coordinate| <= bound, sorted.
 
-    For the B and D families both the integral and the half-integral class
-    are included.
+    The product of the factor blocks' chambers (``LeviDatum.blocks``), for
+    the integral class and, in B and D, the half-integral one: a gl block's
+    weakly decreasing tuples, a B or C tail's nonnegative ones, a D tail's
+    those and their negations in the last coordinate (x_(n-1) >= |x_n|),
+    and a ``flip`` block's gl tuples with the last coordinate negated.
     """
-    datum = levi.parent
-    n = datum.rank
-    sbar = levi.sbar_roots
-    # simple roots fully supported in the first p coordinates, for pruning
-    prefix_roots = [[a for a in sbar
-                     if all(a[i] == 0 for i in range(p, n))]
-                    for p in range(n + 1)]
-    classes = [0] if datum.family in ("GL", "C") else [0, 1]
     out: list[Weight] = []
-
-    def rec(prefix: list[int], p: int, parity: int):
-        if p == n:
-            out.append(Weight(prefix))
-            return
-        for d in range(-2 * bound + parity, 2 * bound - parity + 1, 2):
-            prefix.append(d)
-            ok = True
-            for a in prefix_roots[p + 1]:
-                if a in prefix_roots[p]:
-                    continue
-                if sum(prefix[i] * a[i] for i in range(p + 1)) < 0:
-                    ok = False
-                    break
-            if ok:
-                rec(prefix, p + 1, parity)
-            prefix.pop()
-
-    for parity in classes:
-        rec([], 0, parity)
+    for parity in ((0,) if levi.parent.family in ("GL", "C") else (0, 1)):
+        values = range(-2 * bound + parity, 2 * bound - parity + 1, 2)
+        chambers = []
+        for lo, hi, family, flip in levi.blocks:
+            chamber = [t[::-1] for t in itertools.combinations_with_replacement(values, hi - lo)]
+            if flip:
+                chamber = [t[:-1] + (-t[-1],) for t in chamber]
+            elif family != "GL":
+                chamber = [t for t in chamber if t[-1] >= 0]
+                if family == "D":
+                    chamber += [t[:-1] + (-t[-1],) for t in chamber if t[-1]]
+            chambers.append(chamber)
+        out += (Weight(itertools.chain(*parts)) for parts in itertools.product(*chambers))
     return sorted(out)
 
 
@@ -229,6 +217,8 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
                resume_keys: set | None = None) -> SearchSummary:
     """Scan a bounded box for equal induced characters and counterexamples.
 
+    The box is ``dominant_box``.  Only Levi-sized groups are enumerated,
+    each under ``guard``: the Levi Weyl group and Stab_W(rho_bar), never W.
     Weights are grouped by their dominant representative (pairs in distinct
     Weyl orbits can never be equal); groups are processed in deterministic
     order and every equal pair is emitted as one verdict.  Within a group the

@@ -63,8 +63,11 @@ class Weight(tuple):
             part = part.strip()
             if not part:
                 continue
-            q = Fraction(part)
-            if q.denominator not in (1, 2):
+            try:
+                q = Fraction(part)
+            except (ValueError, ZeroDivisionError):
+                q = None
+            if q is None or q.denominator not in (1, 2):
                 raise WeightError(f"coordinate {part!r} is not a half-integer")
             doubled.append(q.numerator * (2 // q.denominator))
         if not doubled:

@@ -385,8 +385,7 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
     return mult
 
 
-def weyl_character(owner, lam: Weight,
-                   budget: int = DEFAULT_CHAR_BUDGET) -> WeightPolynomial:
+def weyl_character(owner, lam: Weight) -> WeightPolynomial:
     """Full weight multiset of the irreducible with highest weight ``lam``.
 
     ``owner`` may be a RootDatum or a LeviDatum.  The Freudenthal recursion
@@ -396,9 +395,9 @@ def weyl_character(owner, lam: Weight,
     frame = _frame_for(owner)
     owner.require_dominant(lam)
     dim = frame.weyl_dim(lam)
-    if dim > budget:
+    if dim > DEFAULT_CHAR_BUDGET:
         raise BudgetError(
-            f"character of {lam} has dimension {dim} > budget {budget}")
+            f"character of {lam} has dimension {dim} > budget {DEFAULT_CHAR_BUDGET}")
     mult = dominant_multiplicities(owner, lam)
     blocks = [frame.orbit_rows(nu) for nu in mult]
     sizes = [len(rows) for rows in blocks]
@@ -477,8 +476,7 @@ def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolyno
 
 # -- highest-weight stripping ---------------------------------------------------
 
-def decompose_character(owner, poly: WeightPolynomial,
-                        budget: int = DEFAULT_CHAR_BUDGET) -> dict:
+def decompose_character(owner, poly: WeightPolynomial) -> dict:
     """Decompose a symmetric nonnegative weight multiset into irreducibles.
 
     Repeatedly extracts a maximal dominant weight (maximal for the frame
@@ -506,7 +504,7 @@ def decompose_character(owner, poly: WeightPolynomial,
         top = Weight(rows[i].tolist())
         if m < 0:
             raise WeightError(f"negative multiplicity {m} at {top} while stripping")
-        char = weyl_character(owner, top, budget)
+        char = weyl_character(owner, top)
         at = np.minimum(np.searchsorted(keys, char._keys), len(keys) - 1)
         if not ((keys[at] == char._keys) & (remaining[at] != 0)).all():
             raise WeightError(

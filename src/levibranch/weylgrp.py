@@ -6,10 +6,10 @@ Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.  W, the Levi
 Weyl groups and the stabilisers are products over factor blocks
 (``LeviDatum.blocks``, one block for W) of classical groups: every
 permutation of a block's coordinates against every admissible sign vector.
-The transversal and the diagram automorphisms filter W chunk by chunk, so
-they never hold all of W.  ``WeylElement`` objects are built
-only at the edges: the automorphisms, coset decomposition and code that
-iterates a group.
+The transversal filters W chunk by chunk, so it never holds all of W; the
+diagram automorphisms filter a conjugate of a stabiliser block group and
+never enumerate W.  ``WeylElement`` objects are built only at the edges:
+the automorphisms, coset decomposition and code that iterates a group.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                      _factor_blocks, _positive_set)
+                      _positive_set, build_levi)
 
 DEFAULT_GROUP_GUARD = 2_000_000
 # rows of W per block when the transversal filters W
@@ -36,7 +36,7 @@ class GroupSizeError(RuntimeError):
     """The requested enumeration exceeds the configured group guard."""
 
     def __init__(self, label: str, size: int, guard: int):
-        super().__init__(f"|W| = {size} for {label} exceeds the guard {guard}")
+        super().__init__(f"|{label}| = {size} exceeds the guard {guard}")
         self.size = size
         self.guard = guard
 
@@ -247,7 +247,7 @@ def check_group_guard(label: str, size: int, guard: int) -> None:
 
 
 def weyl_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    check_group_guard(datum.describe(), datum.weyl_order(), guard)
+    check_group_guard(f"W({datum.describe()})", datum.weyl_order(), guard)
     return _block_group(datum.rank, ((0, datum.rank, datum.family, False),))
 
 
@@ -278,10 +278,14 @@ def is_regular(datum: RootDatum, beta: Weight) -> bool:
     return all(beta.dot4(a) != 0 for a in datum.positive_roots)
 
 
+def _fixing_levi(datum: RootDatum, lam: Weight) -> LeviDatum:
+    """The Levi on the simple roots fixing ``lam``."""
+    return build_levi(datum, [i + 1 for i, a in enumerate(datum.simple_roots) if not lam.dot4(a)])
+
+
 def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> WeylGroup:
     """Stabiliser of a dominant weight: the Levi Weyl group on the simple roots fixing it."""
-    fixed = tuple(i + 1 for i, a in enumerate(datum.simple_roots) if lam.dot4(a) == 0)
-    return _block_group(datum.rank, _factor_blocks(datum.family, datum.rank, fixed))
+    return _block_group(datum.rank, _fixing_levi(datum, lam).blocks)
 
 
 def straighten(datum: RootDatum, beta: Weight):
@@ -301,17 +305,19 @@ def straighten(datum: RootDatum, beta: Weight):
 # -- Levi-side groups ------------------------------------------------------
 
 def levi_group(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    check_group_guard(levi.describe(), levi.weylbar_order(), guard)
+    check_group_guard(f"Wbar({levi.describe()})", levi.weylbar_order(), guard)
     return _block_group(levi.parent.rank, levi.blocks)
 
 
 @lru_cache(maxsize=None)
-def _transversal(levi: LeviDatum) -> WeylGroup:
-    """The w in W that keep every Levi simple root positive, block by block.
+def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
+    """Minimal-length coset representatives of W over the Levi Weyl group.
 
-    W is listed in sort_key order, so the survivors are too.
+    The w in W that keep every Levi simple root positive, filtered block by
+    block; W is listed in sort_key order, so the survivors are too.
     """
     datum = levi.parent
+    check_group_guard(f"W({datum.describe()})", datum.weyl_order(), guard)
     kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
             for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
     perm = np.concatenate([p for p, _ in kept])
@@ -320,13 +326,6 @@ def _transversal(levi: LeviDatum) -> WeylGroup:
         raise RootSystemError(
             f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")
     return WeylGroup(perm, np.concatenate([s for _, s in kept]))
-
-
-def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    """Minimal-length coset representatives of W over the Levi Weyl group."""
-    datum = levi.parent
-    check_group_guard(datum.describe(), datum.weyl_order(), guard)
-    return _transversal(levi)
 
 
 def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylElement]:
@@ -352,26 +351,34 @@ def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylE
 
 
 @lru_cache(maxsize=None)
-def _diagram_automorphisms_cached(levi: LeviDatum) -> tuple[WeylElement, ...]:
-    trans = _transversal(levi)
-    perm, sign = _maps_into(trans.perm, trans.sign, levi.sbar_roots, levi.rbar_plus)
-    rho = np.array(levi.rho_bar, dtype=np.int64)
-    moved = (kernels.orbit_images(perm, sign, rho) != rho).any(axis=1)
-    if moved.any():
-        raise RootSystemError(
-            f"automorphism candidate {_objects(perm[moved], sign[moved])[0]} "
-            f"moves the Levi Weyl vector")
-    # the identity has the least sort key, so it comes first
-    return _objects(perm, sign)
-
-
 def diagram_automorphisms(levi: LeviDatum,
                           guard: int = DEFAULT_GROUP_GUARD) -> tuple[WeylElement, ...]:
     """All w in W with w(rbar_plus) = rbar_plus; a subgroup, identity first.
 
-    Each element fixes the Levi Weyl vector (checked), i.e. acts as a Dynkin
-    diagram automorphism of the Levi.
+    They are the w in Stab_W(rho_bar) with w(Sbar) in Rbar+, so the guard
+    counts |Stab_W(rho_bar)|, never |W|, and the filter runs over the
+    conjugate w1^-1 Stab(dom) w1 of the block group of dom = w1(rho_bar):
+
+    * w(Rbar+) = Rbar+ implies that w fixes rho_bar = 1/2 sum Rbar+;
+    * w(Sbar) in Rbar+ implies w(Rbar+) = Rbar+: w(alpha) is a root in
+      N.Sbar for alpha in Rbar+, so in Rbar+, and w is injective.
+
+    Each element is checked to map all of Rbar+ into Rbar+, i.e. to act as
+    a Dynkin diagram automorphism of the Levi.
     """
-    datum = levi.parent
-    check_group_guard(datum.describe(), datum.weyl_order(), guard)
-    return _diagram_automorphisms_cached(levi)
+    w1, dom = dominant_representative(levi.parent, levi.rho_bar)
+    check_group_guard(f"Stab_W(rho_bar) of {levi.describe()}",
+                      _fixing_levi(levi.parent, dom).weylbar_order(), guard)
+    g_perm, g_sign, _ = stabilizer_subgroup(levi.parent, dom).arrays
+    p1, s1 = np.array(w1.perm, dtype=np.int64), np.array(w1.signs, dtype=np.int64)
+    inv = np.argsort(p1)
+    # w1^-1 o g o w1 for each g, where a o b has perm b.perm[a.perm] and sign
+    # a.sign * b.sign[a.perm]
+    perm, sign = p1[g_perm][:, inv], s1[inv] * (g_sign * s1[g_perm])[:, inv]
+    order = np.argsort(_keys(perm, sign))
+    perm, sign = _maps_into(perm[order], sign[order], levi.sbar_roots, levi.rbar_plus)
+    if len(_maps_into(perm, sign, levi.rbar_plus, levi.rbar_plus)[0]) != len(perm):
+        raise RootSystemError(
+            f"an automorphism of {levi.describe()} maps a root of Rbar+ out of Rbar+")
+    # the identity has the least sort key, so it comes first
+    return _objects(perm, sign)

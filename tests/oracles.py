@@ -17,6 +17,15 @@ which tests w1 alone.  ``dual_m_construction`` builds an M-function from
 the |Wbar|^2 products of two Levi alternants: the reference route for
 ``branching.m_terms``.
 
+``dominant_box_by_prefix_roots`` grows the Levi-dominant box coordinate by
+coordinate, pruning on the Levi simple roots that a prefix already
+supports: the reference route for ``equivalence.dominant_box``, which
+takes the product of the factor blocks' chambers.
+``automorphisms_by_transversal`` filters the transversal (and so all of W)
+for the elements sending Sbar into Rbar+: the reference route for
+``weylgrp.diagram_automorphisms``, which filters a conjugate of the
+stabiliser of rho_bar.
+
 ``levi_components`` classifies the connected components of the Levi's
 Dynkin diagram by the coroot pairings of its simple roots, and
 ``rbar_by_root_strings`` grows Rbar+ from the Levi simple roots along root
@@ -41,8 +50,9 @@ from levibranch import kernels
 from levibranch.rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                                 build_levi)
 from levibranch.weightpoly import PartitionTable, _rho_drops, signed_bucket
-from levibranch.weylgrp import (WeylElement, dominant_representative,
-                                levi_group, stabilizer_subgroup)
+from levibranch.weylgrp import (WeylElement, _maps_into, _objects,
+                                dominant_representative, levi_group,
+                                stabilizer_subgroup, transversal)
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +108,60 @@ def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
              if all(u.act(a) in rbar for a in levi.sbar_roots)]
     return tuple(sorted(autos, key=lambda u: (not u.is_identity(), u.sort_key())))
 
+
+def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
+    """The transversal rows sending every Levi simple root into rbar_plus.
+
+    Every such w of W keeps Sbar positive, so it is in the transversal; the
+    transversal is in sort_key order, so the identity comes first.  Built
+    afresh, without the transversal cache.
+    """
+    trans = transversal.__wrapped__(levi)
+    return _objects(*_maps_into(trans.perm, trans.sign, levi.sbar_roots, levi.rbar_plus))
+
+
+def dominant_box_by_prefix_roots(levi: LeviDatum, bound: int) -> list[Weight]:
+    """The Levi-dominant box, one coordinate at a time, sorted.
+
+    A prefix is cut as soon as a Levi simple root supported in it pairs
+    negatively with it; the B and D families get both lattice classes.
+    """
+    datum = levi.parent
+    n = datum.rank
+    sbar = levi.sbar_roots
+    # simple roots fully supported in the first p coordinates, for pruning
+    prefix_roots = [[a for a in sbar
+                     if all(a[i] == 0 for i in range(p, n))]
+                    for p in range(n + 1)]
+    classes = [0] if datum.family in ("GL", "C") else [0, 1]
+    out: list[Weight] = []
+
+    def rec(prefix: list[int], p: int, parity: int):
+        if p == n:
+            out.append(Weight(prefix))
+            return
+        for d in range(-2 * bound + parity, 2 * bound - parity + 1, 2):
+            prefix.append(d)
+            ok = True
+            for a in prefix_roots[p + 1]:
+                if a in prefix_roots[p]:
+                    continue
+                if sum(prefix[i] * a[i] for i in range(p + 1)) < 0:
+                    ok = False
+                    break
+            if ok:
+                rec(prefix, p + 1, parity)
+            prefix.pop()
+
+    for parity in classes:
+        rec([], 0, parity)
+    return sorted(out)
+
+
+# the systems the replaced box and automorphism routes are compared over:
+# GL1-6, B1-6, C1-6 and D2-6, 439 Levis in all
+RANK6_SYSTEMS = [("GL", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)),
+                 ("D", range(2, 7))]
 
 # the systems the every-Levi comparisons run over: GL2-5, B2-4, C2-4, D3-5
 LEVI_SYSTEMS = ([("GL", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]

@@ -209,7 +209,7 @@ class TestMFunction:
             total = piece if total is None else total + piece
         assert fn.poly() == total
 
-    def test_poly_budget_counts_distinct_orbit_points(self, levi_c3_gl3):
+    def test_poly_budget_counts_distinct_orbit_points(self, levi_c3_gl3, monkeypatch):
         # mu = 0 has terms with zero coordinates, whose W-stabilisers are nontrivial
         fn = build_m(levi_c3_gl3, Weight.zero(3))
         datum = levi_c3_gl3.parent
@@ -217,9 +217,11 @@ class TestMFunction:
         assert points < datum.weyl_order() * len(fn.coeffs)
         full = fn.poly()
         for budget in (points, datum.weyl_order() * len(fn.coeffs) - 1):
-            assert fn.poly(budget=budget) == full
+            monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", budget)
+            assert fn.poly() == full
+        monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", points - 1)
         with pytest.raises(weightpoly.BudgetError):
-            fn.poly(budget=points - 1)
+            fn.poly()
 
 
 def _oracle_coeffs(levi, mu):

@@ -161,6 +161,30 @@ class TestOtherCommands:
         payload = json.loads(out.stdout)
         assert payload["count"] == 2
 
+    def test_autos_at_rank_8(self):
+        # found in the 12-element stabiliser of rho_bar, not in |W| = 10321920
+        out = run("autos", "--system", "C:8", "--levi", "1,2,4,5,6,7,8")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {"count": 2, "elements": [
+            {"perm": [1, 2, 3, 4, 5, 6, 7, 8], "signs": [1] * 8},
+            {"perm": [3, 2, 1, 4, 5, 6, 7, 8], "signs": [-1, -1, -1, 1, 1, 1, 1, 1]}]}
+
+    def test_autos_of_the_torus_at_rank_8_refused(self):
+        # rho_bar = 0, so its stabiliser is all of W
+        out = run("autos", "--system", "C:8", "--levi", "")
+        assert out.returncode == 3
+        assert out.stderr.startswith("guard:") and "10321920" in out.stderr
+
+    @pytest.mark.parametrize("system,summary", [
+        ("C:8", (60, 9, 216, 24, 24, 0)), ("D:8", (78, 12, 287, 34, 34, 0))])
+    def test_search_at_rank_8(self, system, summary):
+        out = run("search", "--system", system, "--levi", "1,2,4,5,6,7,8", "--bound", "1")
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert tuple(payload[k] for k in (
+            "box_size", "groups", "pairs_tested", "equal_pairs", "autos_found",
+            "counterexamples")) == summary
+
     def test_u_count(self):
         out = run("u", "--system", "GL:3", "--levi", "1")
         assert json.loads(out.stdout)["count"] == 3
@@ -233,6 +257,24 @@ class TestConfigAndErrors:
         out = run("mfun", "--system", "C:3", "--levi", "1,2", "--mu", "1,,0")
         assert out.returncode == 2
         assert "error: (1,0) has 2 coordinates; C3 needs 3" in out.stderr
+
+    def test_malformed_integers_named(self, tmp_path):
+        for args, message in (
+                (("u", "--system", "C:3", "--levi", "1,,2"),
+                 "error: --levi entry must be an integer, got ''"),
+                (("u", "--system", "C:x", "--levi", "1"),
+                 "error: --system rank must be an integer, got 'x'"),
+                (("mfun", "--system", "C:3", "--levi", "1", "--mu", "1,x,0"),
+                 "error: coordinate 'x' is not a half-integer"),
+                (("lr", "--lam", "2,x", "--mu", "1", "--nu", "1"),
+                 "error: partition entry must be an integer, got 'x'")):
+            out = run(*args)
+            assert out.returncode == 2 and out.stderr == message + "\n", args
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "C", "rank": "x", "levi": [1]}))
+        out = run("u", "--config", str(cfg))
+        assert out.returncode == 2
+        assert out.stderr == "error: config field rank must be an integer, got 'x'\n"
 
     def test_cache_dir_config_refused(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from levibranch import branching, weightpoly, weylgrp
 from levibranch import (Weight, WeylElement, branch_by_restriction,
                         branch_multiplicity, build_levi, build_m,
                         build_root_system, classify_pair, diagram_automorphisms,
@@ -223,6 +225,40 @@ class TestSearch:
         assert all(max(abs(c) for c in mu) <= 4 for mu in box)  # doubled
         assert any(not mu.is_integral() for mu in box)  # spin class present
         assert len(set(box)) == len(box)
+
+
+@pytest.mark.parametrize("family,ranks", oracles.RANK6_SYSTEMS,
+                         ids=[f for f, _ in oracles.RANK6_SYSTEMS])
+def test_box_matches_the_prefix_root_recursion(family, ranks):
+    for rank in ranks:
+        for levi in oracles.every_levi(build_root_system(family, rank)):
+            for bound in range(4 if rank <= 4 else 3):
+                assert (dominant_box(levi, bound)
+                        == oracles.dominant_box_by_prefix_roots(levi, bound)), (levi.sbar, bound)
+
+
+def test_scan_and_compare_never_enumerate_w(monkeypatch):
+    """Scans and pair verdicts enumerate Levi-sized groups only, never W."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the Weyl group of g")
+
+    for module in (weylgrp, branching, weightpoly):
+        monkeypatch.setattr(module, "weyl_group", refuse)
+    monkeypatch.setattr(weylgrp, "_blocks", refuse)
+    monkeypatch.setattr(weylgrp, "transversal", refuse)
+    # a fresh cache, so the automorphisms are built under the patches
+    monkeypatch.setattr(equivalence, "diagram_automorphisms",
+                        lru_cache(maxsize=None)(diagram_automorphisms.__wrapped__))
+    for family, rank, sbar, bound in (("B", 3, (1, 3), 2), ("D", 5, (1, 2, 4, 5), 1),
+                                      ("C", 6, (1, 2, 4, 5, 6), 1)):
+        levi = build_levi(build_root_system(family, rank), sbar)
+        assert search_box(levi, bound).autos_found > 0
+    b3 = build_levi(build_root_system("B", 3), (1, 3))
+    spin = classify_pair(b3, Weight((-1, -1, 3)), Weight((-1, -3, 1)))
+    assert spin.equal and spin.counterexample
+    c6 = build_levi(build_root_system("C", 6), (1, 2, 4, 5, 6))
+    swap = classify_pair(c6, Weight.of(1, 0, 0, 0, 0, 0), Weight.of(0, 0, -1, 0, 0, 0))
+    assert swap.equal and swap.relating_auto is not None
 
 
 # -- the scan against the pairwise route ----------------------------------------

@@ -12,6 +12,7 @@ from levibranch import (Weight, WeightPolynomial, branch_multiplicity,
                         branch_row, build_levi, build_root_system,
                         kostka_multiplicity, nabla_bar, symmetrize,
                         weyl_character, weyl_group)
+from levibranch import weightpoly
 from levibranch.kernels import PackRangeError, orbit_images
 from levibranch.rootsys import WeightError
 from levibranch.weightpoly import (BudgetError, PartitionTable, _frame_for,
@@ -281,9 +282,10 @@ class TestCharacters:
         assert kostka_multiplicity(datum, lam, beyond) == 0
         assert branch_multiplicity(torus, lam, beyond) == 0
 
-    def test_budget_error(self, c3):
+    def test_budget_error(self, c3, monkeypatch):
+        monkeypatch.setattr(weightpoly, "DEFAULT_CHAR_BUDGET", 1000)
         with pytest.raises(BudgetError):
-            weyl_character(c3, Weight.of(40, 30, 20), budget=1000)
+            weyl_character(c3, Weight.of(40, 30, 20))
 
     def test_requires_dominant(self, c3):
         with pytest.raises(WeightError):

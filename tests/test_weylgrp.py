@@ -351,13 +351,20 @@ class TestAgainstObjectOracles:
     def test_sp12(self, levi_sp12):
         _assert_levi_matches(levi_sp12)
 
+    @pytest.mark.parametrize("family,ranks", oracles.RANK6_SYSTEMS,
+                             ids=[f for f, _ in oracles.RANK6_SYSTEMS])
+    def test_automorphisms_match_the_transversal_filter(self, family, ranks):
+        # the stabiliser of rho_bar against a filter of all of W, order included
+        for levi in _all_levis(family, ranks):
+            assert diagram_automorphisms(levi) == oracles.automorphisms_by_transversal(levi)
+
     @pytest.mark.parametrize("family,rank,sbar", [
         ("GL", 5, (1, 3)), ("B", 4, (1, 3, 4)), ("C", 4, (1, 2, 4)), ("D", 4, (1, 2, 4))])
     def test_transversal_in_small_blocks(self, family, rank, sbar, monkeypatch):
         # W is filtered in many blocks, some of them ragged at the end
         monkeypatch.setattr(weylgrp, "FILTER_BLOCK_ROWS", 100)
         levi = build_levi(build_root_system(family, rank), sbar)
-        fresh = weylgrp._transversal.__wrapped__(levi)
+        fresh = weylgrp.transversal.__wrapped__(levi)
         assert fresh.elements == oracles.transversal_elements(levi)
 
     @pytest.mark.parametrize("family,rank,bound", [
