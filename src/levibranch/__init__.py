@@ -12,13 +12,11 @@ from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       build_levi, build_root_system)
-from .typea_lr import (Partition, SignedSplit, kostka_number, lr_coefficient,
-                       multi_lr, polarisation_branch, split_signed)
-from .weightpoly import (PartitionTable, WeightPolynomial, kostka_multiplicity,
-                         nabla_bar, symmetrize, weyl_character)
-from .weylgrp import (WeylElement, coset_decompose, diagram_automorphisms,
-                      dominant_representative, straighten, transversal,
-                      weyl_group)
+from .typea_lr import (Partition, SignedSplit, lr_coefficient, multi_lr,
+                       polarisation_branch, split_signed)
+from .weightpoly import PartitionTable, WeightPolynomial, weyl_character
+from .weylgrp import (WeylElement, diagram_automorphisms,
+                      dominant_representative, transversal, weyl_group)
 
 __version__ = "0.1.0"
 
@@ -27,11 +25,9 @@ __all__ = [
     "PartitionTable", "RootDatum", "SignedSplit", "Weight", "WeightError",
     "WeightPolynomial", "WeylElement", "branch_by_restriction",
     "branch_multiplicity", "branch_row", "build_levi", "build_m",
-    "build_root_system", "classify_pair", "coset_decompose",
-    "diagram_automorphisms", "dominant_box", "dominant_representative",
-    "far_from_walls", "induced_equal", "kostka_multiplicity",
-    "kostka_number", "leading_term", "lr_coefficient", "multi_lr",
-    "nabla_bar", "polarisation_branch", "relating_automorphism",
-    "search_box", "split_signed", "straighten", "symmetrize",
-    "transversal", "weyl_character", "weyl_group",
+    "build_root_system", "classify_pair", "diagram_automorphisms",
+    "dominant_box", "dominant_representative", "far_from_walls",
+    "induced_equal", "leading_term", "lr_coefficient", "multi_lr",
+    "polarisation_branch", "relating_automorphism", "search_box",
+    "split_signed", "transversal", "weyl_character", "weyl_group",
 ]

@@ -111,9 +111,6 @@ class BranchingRow:
     entries: dict
     box: tuple[Weight, ...] | None = None
 
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(sorted(w for w, c in self.entries.items() if c))
-
     def to_json(self) -> dict:
         return {
             "mu": self.mu.to_json(),

@@ -1,11 +1,13 @@
 """Command line front end.
 
-Subcommands: branch, compare, search, autos, u, mfun, lr, verify.  Output is
+Subcommands: branch, compare, search, autos, u, mfun, lr.  Output is
 deterministic: identical configuration yields byte-identical primary output
-(wall-clock fields appear only in summary metadata).
+(wall-clock fields appear only in summary metadata).  ``--out`` writes the
+primary output to a file instead of stdout, for every subcommand.
 
-Exit codes: 0 success, 2 validation error, 3 group/size guard exceeded,
-4 I/O failure.
+Exit codes: 0 success, 2 validation error (also for an option the command
+would ignore), 3 group/size guard exceeded, 4 I/O failure.  No command
+exits 1.
 """
 
 from __future__ import annotations
@@ -116,6 +118,10 @@ def _emit(payload, out_path=None) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_branch(args) -> int:
+    given = [opt for opt, on in (("--lam", args.lam), ("--oracle", args.oracle)) if on]
+    if args.format == "csv" and given:
+        raise ValueError(f"--format csv writes a row only; it cannot go with "
+                         f"{' or '.join(given)}")
     cfg = _load_config(args)
     levi = cfg.require_levi()
     mu = Weight.parse(args.mu)
@@ -131,7 +137,7 @@ def cmd_branch(args) -> int:
             _emit({"multiplicity": value, "oracle": oracle_value,
                    "oracle_diff": diff}, args.out)
         else:
-            sys.stdout.write(f"{value}\n")
+            _emit(f"{value}\n", args.out)
     else:
         row = branch_row(levi, mu, args.box_k, cfg.guard)
         if args.oracle:
@@ -162,10 +168,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.resume and not args.certificates:
+        raise ValueError("--resume needs --certificates, the file to resume from")
     cfg = _load_config(args)
     levi = cfg.require_levi()
     resume = set()
-    if args.resume and args.certificates:
+    if args.resume:
         resume, offset = replay_resume_state(args.certificates)
         if os.path.exists(args.certificates):
             with open(args.certificates, "r+b") as fh:
@@ -228,16 +236,8 @@ def cmd_lr(args) -> int:
         value = multi_lr(partition(args.lam), [partition(b) for b in args.multi.split(";")])
     else:
         value = lr_coefficient(partition(args.lam), partition(args.mu), partition(args.nu))
-    sys.stdout.write(f"{value}\n")
+    _emit(f"{value}\n", args.out)
     return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    from .verifysuite import run_suite
-
-    seed = int(getattr(args, "seed", 0) or 0)
-    failures = run_suite(seed=seed, stream=sys.stdout)
-    return EXIT_OK if failures == 0 else 1
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -303,12 +303,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", default="")
     p.add_argument("--multi", help="semicolon-separated factors, e.g. '1;1;1'")
     p.add_argument("--polar", help="polarisation family:rank, e.g. C:2")
-    p.add_argument("--out")
+    p.add_argument("--out", help="write primary output to this file")
     p.set_defaults(func=cmd_lr)
 
-    p = sub.add_parser("verify", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -288,9 +288,8 @@ class LeviDatum:
 
     ``blocks`` (see ``_factor_blocks``) is the one description of its
     structure: the Levi Weyl group is the product of the blocks' classical
-    groups, and the labels of ``describe``, the order of Wbar and
-    ``standard_gl_blocks`` are read off it, as is the Levi dominant normal
-    form in ``weightpoly``.  ``rbar_plus`` holds the positive roots in the
+    groups, and the labels of ``describe`` and the order of Wbar are read
+    off it, as is the Levi dominant normal form in ``weightpoly``.  ``rbar_plus`` holds the positive roots in the
     Levi cone of ``chamber_cone_mask``.
     """
 
@@ -323,13 +322,6 @@ class LeviDatum:
 
     def weylbar_order(self) -> int:
         return prod(_weyl_order(fam, hi - lo) for lo, hi, fam, _ in self.blocks)
-
-    def standard_gl_blocks(self) -> tuple[tuple[int, ...], ...] | None:
-        """The 1-based coordinate runs of the factor blocks, when all are plain
-        gl blocks (``blocks``), else None."""
-        if any(fam != "GL" or flip for _, _, fam, flip in self.blocks):
-            return None
-        return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi, _, _ in self.blocks)
 
     def is_full_gl_levi(self) -> bool:
         """True when the Levi is the standard gl_n inside B_n, C_n or D_n."""

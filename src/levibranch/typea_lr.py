@@ -3,8 +3,7 @@
 Littlewood-Richardson coefficients are counted by lattice-word skew
 tableaux filled in reading order (rows top to bottom, right to left), so
 both the semistandard constraints and the lattice prefix condition prune
-during the backtracking.  Kostka numbers come from horizontal-strip
-peeling; the inverse Kostka matrix from exact unitriangular inversion.
+during the backtracking.
 
 The polarisation routines evaluate the classical two-parameter sums of LR
 products for restrictions of the B, C and D families to their gl_n Levi.
@@ -15,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .branching import branch_multiplicity
-from .rootsys import LeviDatum, RootSystemError, Weight, WeightError
-from .weylgrp import DEFAULT_GROUP_GUARD
+from .rootsys import RootSystemError, Weight, WeightError
 
 
 class Partition(tuple):
@@ -52,11 +49,6 @@ class Partition(tuple):
 
     def doubled(self) -> "Partition":
         return Partition(2 * p for p in self)
-
-    def as_weight(self, n: int) -> Weight:
-        if len(self) > n:
-            raise WeightError(f"{self} has more than {n} parts")
-        return Weight.of(*(list(self) + [0] * (n - len(self))))
 
 
 @lru_cache(maxsize=None)
@@ -161,86 +153,6 @@ def multi_lr(lam: Partition, mus) -> int:
     return acc.get(lam, 0)
 
 
-# -- Kostka numbers and their inverse --------------------------------------------
-
-@lru_cache(maxsize=None)
-def kostka_number(lam: Partition, mu) -> int:
-    """Semistandard tableaux of shape lam and content mu (horizontal-strip peel)."""
-    lam = Partition(lam)
-    content = tuple(int(x) for x in mu)
-    if lam.size != sum(content):
-        return 0
-    if not content:
-        return 1
-    last = content[-1]
-    rest = content[:-1]
-    total = 0
-    for prev in _strip_predecessors(lam, last):
-        total += kostka_number(prev, rest)
-    return total
-
-
-def _strip_predecessors(lam: Partition, size: int) -> list[Partition]:
-    """Shapes obtained by removing a horizontal strip of the given size."""
-    out = []
-    rows = len(lam)
-
-    def rec(i, remaining, prefix):
-        if i == rows:
-            if remaining == 0:
-                out.append(Partition(prefix))
-            return
-        # interlacing lam[i+1] <= v <= lam[i] keeps the removed cells a strip
-        lo = lam[i + 1] if i + 1 < rows else 0
-        hi = lam[i]
-        cap = prefix[-1] if prefix else None
-        for v in range(lo, hi + 1):
-            if cap is not None and v > cap:
-                continue
-            removed = hi - v
-            if removed > remaining:
-                continue
-            prefix.append(v)
-            rec(i + 1, remaining - removed, prefix)
-            prefix.pop()
-
-    rec(0, size, [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _kostka_matrix(n: int):
-    """(ordered partitions of n, K, K^-1) with exact unitriangular inversion."""
-    parts = sorted(partitions_of(n), reverse=True)  # descending lex refines dominance
-    idx = {p: i for i, p in enumerate(parts)}
-    size = len(parts)
-    K = [[0] * size for _ in range(size)]
-    for i, lam in enumerate(parts):
-        for j, mu in enumerate(parts):
-            K[i][j] = kostka_number(lam, tuple(mu))
-    inv = [[0] * size for _ in range(size)]
-    for j in range(size):
-        inv[j][j] = 1
-        for i in range(j - 1, -1, -1):
-            s = sum(K[i][t] * inv[t][j] for t in range(i + 1, j + 1))
-            if K[i][i] != 1:
-                raise RootSystemError("Kostka matrix is not unitriangular")
-            inv[i][j] = -s
-    return parts, idx, K, inv
-
-
-def kostka_matrix_identity(n: int) -> bool:
-    """K * K^-1 == I on partitions of ``n`` (exact)."""
-    parts, _, K, inv = _kostka_matrix(n)
-    size = len(parts)
-    for i in range(size):
-        for j in range(size):
-            s = sum(K[i][t] * inv[t][j] for t in range(size))
-            if s != (1 if i == j else 0):
-                return False
-    return True
-
-
 # -- polarisation -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -265,30 +177,6 @@ def split_signed(mu: Weight) -> SignedSplit:
     plus = Partition(c for c in coords if c > 0)
     minus = Partition(sorted((-c for c in coords if c < 0), reverse=True))
     return SignedSplit(plus, minus)
-
-
-def join_signed(split: SignedSplit, n: int) -> Weight:
-    """Rebuild the gl_n weight with the given signed partitions."""
-    plus = list(split.mu_plus)
-    minus = [-c for c in reversed(list(split.mu_minus))]
-    if len(plus) + len(minus) > n:
-        raise WeightError("signed split too long for the rank")
-    return Weight.of(*(plus + [0] * (n - len(plus) - len(minus)) + minus))
-
-
-def in_littlewood_stable_range(family: str, n: int, lam: Partition) -> bool:
-    """Where the classical restriction sums are asserted against the Weyl sum.
-
-    Smallness of the partition (size at most the rank) keeps the B and C
-    sums exact.  In family D a partition of full length n labels one member
-    of a pair of irreducibles swapped by the outer involution, while the sum
-    computes the restriction of their union; those cases are logged as
-    discrepancies instead of asserted.
-    """
-    lam = Partition(lam)
-    if lam.size > n:
-        return False
-    return not (family == "D" and len(lam) == n)
 
 
 def polarisation_branch(family: str, n: int, mu: Weight, lam: Partition) -> int:
@@ -326,19 +214,3 @@ def polarisation_branch(family: str, n: int, mu: Weight, lam: Partition) -> int:
                 second = delta.doubled().conjugate()
             total += c1 * lr_coefficient(lam, gamma, second)
     return total
-
-
-# -- type A consistency checks ----------------------------------------------------
-
-def delta_shift_check(levi: LeviDatum, lam: Weight, mu: Weight, a: int,
-                      guard: int = DEFAULT_GROUP_GUARD) -> bool:
-    """Branching is invariant under adding a*(1,...,1) to both weights (gl only)."""
-    if levi.parent.family != "GL":
-        raise RootSystemError("the diagonal shift only makes sense for gl_n")
-    if a < 0:
-        raise WeightError("shift must be nonnegative")
-    delta = Weight.of(*([a] * levi.parent.rank))
-    before = branch_multiplicity(levi, lam, mu, guard)
-    after = branch_multiplicity(levi, lam + delta, mu + delta, guard)
-    return before == after
-

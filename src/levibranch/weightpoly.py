@@ -21,9 +21,8 @@ import numpy as np
 
 from . import kernels
 from .kernels import BudgetError
-from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      chamber_cone_mask)
-from .weylgrp import DEFAULT_GROUP_GUARD, levi_group, weyl_group
+from .rootsys import LeviDatum, Weight, WeightError, chamber_cone_mask
+from .weylgrp import levi_group, weyl_group
 
 DEFAULT_CHAR_BUDGET = 2_000_000
 
@@ -84,11 +83,6 @@ class WeightPolynomial:
     def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
         return cls._of(rows, coeffs)
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The read-only int64 rows of doubled coordinates, in term order."""
-        return self._rows
-
     # -- container protocol ------------------------------------------------
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -116,9 +110,6 @@ class WeightPolynomial:
     def coefficient(self, w: Weight) -> int:
         i = self._index(w)
         return int(self._coeffs[i]) if i >= 0 else 0
-
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(map(Weight, self._rows.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightPolynomial):
@@ -409,27 +400,7 @@ def weyl_character(owner, lam: Weight) -> WeightPolynomial:
     return WeightPolynomial._of(np.concatenate(blocks), coeffs)
 
 
-def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
-    """dim of the ``beta`` weight space of the irreducible with h.w. ``lam``."""
-    datum.require_dominant(lam)
-    dom = _frame_for(datum).dominant(np.array([beta], dtype=np.int64))[0]
-    return dominant_multiplicities(datum, lam).get(tuple(dom.tolist()), 0)
-
-
-# -- symmetrisation and the Weyl denominator ----------------------------------
-
-def symmetrize(datum: RootDatum, gamma: Weight,
-               guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
-    """Orbit sum over the full Weyl group, counted with multiplicity.
-
-    The coefficient of every orbit point equals the order of the stabiliser
-    of ``gamma``, so the total mass is always |W|.
-    """
-    group = weyl_group(datum, guard)
-    perm, sign, _ = group.arrays
-    img = kernels.orbit_images(perm, sign, np.array(gamma, dtype=np.int64))
-    return WeightPolynomial._of(img, np.ones(len(img), dtype=np.int64))
-
+# -- the Weyl denominator ------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _rho_drops(levi: LeviDatum):
@@ -461,17 +432,6 @@ def _check_denominator(levi: LeviDatum, drops: np.ndarray, eps: np.ndarray) -> N
         raise WeightError(
             f"the signed Levi Weyl group rows of {levi.describe()} break the "
             "Weyl denominator identity")
-
-
-def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
-    """The product of (1 - e^alpha) over the Levi positive roots.
-
-    Read off the signed rows of ``_rho_drops``, the ones ``build_m`` reads;
-    ``_rho_drops`` has checked them against the literal product (the Weyl
-    denominator identity).
-    """
-    levi_group(levi, guard)  # enforce the guard before any heavy work
-    return WeightPolynomial.from_rows(*_rho_drops(levi))
 
 
 # -- highest-weight stripping ---------------------------------------------------

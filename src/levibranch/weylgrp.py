@@ -1,7 +1,7 @@
 """Weyl groups as arrays of signed permutations: enumeration, actions, cosets.
 
-A group is three int64 arrays, one row per element in ``WeylElement.sort_key``
-order: ``perm`` and ``sign`` (|G| x n) and ``eps``, the sign character.
+A group is three int64 arrays, one row per element in ``_keys`` order
+(permutations lexicographically, then sign patterns): ``perm`` and ``sign`` (|G| x n) and ``eps``, the sign character.
 Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.  W, the Levi
 Weyl groups and the stabilisers are products over factor blocks
 (``LeviDatum.blocks``, one block for W) of classical groups: every
@@ -9,7 +9,8 @@ permutation of a block's coordinates against every admissible sign vector.
 The transversal filters W chunk by chunk, so it never holds all of W; the
 diagram automorphisms filter a conjugate of a stabiliser block group and
 never enumerate W.  ``WeylElement`` objects are built only at the edges:
-the automorphisms, coset decomposition and code that iterates a group.
+the automorphisms, ``dominant_representative`` and code that iterates a
+group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                      _positive_set, build_levi)
+                      build_levi)
 
 DEFAULT_GROUP_GUARD = 2_000_000
 # rows of W per block when the transversal filters W
@@ -63,22 +64,6 @@ class WeylElement:
             tuple(s1[i] * s2[p1[i]] for i in range(len(p1))),
         )
 
-    def sign(self) -> int:
-        perm = self.perm
-        inv = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
-                  if perm[i] > perm[j])
-        s = -1 if inv % 2 else 1
-        for x in self.signs:
-            s *= x
-        return s
-
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i for i in range(len(self.perm))) and all(
-            s == 1 for s in self.signs)
-
-    def sort_key(self):
-        return (self.perm, tuple(0 if s == 1 else 1 for s in self.signs))
-
     def to_json(self) -> dict:
         return {"perm": [p + 1 for p in self.perm], "signs": list(self.signs)}
 
@@ -102,7 +87,7 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Elements of W (a subgroup, or a transversal) as int64 arrays in sort_key order."""
+    """Elements of W (a subgroup, or a transversal) as int64 arrays in ``_keys`` order."""
 
     def __init__(self, perm: np.ndarray, sign: np.ndarray):
         self.perm = perm
@@ -146,11 +131,12 @@ def _lehmer(perm: np.ndarray) -> np.ndarray:
 
 
 def _keys(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Distinct int64 keys whose order is the ``WeylElement.sort_key`` order.
+    """Distinct int64 keys, the order of every group array here.
 
     The lexicographic rank of the permutation (its Lehmer code in the
     factorial base) times 2^n, plus the bits of the negative signs with
-    coordinate 0 most significant.
+    coordinate 0 most significant: elements go by permutation, then by
+    sign pattern, the identity first.
     """
     n = perm.shape[1]
     if n > MAX_KEY_RANK:
@@ -163,7 +149,7 @@ def _keys(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
 
 def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The group of ``family`` on n coordinates as its permutations and its
-    sign vectors, each in sort_key order.
+    sign vectors, each in ``_keys`` order.
 
     Every permutation goes with every admissible sign vector: none negative
     in GL, all in B and C, an even number in D.
@@ -178,7 +164,7 @@ def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(datum: RootDatum, rows: int):
-    """W in sort_key order as (perm, sign) chunks of about ``rows`` rows.
+    """W in ``_keys`` order as (perm, sign) chunks of about ``rows`` rows.
 
     Each chunk is a run of whole permutations, each repeated against every
     admissible sign vector.
@@ -192,7 +178,7 @@ def _blocks(datum: RootDatum, rows: int):
 
 @lru_cache(maxsize=None)
 def _block_group(n: int, blocks: tuple) -> WeylGroup:
-    """The product of the factor blocks' groups on n coordinates, in sort_key order.
+    """The product of the factor blocks' groups on n coordinates, in ``_keys`` order.
 
     Block (lo, hi, family, flip) contributes ``_signed_perms(family, hi - lo)``
     on its coordinate run: one axis of the product for its permutations and
@@ -273,11 +259,6 @@ def dominant_representative(datum: RootDatum, beta: Weight) -> tuple[WeylElement
     return w, w.act(beta)
 
 
-def is_regular(datum: RootDatum, beta: Weight) -> bool:
-    """No reflection of W fixes ``beta``."""
-    return all(beta.dot4(a) != 0 for a in datum.positive_roots)
-
-
 def _fixing_levi(datum: RootDatum, lam: Weight) -> LeviDatum:
     """The Levi on the simple roots fixing ``lam``."""
     return build_levi(datum, [i + 1 for i, a in enumerate(datum.simple_roots) if not lam.dot4(a)])
@@ -286,20 +267,6 @@ def _fixing_levi(datum: RootDatum, lam: Weight) -> LeviDatum:
 def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> WeylGroup:
     """Stabiliser of a dominant weight: the Levi Weyl group on the simple roots fixing it."""
     return _block_group(datum.rank, _fixing_levi(datum, lam).blocks)
-
-
-def straighten(datum: RootDatum, beta: Weight):
-    """Resolve a formal character index: None on a wall, else (sign, dominant).
-
-    The character labelled by ``beta`` equals sign times the character of the
-    returned dominant weight; it vanishes exactly when ``beta`` plus the Weyl
-    vector is fixed by some reflection.
-    """
-    shifted = beta + datum.rho
-    if not is_regular(datum, shifted):
-        return None
-    w, dom = dominant_representative(datum, shifted)
-    return w.sign(), dom - datum.rho
 
 
 # -- Levi-side groups ------------------------------------------------------
@@ -314,7 +281,7 @@ def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
     """Minimal-length coset representatives of W over the Levi Weyl group.
 
     The w in W that keep every Levi simple root positive, filtered block by
-    block; W is listed in sort_key order, so the survivors are too.
+    block; W is listed in ``_keys`` order, so the survivors are too.
     """
     datum = levi.parent
     check_group_guard(f"W({datum.describe()})", datum.weyl_order(), guard)
@@ -326,28 +293,6 @@ def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
         raise RootSystemError(
             f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")
     return WeylGroup(perm, np.concatenate([s for _, s in kept]))
-
-
-def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylElement]:
-    """Unique w = u * wbar with u in the transversal and wbar in the Levi group.
-
-    Computed by stripping descents: while some retained simple root is sent
-    to a negative root, multiply by its reflection on the right.
-    """
-    datum = levi.parent
-    pos = _positive_set(datum)
-    sbar = levi.sbar_roots
-    u = w
-    wbar = WeylElement.identity(datum.rank)
-    while True:
-        for alpha in sbar:
-            if u.act(alpha) not in pos:
-                s = WeylElement.reflection(alpha)
-                u = u.compose(s)
-                wbar = s.compose(wbar)
-                break
-        else:
-            return u, wbar
 
 
 @lru_cache(maxsize=None)
@@ -380,5 +325,5 @@ def diagram_automorphisms(levi: LeviDatum,
     if len(_maps_into(perm, sign, levi.rbar_plus, levi.rbar_plus)[0]) != len(perm):
         raise RootSystemError(
             f"an automorphism of {levi.describe()} maps a root of Rbar+ out of Rbar+")
-    # the identity has the least sort key, so it comes first
+    # the identity has the least key, so it comes first
     return _objects(perm, sign)

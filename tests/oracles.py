@@ -33,8 +33,15 @@ strings.  They are the reference routes for ``LeviDatum.describe``,
 ``LeviDatum.weylbar_order`` and ``LeviDatum.rbar_plus``, which read the
 factor blocks off sbar and the Levi cone off prefix sums.
 ``standard_gl_blocks_by_roots`` compares root sets component by component:
-the reference route for ``LeviDatum.standard_gl_blocks``.  ``every_levi``
-lists the Levis the comparisons run over.
+the reference route for ``standard_gl_blocks``, which reads them off the
+factor blocks.  ``every_levi`` lists the Levis the comparisons run over.
+
+The rest are definitions that only tests call, kept apart from the
+package: the sign, identity test and order of a ``WeylElement``, coset
+decomposition by stripping descents, straightening of character labels,
+orbit sums over W, the Weyl denominator, single weight multiplicities,
+Kostka numbers and their inverse matrix, and the type-A helpers the
+Littlewood-Richardson comparisons use.
 """
 
 from __future__ import annotations
@@ -47,12 +54,230 @@ from typing import NamedTuple
 import numpy as np
 
 from levibranch import kernels
-from levibranch.rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                                build_levi)
-from levibranch.weightpoly import PartitionTable, _rho_drops, signed_bucket
-from levibranch.weylgrp import (WeylElement, _maps_into, _objects,
-                                dominant_representative, levi_group,
-                                stabilizer_subgroup, transversal)
+from levibranch.branching import branch_multiplicity
+from levibranch.rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
+                                WeightError, _positive_set, build_levi)
+from levibranch.typea_lr import Partition, SignedSplit, partitions_of
+from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
+                                   _rho_drops, dominant_multiplicities,
+                                   signed_bucket)
+from levibranch.weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, _maps_into,
+                                _objects, dominant_representative, levi_group,
+                                stabilizer_subgroup, transversal, weyl_group)
+
+
+# -- Weyl-group elements one at a time -------------------------------------------
+
+def element_sign(w: WeylElement) -> int:
+    """det(w): the parity of the permutation times the product of the signs."""
+    perm = w.perm
+    inv = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+              if perm[i] > perm[j])
+    s = -1 if inv % 2 else 1
+    for x in w.signs:
+        s *= x
+    return s
+
+
+def is_identity(w: WeylElement) -> bool:
+    return all(w.perm[i] == i for i in range(len(w.perm))) and all(
+        s == 1 for s in w.signs)
+
+
+def sort_key(w: WeylElement):
+    """The order of ``weylgrp._keys``: by permutation, then by sign pattern."""
+    return (w.perm, tuple(0 if s == 1 else 1 for s in w.signs))
+
+
+def is_regular(datum: RootDatum, beta: Weight) -> bool:
+    """No reflection of W fixes ``beta``."""
+    return all(beta.dot4(a) != 0 for a in datum.positive_roots)
+
+
+def straighten(datum: RootDatum, beta: Weight):
+    """Resolve a formal character index: None on a wall, else (sign, dominant).
+
+    The character labelled by ``beta`` equals sign times the character of the
+    returned dominant weight; it vanishes exactly when ``beta`` plus the Weyl
+    vector is fixed by some reflection.
+    """
+    shifted = beta + datum.rho
+    if not is_regular(datum, shifted):
+        return None
+    w, dom = dominant_representative(datum, shifted)
+    return element_sign(w), dom - datum.rho
+
+
+def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylElement]:
+    """Unique w = u * wbar with u in the transversal and wbar in the Levi group.
+
+    Computed by stripping descents: while some retained simple root is sent
+    to a negative root, multiply by its reflection on the right.
+    """
+    datum = levi.parent
+    pos = _positive_set(datum)
+    u = w
+    wbar = WeylElement.identity(datum.rank)
+    while True:
+        for alpha in levi.sbar_roots:
+            if u.act(alpha) not in pos:
+                s = WeylElement.reflection(alpha)
+                u = u.compose(s)
+                wbar = s.compose(wbar)
+                break
+        else:
+            return u, wbar
+
+
+# -- weight polynomials -------------------------------------------------------------
+
+def support(poly: WeightPolynomial) -> tuple[Weight, ...]:
+    """The weights of the terms, in term order."""
+    return tuple(w for w, _ in poly)
+
+
+def symmetrize(datum: RootDatum, gamma: Weight,
+               guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
+    """Orbit sum over the full Weyl group, counted with multiplicity.
+
+    The coefficient of every orbit point equals the order of the stabiliser
+    of ``gamma``, so the total mass is always |W|.
+    """
+    perm, sign, _ = weyl_group(datum, guard).arrays
+    img = kernels.orbit_images(perm, sign, np.array(gamma, dtype=np.int64))
+    return WeightPolynomial.from_rows(img, np.ones(len(img), dtype=np.int64))
+
+
+def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
+    """The product of (1 - e^alpha) over the Levi positive roots.
+
+    Read off the signed rows of ``weightpoly._rho_drops``, the ones
+    ``build_m`` reads; ``_rho_drops`` has checked them against the literal
+    product (the Weyl denominator identity).
+    """
+    levi_group(levi, guard)  # enforce the guard before any heavy work
+    return WeightPolynomial.from_rows(*_rho_drops(levi))
+
+
+def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
+    """dim of the ``beta`` weight space of the irreducible with h.w. ``lam``."""
+    datum.require_dominant(lam)
+    dom = _frame_for(datum).dominant(np.array([beta], dtype=np.int64))[0]
+    return dominant_multiplicities(datum, lam).get(tuple(dom.tolist()), 0)
+
+
+# -- type A -------------------------------------------------------------------------
+
+def as_weight(lam: Partition, n: int) -> Weight:
+    """The gl_n weight of a partition, padded with zeros."""
+    if len(lam) > n:
+        raise WeightError(f"{lam} has more than {n} parts")
+    return Weight.of(*(list(lam) + [0] * (n - len(lam))))
+
+
+def join_signed(split: SignedSplit, n: int) -> Weight:
+    """Rebuild the gl_n weight with the given signed partitions."""
+    plus = list(split.mu_plus)
+    minus = [-c for c in reversed(list(split.mu_minus))]
+    if len(plus) + len(minus) > n:
+        raise WeightError("signed split too long for the rank")
+    return Weight.of(*(plus + [0] * (n - len(plus) - len(minus)) + minus))
+
+
+def in_littlewood_stable_range(family: str, n: int, lam: Partition) -> bool:
+    """Where the classical restriction sums are asserted against the Weyl sum.
+
+    Smallness of the partition (size at most the rank) keeps the B and C
+    sums exact.  In family D a partition of full length n labels one member
+    of a pair of irreducibles swapped by the outer involution, while the sum
+    computes the restriction of their union; those cases are logged as
+    discrepancies instead of asserted.
+    """
+    lam = Partition(lam)
+    if lam.size > n:
+        return False
+    return not (family == "D" and len(lam) == n)
+
+
+def delta_shift_check(levi: LeviDatum, lam: Weight, mu: Weight, a: int) -> bool:
+    """Branching is invariant under adding a*(1,...,1) to both weights (gl only)."""
+    if levi.parent.family != "GL":
+        raise RootSystemError("the diagonal shift only makes sense for gl_n")
+    if a < 0:
+        raise WeightError("shift must be nonnegative")
+    delta = Weight.of(*([a] * levi.parent.rank))
+    return (branch_multiplicity(levi, lam, mu)
+            == branch_multiplicity(levi, lam + delta, mu + delta))
+
+
+@lru_cache(maxsize=None)
+def kostka_number(lam: Partition, mu) -> int:
+    """Semistandard tableaux of shape lam and content mu (horizontal-strip peel)."""
+    lam = Partition(lam)
+    content = tuple(int(x) for x in mu)
+    if lam.size != sum(content):
+        return 0
+    if not content:
+        return 1
+    return sum(kostka_number(prev, content[:-1])
+               for prev in _strip_predecessors(lam, content[-1]))
+
+
+def _strip_predecessors(lam: Partition, size: int) -> list[Partition]:
+    """Shapes obtained by removing a horizontal strip of the given size."""
+    out = []
+    rows = len(lam)
+
+    def rec(i, remaining, prefix):
+        if i == rows:
+            if remaining == 0:
+                out.append(Partition(prefix))
+            return
+        # interlacing lam[i+1] <= v <= lam[i] keeps the removed cells a strip
+        lo = lam[i + 1] if i + 1 < rows else 0
+        hi = lam[i]
+        cap = prefix[-1] if prefix else None
+        for v in range(lo, hi + 1):
+            if cap is not None and v > cap:
+                continue
+            removed = hi - v
+            if removed > remaining:
+                continue
+            prefix.append(v)
+            rec(i + 1, remaining - removed, prefix)
+            prefix.pop()
+
+    rec(0, size, [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def kostka_matrix(n: int):
+    """(ordered partitions of n, their index, K, K^-1), inverted exactly.
+
+    K is unitriangular in descending lexicographic order, which refines
+    dominance, so K^-1 comes from back substitution.
+    """
+    parts = sorted(partitions_of(n), reverse=True)
+    idx = {p: i for i, p in enumerate(parts)}
+    size = len(parts)
+    K = [[kostka_number(lam, tuple(mu)) for mu in parts] for lam in parts]
+    inv = [[0] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = 1
+        for i in range(j - 1, -1, -1):
+            if K[i][i] != 1:
+                raise RootSystemError("Kostka matrix is not unitriangular")
+            inv[i][j] = -sum(K[i][t] * inv[t][j] for t in range(i + 1, j + 1))
+    return parts, idx, K, inv
+
+
+def kostka_matrix_identity(n: int) -> bool:
+    """K * K^-1 == I on partitions of ``n`` (exact)."""
+    parts, _, K, inv = kostka_matrix(n)
+    size = len(parts)
+    return all(sum(K[i][t] * inv[t][j] for t in range(size)) == int(i == j)
+               for i in range(size) for j in range(size))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +306,7 @@ def closure(gens: list[WeylElement], n: int) -> tuple[WeylElement, ...]:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return tuple(sorted(seen, key=WeylElement.sort_key))
+    return tuple(sorted(seen, key=sort_key))
 
 
 def levi_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
@@ -98,7 +323,7 @@ def transversal_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
     pos = set(levi.parent.positive_roots)
     reps = [w for w in weyl_elements(levi.parent)
             if all(w.act(a) in pos for a in levi.sbar_roots)]
-    return tuple(sorted(reps, key=WeylElement.sort_key))
+    return tuple(sorted(reps, key=sort_key))
 
 
 def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
@@ -106,14 +331,14 @@ def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
     rbar = set(levi.rbar_plus)
     autos = [u for u in transversal_elements(levi)
              if all(u.act(a) in rbar for a in levi.sbar_roots)]
-    return tuple(sorted(autos, key=lambda u: (not u.is_identity(), u.sort_key())))
+    return tuple(sorted(autos, key=lambda u: (not is_identity(u), sort_key(u))))
 
 
 def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     """The transversal rows sending every Levi simple root into rbar_plus.
 
     Every such w of W keeps Sbar positive, so it is in the transversal; the
-    transversal is in sort_key order, so the identity comes first.  Built
+    transversal is in ``_keys`` order, so the identity comes first.  Built
     afresh, without the transversal cache.
     """
     trans = transversal.__wrapped__(levi)
@@ -314,6 +539,14 @@ def domrep(owner, beta: Weight) -> Weight:
                 break
         else:
             return cur
+
+
+def standard_gl_blocks(levi: LeviDatum) -> tuple[tuple[int, ...], ...] | None:
+    """The 1-based coordinate runs of the factor blocks, when all are plain
+    gl blocks (``LeviDatum.blocks``), else None."""
+    if any(fam != "GL" or flip for _, _, fam, flip in levi.blocks):
+        return None
+    return tuple(tuple(range(lo + 1, hi + 1)) for lo, hi, _, _ in levi.blocks)
 
 
 def standard_gl_blocks_by_roots(levi: LeviDatum):

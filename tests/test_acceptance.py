@@ -16,17 +16,18 @@ import pytest
 from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
                         build_levi, build_m, build_root_system,
                         diagram_automorphisms, dominant_representative,
-                        induced_equal, kostka_multiplicity, leading_term,
-                        multi_lr, polarisation_branch, search_box, transversal,
+                        induced_equal, leading_term, multi_lr,
+                        polarisation_branch, search_box, transversal,
                         weyl_group)
 from levibranch.equivalence import dominant_box
 from levibranch.rootsys import LeviDatum
-from levibranch.typea_lr import (Partition, SignedSplit, delta_shift_check,
-                                 in_littlewood_stable_range, join_signed,
-                                 kostka_matrix_identity, kostka_number,
-                                 partitions_of)
+from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import _frame_for, chamber_cone_mask
-from levibranch.weylgrp import coset_decompose, is_regular, levi_group
+from levibranch.weylgrp import levi_group
+from oracles import (as_weight, coset_decompose, delta_shift_check,
+                     in_littlewood_stable_range, is_regular, join_signed,
+                     kostka_matrix_identity, kostka_multiplicity, kostka_number,
+                     support)
 
 REPORT_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "reports")
 
@@ -231,8 +232,9 @@ def test_criterion_5_leading_terms(gl4, gl6, c2, c3, b3, d4):
             # the predicate of datum.dominance_leq(w, lam) on all rows at once;
             # test_cone_mask_matches_scalar checks the two agree on whole boxes
             top = np.array(lam, dtype=np.int64)
-            below = chamber_cone_mask(datum.family, top - poly.rows)
-            is_top = (poly.rows == top).all(axis=1)
+            rows = np.array(support(poly), dtype=np.int64)
+            below = chamber_cone_mask(datum.family, top - rows)
+            is_top = (rows == top).all(axis=1)
             failures += int((~is_top & ~below).sum())
     elapsed = time.monotonic() - t0
     _report("criterion 5: leading term and strict dominance of M-functions",
@@ -253,7 +255,7 @@ def test_criterion_6_type_a_factorization(gl4, levi_gl4_22):
                     for lam in partitions_of(a + b + c + d, max_len=4):
                         checked += 1
                         lhs = branch_multiplicity(levi_gl4_22,
-                                                  lam.as_weight(4), mu)
+                                                  as_weight(lam, 4), mu)
                         if lhs != multi_lr(lam, pieces):
                             mismatches += 1
     rng = random.Random(42424242)
@@ -288,7 +290,7 @@ def test_criterion_7_polarisation(b2, c2, c3, d4):
                             mus.add(join_signed(SignedSplit(p1, p2), n))
         for size in range(0, n + 3):
             for lam in partitions_of(size, max_len=n):
-                row = branch_by_restriction(levi, lam.as_weight(n))
+                row = branch_by_restriction(levi, as_weight(lam, n))
                 for mu in sorted(mus):
                     got = polarisation_branch(fam, n, mu, lam)
                     want = row.get(mu, 0)
@@ -455,7 +457,7 @@ def test_criterion_9_kostka_inversion():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if kostka_number(lam, tuple(mu)) != kostka_multiplicity(
-                        datum, lam.as_weight(n), mu.as_weight(n)):
+                        datum, as_weight(lam, n), as_weight(mu, n)):
                     agree = False
     elapsed = time.monotonic() - t0
     _report("criterion 9: Kostka inversion, tableau vs Freudenthal",

@@ -1,27 +1,29 @@
-"""Every name the package exports has a caller outside the unit tests.
+"""Every definition in ``src/levibranch`` has a caller outside the tests.
 
-A name in ``levibranch.__all__`` counts as used when one of these refers
-to it:
+The rule covers every module-level function and class and every public
+method (properties included).  A definition counts as used when one of
+these refers to it:
 
-* a function or class body in ``src/levibranch`` other than its own
-  definition (a bare name, so ``frame.weyl_dim`` is not ``weyl_dim``);
-* a ``perfbench/*.py`` module, as an import from ``levibranch`` or as an
-  attribute of an imported ``levibranch`` module;
-* ``tests/test_acceptance.py``, as an import from ``levibranch`` or a bare
-  name.
+* a module of ``src/levibranch`` other than ``__init__.py``, outside the
+  definition itself: a bare name or a module attribute for a module-level
+  definition, ``Class.method`` or a ``.method`` attribute for a method;
+* a ``perfbench/*.py`` module, the same way, with ``levibranch`` imports
+  for bare names;
+* a ``tracing.SPANS`` target, which ``tests/test_tracing.py`` resolves.
 
-A name that only the unit tests reach is test-only API and belongs in the
-tests.
+A plain method counts from a ``.method`` attribute only where that is
+called (``w.sign()``), so an array attribute of the same name (the
+``sign`` of a ``WeylGroup``) is no caller.  A definition that only tests
+reach belongs in the tests (``tests/oracles.py``).
 """
 
 import ast
 import os
 
-import levibranch
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "levibranch")
 PERFBENCH = os.path.join(ROOT, "perfbench")
+SRC_MODULES = {name[:-3] for name in os.listdir(SRC) if name.endswith(".py")}
 
 
 def _parse(path):
@@ -29,47 +31,132 @@ def _parse(path):
         return ast.parse(fh.read(), path)
 
 
-def _src_names() -> set:
-    """Bare names loaded in src, outside the definition they name."""
+def _modules(folder):
+    return [(name[:-3], _parse(os.path.join(folder, name)))
+            for name in sorted(os.listdir(folder)) if name.endswith(".py")]
+
+
+def _is_property(fn) -> bool:
+    return any((isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
+               for d in fn.decorator_list)
+
+
+def definitions() -> dict:
+    """{qualified name: is it called, not read} for the definitions the rule covers."""
+    out = {}
+    for _, tree in _modules(SRC):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out[node.name] = True
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        out[f"{node.name}.{item.name}"] = not _is_property(item)
+    return out
+
+
+class _References(ast.NodeVisitor):
+    """Collects what one module refers to, outside the definitions it names.
+
+    ``names`` holds bare names, ``levibranch`` imports and attributes of
+    ``levibranch`` modules; ``qualified`` the ``Name.attr`` pairs; ``called``
+    and ``read`` the other attributes, called or read.  Attributes of other
+    modules (``np.sign``) are ignored.  ``owners`` are the enclosing
+    definitions, as qualified names, so a definition's own body never
+    counts for it.
+    """
+
+    def __init__(self, tree, bare_names: bool):
+        self.package, self.foreign = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    ours = a.name.startswith("levibranch")
+                    (self.package if ours else self.foreign).add(a.asname or a.name)
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("levibranch")):
+                self.package |= {a.asname or a.name for a in node.names
+                                 if a.name in SRC_MODULES}
+        self.bare_names = bare_names
+        self.names, self.qualified, self.called, self.read = set(), set(), set(), set()
+        self.owners = []
+        self.visit(tree)
+
+    def _define(self, node):
+        outer = self.owners[-1] if self.owners else ""
+        qual = node.name if not outer or "." in outer else f"{outer}.{node.name}"
+        self.owners.append(qual)
+        self.generic_visit(node)
+        self.owners.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _define
+
+    def visit_Name(self, node):
+        if (self.bare_names and isinstance(node.ctx, ast.Load)
+                and node.id not in self.owners):
+            self.names.add(node.id)
+
+    def visit_ImportFrom(self, node):
+        if (node.module or "").startswith("levibranch"):
+            self.names |= {a.name for a in node.names}
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute):
+            self._attribute(node.func, self.called)
+            self.visit(node.func.value)
+        else:
+            self.visit(node.func)
+        for child in node.args + node.keywords:
+            self.visit(child)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._attribute(node, self.read)
+        self.visit(node.value)
+
+    def _attribute(self, node, bucket):
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        if base in self.foreign:
+            return
+        if base in self.package:
+            if node.attr not in self.owners:
+                self.names.add(node.attr)
+            return
+        if base is not None and f"{base}.{node.attr}" not in self.owners:
+            self.qualified.add(f"{base}.{node.attr}")
+        if not any(o.endswith(f".{node.attr}") for o in self.owners):
+            bucket.add(node.attr)
+
+
+def _span_targets() -> set:
+    """The ``attr`` field of every ``tracing.SPANS`` entry."""
+    tree = _parse(os.path.join(PERFBENCH, "tracing.py"))
+    spans = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    return {entry.elts[2].value for entry in spans.elts}
+
+
+def referenced() -> set:
+    """The definitions of ``definitions()`` that something outside the tests reaches."""
+    refs = [_References(tree, bare_names=True) for name, tree in _modules(SRC)
+            if name != "__init__"]
+    refs += [_References(tree, bare_names=False) for _, tree in _modules(PERFBENCH)]
+    names = set().union(*(r.names for r in refs))
+    qualified = set().union(*(r.qualified for r in refs)) | _span_targets()
+    called = set().union(*(r.called for r in refs))
+    read = set().union(*(r.read for r in refs))
     used = set()
-
-    def walk(node, owners):
-        if isinstance(node, ast.Name) and node.id not in owners:
-            used.add(node.id)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owners = owners | {node.name}
-        for child in ast.iter_child_nodes(node):
-            walk(child, owners)
-
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and name != "__init__.py":
-            walk(_parse(os.path.join(SRC, name)), frozenset())
+    for name, is_call in definitions().items():
+        cls, _, attr = name.rpartition(".")
+        if not cls:
+            hit = name in names or name in qualified
+        else:
+            hit = name in qualified or attr in (called if is_call else read)
+        if hit:
+            used.add(name)
     return used
 
 
-def _imported_names(tree) -> set:
-    """Names imported from ``levibranch`` and attributes of its module aliases."""
-    used, aliases = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("levibranch"):
-            used |= {a.name for a in node.names}
-        elif isinstance(node, ast.Import):
-            aliases |= {a.asname or a.name for a in node.names
-                        if a.name.startswith("levibranch")}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in aliases):
-            used.add(node.attr)
-    return used
-
-
-def test_every_exported_name_has_a_caller_outside_the_unit_tests():
-    used = _src_names()
-    for name in sorted(os.listdir(PERFBENCH)):
-        if name.endswith(".py"):
-            used |= _imported_names(_parse(os.path.join(PERFBENCH, name)))
-    acceptance = _parse(os.path.join(ROOT, "tests", "test_acceptance.py"))
-    used |= _imported_names(acceptance)
-    used |= {n.id for n in ast.walk(acceptance) if isinstance(n, ast.Name)}
-    test_only = sorted(set(levibranch.__all__) - used)
-    assert not test_only, f"exported names reached only from tests: {test_only}"
+def test_every_definition_has_a_caller_outside_the_tests():
+    test_only = sorted(set(definitions()) - referenced())
+    assert not test_only, f"definitions reached only from tests: {test_only}"

@@ -207,10 +207,15 @@ class TestOtherCommands:
         assert run("lr", "--lam", "1", "--polar", "B:2",
                    "--mu", "1,0").stdout.strip() == "1"
 
-    def test_verify_passes(self):
-        out = run("verify")
-        assert out.returncode == 0
-        assert "FAIL" not in out.stdout
+    def test_out_holds_what_stdout_held(self, tmp_path):
+        for args in (("branch", "--system", "C:2", "--levi", "1",
+                      "--lam", "1,0", "--mu", "1,0"),
+                     ("lr", "--lam", "3,2,1", "--mu", "2,1", "--nu", "2,1")):
+            plain = run(*args)
+            path = tmp_path / "f"
+            out = run(*args, "--out", str(path))
+            assert plain.returncode == out.returncode == 0, args
+            assert out.stdout == "" and path.read_text() == plain.stdout != "", args
 
 
 class TestConfigAndErrors:
@@ -298,6 +303,22 @@ class TestConfigAndErrors:
         out = run("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
                   "--threads", "2")
         assert out.returncode == 2 and "--threads" in out.stderr
+        out = run("verify")
+        assert out.returncode == 2 and "invalid choice: 'verify'" in out.stderr
+
+    def test_options_that_would_be_ignored_refused(self, tmp_path):
+        c2 = ("--system", "C:2", "--levi", "1")
+        out = run("search", *c2, "--bound", "1", "--resume")
+        assert out.returncode == 2
+        assert out.stderr == "error: --resume needs --certificates, the file to resume from\n"
+        for extra, named in ((("--lam", "1,0"), "--lam"), (("--oracle",), "--oracle"),
+                             (("--lam", "1,0", "--oracle"), "--lam or --oracle")):
+            out = run("branch", *c2, "--mu", "1,0", "--format", "csv", *extra,
+                      "--out", str(tmp_path / "f"))
+            assert out.returncode == 2, extra
+            assert out.stderr == ("error: --format csv writes a row only; it cannot "
+                                  f"go with {named}\n"), extra
+        assert not list(tmp_path.iterdir())
 
     def test_validation_exit(self, tmp_path):
         assert run("branch", "--system", "X:9", "--mu", "0").returncode == 2

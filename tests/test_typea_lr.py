@@ -3,15 +3,15 @@ import itertools
 import pytest
 
 from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
-                        build_levi, build_root_system, kostka_number,
-                        lr_coefficient, multi_lr, polarisation_branch,
-                        split_signed, weyl_character)
+                        build_levi, build_root_system, lr_coefficient, multi_lr,
+                        polarisation_branch, split_signed, weyl_character)
 from levibranch.rootsys import RootSystemError, WeightError
-from levibranch.typea_lr import (Partition, SignedSplit, _kostka_matrix,
-                                 delta_shift_check, in_littlewood_stable_range,
-                                 join_signed, kostka_matrix_identity,
-                                 lr_expand_pair, partitions_of)
+from levibranch.typea_lr import (Partition, SignedSplit, lr_expand_pair,
+                                 partitions_of)
 from levibranch.weightpoly import decompose_character
+from oracles import (as_weight, delta_shift_check, in_littlewood_stable_range,
+                     join_signed, kostka_matrix, kostka_matrix_identity,
+                     kostka_multiplicity, kostka_number, standard_gl_blocks)
 
 P = Partition
 
@@ -30,9 +30,9 @@ class TestPartition:
         assert P((2, 2)).doubled() == P((4, 4))
 
     def test_as_weight(self):
-        assert P((2, 1)).as_weight(4) == Weight.of(2, 1, 0, 0)
+        assert as_weight(P((2, 1)), 4) == Weight.of(2, 1, 0, 0)
         with pytest.raises(WeightError):
-            P((1, 1, 1)).as_weight(2)
+            as_weight(P((1, 1, 1)), 2)
 
     def test_partitions_of(self):
         assert [tuple(p) for p in partitions_of(4)] == [
@@ -64,14 +64,14 @@ class TestLRCoefficient:
         for mu, nu in cases:
             n = mu.size + nu.size
             datum = build_root_system("GL", n)
-            prod = weyl_character(datum, mu.as_weight(n)) * \
-                weyl_character(datum, nu.as_weight(n))
+            prod = weyl_character(datum, as_weight(mu, n)) * \
+                weyl_character(datum, as_weight(nu, n))
             decomp = decompose_character(datum, prod)
             for lam, c in decomp.items():
                 lam_parts = P(tuple(x // 2 for x in lam))
                 assert lr_coefficient(lam_parts, mu, nu) == c
             for lam in partitions_of(n, max_len=n):
-                w = lam.as_weight(n)
+                w = as_weight(lam, n)
                 assert lr_coefficient(lam, mu, nu) == decomp.get(w, 0)
 
     def test_pieri_rule(self):
@@ -116,14 +116,13 @@ class TestKostka:
     def test_matches_freudenthal(self):
         for n in range(1, 6):
             datum = build_root_system("GL", n)
-            from levibranch import kostka_multiplicity
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     assert kostka_number(lam, tuple(mu)) == kostka_multiplicity(
-                        datum, lam.as_weight(n), mu.as_weight(n))
+                        datum, as_weight(lam, n), as_weight(mu, n))
 
     def test_inverse_examples(self):
-        _, idx, _, inv = _kostka_matrix(2)
+        _, idx, _, inv = kostka_matrix(2)
         assert inv[idx[P((2,))]][idx[P((2,))]] == 1
         assert inv[idx[P((2,))]][idx[P((1, 1))]] == -1
         assert inv[idx[P((1, 1))]][idx[P((2,))]] == 0
@@ -186,8 +185,8 @@ def _schur_factorization_holds(levi, mu):
     """Branching from gl_n equals the iterated LR product of the block Schurs,
     for every partition lambda of |mu| with at most n parts."""
     n = levi.parent.rank
-    pieces = [P(mu[i - 1] // 2 for i in block) for block in levi.standard_gl_blocks()]
-    return all(branch_multiplicity(levi, lam.as_weight(n), mu) == multi_lr(lam, pieces)
+    pieces = [P(mu[i - 1] // 2 for i in block) for block in standard_gl_blocks(levi)]
+    return all(branch_multiplicity(levi, as_weight(lam, n), mu) == multi_lr(lam, pieces)
                for lam in partitions_of(sum(p.size for p in pieces), max_len=n))
 
 
@@ -245,7 +244,7 @@ class TestPolarisation:
                             mus.add(join_signed(SignedSplit(p1, p2), n))
         for size in range(n + 1):
             for lam in partitions_of(size, max_len=n):
-                row = branch_by_restriction(levi, lam.as_weight(n))
+                row = branch_by_restriction(levi, as_weight(lam, n))
                 for mu in sorted(mus):
                     got = polarisation_branch(family, n, mu, lam)
                     want = row.get(mu, 0)

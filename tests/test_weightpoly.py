@@ -10,7 +10,6 @@ import oracles
 
 from levibranch import (Weight, WeightPolynomial, branch_multiplicity,
                         branch_row, build_levi, build_root_system,
-                        kostka_multiplicity, nabla_bar, symmetrize,
                         weyl_character, weyl_group)
 from levibranch import weightpoly
 from levibranch.kernels import PackRangeError, orbit_images
@@ -21,6 +20,8 @@ from levibranch.weightpoly import (BudgetError, PartitionTable, _frame_for,
                                    dominant_multiplicities, dominants_below,
                                    levi_table)
 from levibranch.weylgrp import levi_group
+from oracles import (element_sign, kostka_multiplicity, nabla_bar, support,
+                     symmetrize)
 
 
 def weyl_dim(owner, lam):
@@ -67,7 +68,7 @@ class TestWeightPolynomial:
 
     def test_iteration_sorted(self):
         p = WeightPolynomial({Weight.of(3, 0): 1, Weight.of(-1, 2): 4})
-        assert [w for w, _ in p] == sorted(p.support())
+        assert [w for w, _ in p] == sorted(support(p))
 
     def test_pack_range_limit(self):
         # rank 6 packs 10 bits per doubled coordinate: |c| < 512
@@ -148,7 +149,7 @@ class TestWeightPolynomialProperties:
         rnd.shuffle(items)
         p, q = WeightPolynomial(a), WeightPolynomial(items)
         assert p == q and hash(p) == hash(q)
-        assert [w for w, _ in p] == sorted(p.support())
+        assert [w for w, _ in p] == sorted(support(p))
         assert len(p) == len(_ref_clean(a))
         for w, c in a.items():
             assert p.coefficient(Weight(w)) == c and (Weight(w) in p) == bool(c)
@@ -167,11 +168,10 @@ class TestPartitionTable:
         targets = [Weight.zero(3), Weight.of(1, 1, -2), Weight.of(1, -1, 0)]
         assert table.count_rows(np.array(targets, dtype=np.int64)).tolist() == [1, 1, 0]
 
-    def test_counts_match_enumeration(self, c2):
+    def test_counts_match_enumeration(self, c2, levi_c3_gl3):
         # brute-force N-combinations as the oracle
         table = levi_table(build_levi(c2, ()))  # every positive root
         roots = c2.positive_roots
-        import itertools
         from collections import Counter
         counter = Counter()
         for coeffs in itertools.product(range(5), repeat=len(roots)):
@@ -183,6 +183,15 @@ class TestPartitionTable:
         targets = [w for w in counter if all(abs(x) <= 8 for x in w)]
         counts = table.count_rows(np.array(targets, dtype=np.int64))
         assert counts.tolist() == [counter[w] for w in targets]
+        # the C3 > gl3 complement: every root has coordinate sum 2, so a
+        # weight that is a sum of d roots is a sum of exactly d, and its
+        # count is the number of multisets of d roots adding up to it
+        table = levi_table(levi_c3_gl3)
+        brute = Counter(sum(combo, Weight.zero(3)) for d in range(4)
+                        for combo in itertools.combinations_with_replacement(
+                            table.root_list, d))
+        counts = table.count_rows(np.array(list(brute), dtype=np.int64))
+        assert counts.tolist() == list(brute.values())
 
     def test_values_record_counts(self, levi_c3_gl3):
         table = PartitionTable(
@@ -452,7 +461,7 @@ class TestAlternating:
         base = alternating_sum(levi_c3_gl3, gamma)
         for wbar in levi_group(levi_c3_gl3):
             assert alternating_sum(levi_c3_gl3, wbar.act(gamma)) == \
-                (base if wbar.sign() == 1 else -base)
+                (base if element_sign(wbar) == 1 else -base)
 
 
 class TestNabla:
