@@ -35,8 +35,9 @@ import numpy as np
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
                       _positive_set, _scaled_coordinates, chamber_cone_mask)
-from .weightpoly import (BudgetError, WeightPolynomial, _frame_for, _rho_drops,
-                         decompose_character, levi_table, signed_bucket, weyl_character)
+from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
+                         _rho_drops, decompose_character, levi_table, signed_bucket,
+                         weyl_character)
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement,
                       dominant_representative, levi_group, weyl_group)
 
@@ -191,21 +192,18 @@ class MFunction:
         """Materialise the full weight polynomial (all orbit points).
 
         The term a at lam is a times the full orbit sum over W, which puts
-        a |W| / |W lam| at each point of the orbit W lam;
-        ``DEFAULT_EXPAND_BUDGET`` caps the number of orbit points.
+        a |W| / |W lam| at each point of the orbit W lam.  ``_Frame.orbits``
+        makes the orbits, and ``DEFAULT_EXPAND_BUDGET`` caps their number of
+        points after every chunk of orbit images.
         """
         datum = self.levi.parent
-        orbits, total = [], 0
-        for lam, _ in self.coeffs:
-            orbits.append(_frame_for(datum).orbit_rows(lam))
-            total += len(orbits[-1])
-            if total > DEFAULT_EXPAND_BUDGET:
-                raise BudgetError(f"expansion needs more than the budget of "
-                                  f"{DEFAULT_EXPAND_BUDGET} orbit points")
-        sizes = [len(orbit) for orbit in orbits]
-        coeffs = [a * datum.weyl_order() // k for (_, a), k in zip(self.coeffs, sizes)]
-        return WeightPolynomial.from_rows(np.concatenate(orbits),
-                                          np.repeat(np.array(coeffs, np.int64), sizes))
+        _coefficient_guard(max((abs(a) for _, a in self.coeffs), default=0)
+                           * datum.weyl_order())
+        keys, rows, orbit = _frame_for(datum).orbits([lam for lam, _ in self.coeffs],
+                                                     limit=DEFAULT_EXPAND_BUDGET)
+        a = np.array([a for _, a in self.coeffs], np.int64)
+        stab = datum.weyl_order() // np.bincount(orbit, minlength=len(a))  # |W| / |W lam|
+        return WeightPolynomial._canonical(keys, rows, (a * stab)[orbit])
 
     def to_json(self) -> dict:
         return {

@@ -4,7 +4,8 @@ Every value is an exact integer; rows carry doubled coordinates.
 
 Kernels:
 
-* ``orbit_images``   -- apply every signed permutation of a group to a vector,
+* ``orbit_images``   -- apply every signed permutation of a group to a vector
+  or to each vector of a block,
 * ``dominant_rows``  -- per-row dominant representative (sort normal form)
   for GL, B, C or D; ``weightpoly`` frames apply it to each factor block of
   g or of a Levi,
@@ -62,10 +63,11 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
 
 def orbit_images(perms: np.ndarray, signs: np.ndarray,
                  vec: np.ndarray) -> np.ndarray:
-    """Row w is ``signs[w] * vec[perms[w]]``: one row per group element."""
-    img = vec[perms]
+    """Row w is ``signs[w] * vec[perms[w]]``: one row per group element.
+    A block of d vectors, shape (d, n), gives d |W| rows, vector by vector."""
+    img = np.take(vec, perms, axis=-1)
     img *= signs
-    return img
+    return img.reshape(-1, vec.shape[-1])
 
 
 # -- dominant representatives ----------------------------------------------

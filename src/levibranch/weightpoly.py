@@ -9,7 +9,9 @@ roots), which is Kostant's weight-multiplicity formula.
 
 Characters of g and of a Levi share one frame (``_Frame``): one cone test
 and one batched dominant image, a ``kernels.dominant_rows`` sort on each
-factor block of coordinates, so the recursion works on row blocks.
+factor block of coordinates, so the recursion works on row blocks.  Its
+``orbits`` expands a block of dominant weights at once, straight into the
+canonical arrays of a ``WeightPolynomial``, with no second bucketing.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .rootsys import LeviDatum, Weight, WeightError, chamber_cone_mask
 from .weylgrp import levi_group, weyl_group
 
 DEFAULT_CHAR_BUDGET = 2_000_000
+# orbit images that ``_Frame.orbits`` makes at a time
+ORBIT_CHUNK_ROWS = 1 << 16
 
 
 class WeightPolynomial:
@@ -66,11 +70,16 @@ class WeightPolynomial:
         poly._bucket(rows, coeffs)
         return poly
 
+    @classmethod
+    def _canonical(cls, keys, rows, coeffs) -> "WeightPolynomial":
+        """From distinct rows in increasing key order, with nonzero coefficients."""
+        poly = cls.__new__(cls)
+        poly._assign(keys, rows, coeffs)
+        return poly
+
     def _scaled(self, k: int) -> "WeightPolynomial":
         _coefficient_guard(self._cmax() * abs(k))
-        poly = WeightPolynomial.__new__(WeightPolynomial)
-        poly._assign(self._keys, self._rows, self._coeffs * k)
-        return poly
+        return WeightPolynomial._canonical(self._keys, self._rows, self._coeffs * k)
 
     def _cmax(self) -> int:
         return int(np.abs(self._coeffs).max()) if len(self._coeffs) else 0
@@ -287,13 +296,33 @@ class _Frame:
                 block[:, -1] *= -1
         return out
 
-    def orbit_rows(self, beta: Weight) -> np.ndarray:
-        """The distinct frame-Weyl images of ``beta``, in lexicographic order."""
+    def orbits(self, doms: np.ndarray, limit: float = math.inf):
+        """The disjoint orbits of the distinct frame-dominant rows ``doms``:
+        their points' ``pack_rows`` keys in increasing order, the points and
+        each point's row in ``doms``.  A chunk of up to ``ORBIT_CHUNK_ROWS``
+        images takes one ``orbit_images``, ``pack_rows`` and ``np.unique`` call;
+        past ``limit`` points it raises ``BudgetError``.  Chunks are merged."""
+        doms = np.asarray(doms, dtype=np.int64).reshape(-1, self.n)
+        sorted_keys = np.sort(kernels.pack_rows(doms))  # np.unique would import numpy.ma
+        if (sorted_keys[1:] == sorted_keys[:-1]).any() or (self.dominant(doms) != doms).any():
+            raise WeightError("orbit representatives must be distinct and frame-dominant")
         group = weyl_group(self.datum) if self.sbar is None else levi_group(self.owner)
         perm, sign, _ = group.arrays
-        img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
-        _, first = np.unique(kernels.pack_rows(img), return_index=True)
-        return img[first]
+        step = max(1, ORBIT_CHUNK_ROWS // len(perm))
+        parts, total = [], 0
+        for lo in range(0, max(len(doms), 1), step):  # one chunk when doms is empty
+            img = kernels.orbit_images(perm, sign, doms[lo:lo + step])
+            keys, first = np.unique(kernels.pack_rows(img), return_index=True)
+            parts.append((keys, img[first], lo + first // len(perm)))
+            total += len(keys)
+            if total > limit:
+                raise BudgetError(f"expansion needs more than the budget of {limit} orbit points")
+        if len(parts) == 1:
+            return parts[0]
+        keys, rows, owner = map(np.concatenate, zip(*parts))
+        del parts
+        order = np.argsort(keys, kind="stable")  # timsort merges the sorted chunks
+        return keys[order], rows[order], owner[order]
 
     def weyl_dim(self, mu: Weight) -> int:
         # Python-int products of the int64 pairings: exact at any size
@@ -339,10 +368,10 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
 
     For each nu the xi = nu + k a, over the frame positive roots a and
     1 <= k <= <lam - nu, 2 rho> / <a, 2 rho> (higher xi are not weights),
-    take their dominant images in one batch, and the sum runs over the xi
-    whose image has a multiplicity.  That is the sum that stops each
-    a-string at its first miss, because a-strings through weights are
-    unbroken.
+    need no multiplicity, so those of every nu take their dominant images in
+    one batch, and the sum runs over the xi whose image has a multiplicity.
+    That is the sum that stops each a-string at its first miss, because
+    a-strings through weights are unbroken.
     """
     frame = _frame_for(owner)
     if not owner.is_dominant(lam):
@@ -350,22 +379,24 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
     doms = dominants_below(owner, lam)
     lam_row = np.array(lam, dtype=np.int64)
     heights = dict(zip(doms, ((lam_row - np.array(doms)) @ frame.two_rho).tolist()))
-    root_heights = frame.roots @ frame.two_rho
+    nus = sorted((nu for nu in doms if nu != lam), key=lambda nu: (heights[nu], nu))
+    # nus[i] has an xi at k = 1 .. steps[i, j] along root j
+    steps = (np.array([heights[nu] for nu in nus], dtype=np.int64)[:, None]
+             // (frame.roots @ frame.two_rho))
+    i, j, k = np.nonzero(steps[:, :, None] > np.arange(steps.max(initial=0)))
+    xi = np.array(nus, dtype=np.int64).reshape(-1, frame.n)[i] + (k + 1)[:, None] * frame.roots[j]
+    images = list(map(tuple, frame.dominant(xi).tolist()))
+    dots = (xi * frame.roots[j]).sum(axis=1).tolist()
     mult = {lam: 1}
     lam_norm = (lam + frame.rho).dot4(lam + frame.rho)
-    for nu in sorted(doms, key=lambda nu: (heights[nu], nu)):
-        if nu == lam:
-            continue
-        steps = heights[nu] // root_heights
-        which = np.repeat(np.arange(len(steps)), steps)
-        k = np.arange(1, len(which) + 1) - np.repeat(np.cumsum(steps) - steps, steps)
-        roots = frame.roots[which]
-        xi = np.array(nu, dtype=np.int64) + k[:, None] * roots
+    start = 0
+    for nu, end in zip(nus, np.cumsum(steps.sum(axis=1)).tolist()):
         num = 0
-        for dom, dot in zip(frame.dominant(xi).tolist(), (xi * roots).sum(axis=1).tolist()):
-            m = mult.get(tuple(dom))
+        for dom, dot in zip(images[start:end], dots[start:end]):
+            m = mult.get(dom)
             if m is not None:
                 num += m * dot
+        start = end
         denom = lam_norm - (nu + frame.rho).dot4(nu + frame.rho)
         if denom <= 0:
             raise WeightError(f"Freudenthal denominator vanished at {nu}")
@@ -379,9 +410,9 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
 def weyl_character(owner, lam: Weight) -> WeightPolynomial:
     """Full weight multiset of the irreducible with highest weight ``lam``.
 
-    ``owner`` may be a RootDatum or a LeviDatum.  The Freudenthal recursion
-    supplies the dominant multiplicities; the result is validated against the
-    Weyl dimension formula on every call.
+    ``owner`` may be a RootDatum or a LeviDatum.  The Freudenthal
+    multiplicities go on the orbits of one ``_Frame.orbits`` call; the result
+    is validated against the Weyl dimension formula on every call.
     """
     frame = _frame_for(owner)
     owner.require_dominant(lam)
@@ -390,14 +421,13 @@ def weyl_character(owner, lam: Weight) -> WeightPolynomial:
         raise BudgetError(
             f"character of {lam} has dimension {dim} > budget {DEFAULT_CHAR_BUDGET}")
     mult = dominant_multiplicities(owner, lam)
-    blocks = [frame.orbit_rows(nu) for nu in mult]
-    sizes = [len(rows) for rows in blocks]
-    total = sum(m * k for m, k in zip(mult.values(), sizes))
+    m = np.fromiter(mult.values(), np.int64, len(mult))
+    keys, rows, orbit = frame.orbits(list(mult))
+    total = int(m @ np.bincount(orbit, minlength=len(m)))
     if total != dim:
         raise WeightError(
             f"character size {total} disagrees with the dimension formula {dim}")
-    coeffs = np.repeat(np.fromiter(mult.values(), np.int64, len(mult)), sizes)
-    return WeightPolynomial._of(np.concatenate(blocks), coeffs)
+    return WeightPolynomial._canonical(keys, rows, m[orbit])
 
 
 # -- the Weyl denominator ------------------------------------------------------

@@ -15,7 +15,10 @@ batched dominant image and Levi cone test in ``levibranch.weightpoly``.
 a chamber holding it: the reference route for ``branching.far_from_walls``,
 which tests w1 alone.  ``dual_m_construction`` builds an M-function from
 the |Wbar|^2 products of two Levi alternants: the reference route for
-``branching.m_terms``.
+``branching.m_terms``.  ``orbit_rows`` expands one orbit at a time, and
+``character_by_orbits`` and ``poly_by_orbits`` bucket those orbits with
+``WeightPolynomial.from_rows``: the reference routes for the batched
+``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``.
 
 ``dominant_box_by_prefix_roots`` grows the Levi-dominant box coordinate by
 coordinate, pruning on the Levi simple roots that a prefix already
@@ -164,6 +167,41 @@ def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
     datum.require_dominant(lam)
     dom = _frame_for(datum).dominant(np.array([beta], dtype=np.int64))[0]
     return dominant_multiplicities(datum, lam).get(tuple(dom.tolist()), 0)
+
+
+# -- orbit sums one orbit at a time ---------------------------------------------------
+
+def orbit_rows(owner, beta: Weight) -> np.ndarray:
+    """The distinct frame-Weyl images of ``beta``, in lexicographic order."""
+    frame = _frame_for(owner)
+    group = weyl_group(frame.datum) if frame.sbar is None else levi_group(owner)
+    perm, sign, _ = group.arrays
+    img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
+    _, first = np.unique(kernels.pack_rows(img), return_index=True)
+    return img[first]
+
+
+def _bucketed(orbits, coeffs) -> WeightPolynomial:
+    """Each orbit's points with the orbit's coefficient, through ``from_rows``."""
+    sizes = [len(orbit) for orbit in orbits]
+    return WeightPolynomial.from_rows(np.concatenate(orbits),
+                                      np.repeat(np.array(coeffs, np.int64), sizes))
+
+
+def character_by_orbits(owner, lam: Weight) -> WeightPolynomial:
+    """The character of ``lam``, its dominant multiplicities expanded one orbit
+    at a time: the reference route for ``weyl_character``."""
+    mult = dominant_multiplicities(owner, lam)
+    return _bucketed([orbit_rows(owner, nu) for nu in mult], list(mult.values()))
+
+
+def poly_by_orbits(fn) -> WeightPolynomial:
+    """An M-function's orbit sums, a |W| / |W lam| at each point of W lam, one
+    orbit at a time: the reference route for ``MFunction.poly``."""
+    datum = fn.levi.parent
+    orbits = [orbit_rows(datum, lam) for lam, _ in fn.coeffs]
+    return _bucketed(orbits, [a * datum.weyl_order() // len(orbit)
+                              for (_, a), orbit in zip(fn.coeffs, orbits)])
 
 
 # -- type A -------------------------------------------------------------------------

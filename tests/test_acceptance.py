@@ -11,7 +11,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
                         build_levi, build_m, build_root_system,
@@ -20,7 +19,6 @@ from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
                         polarisation_branch, search_box, transversal,
                         weyl_group)
 from levibranch.equivalence import dominant_box
-from levibranch.rootsys import LeviDatum
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import _frame_for, chamber_cone_mask
 from levibranch.weylgrp import levi_group

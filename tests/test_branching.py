@@ -219,12 +219,25 @@ class TestMFunction:
         points = sum(len(symmetrize(datum, lam)) for lam, _ in fn.coeffs)
         assert points < datum.weyl_order() * len(fn.coeffs)
         full = fn.poly()
-        for budget in (points, datum.weyl_order() * len(fn.coeffs) - 1):
-            monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", budget)
-            assert fn.poly() == full
-        monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", points - 1)
-        with pytest.raises(weightpoly.BudgetError):
-            fn.poly()
+        for chunk in (weightpoly.ORBIT_CHUNK_ROWS, 1):  # one batch, then an orbit a chunk
+            monkeypatch.setattr(weightpoly, "ORBIT_CHUNK_ROWS", chunk)
+            for budget in (points, datum.weyl_order() * len(fn.coeffs) - 1):
+                monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", budget)
+                assert fn.poly() == full
+            monkeypatch.setattr(branching, "DEFAULT_EXPAND_BUDGET", points - 1)
+            with pytest.raises(weightpoly.BudgetError, match=f"budget of {points - 1} "):
+                fn.poly()
+
+    def test_poly_coefficients_guarded(self, levi_b3_gl2_so3):
+        # a |W| / |W 0| = 48 a at the zero weight, exact only below 2^62
+        zero = Weight.zero(3)
+        for a, fits in ((2**62 // 48, True), (2**62 // 48 + 1, False)):
+            fn = branching.MFunction(levi_b3_gl2_so3, zero, ((zero, a),))
+            if fits:
+                assert dict(fn.poly()) == {zero: 48 * a}
+            else:
+                with pytest.raises(OverflowError, match="exactness guard"):
+                    fn.poly()
 
 
 def _oracle_coeffs(levi, mu):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -216,6 +217,32 @@ class TestOtherCommands:
             out = run(*args, "--out", str(path))
             assert plain.returncode == out.returncode == 0, args
             assert out.stdout == "" and path.read_text() == plain.stdout != "", args
+
+
+class TestPinnedOutputs:
+    """Outputs that must stay byte-identical, by their md5."""
+
+    @pytest.mark.parametrize("args,digest", [
+        (("mfun", "--system", "GL:6", "--levi", "1,2,3,5", "--mu", "9,6,3,0,5,1"),
+         "dd843ca45e942c2560fdcf05fd42b50b"),
+        (("branch", "--system", "B:3", "--levi", "1,3", "--mu", "0,0,0",
+          "--lam", "5,3,1", "--oracle"), "0cb2f6ece825f34f5586216922343e4b"),
+    ], ids=["mfun-GL6", "branch-oracle-B3"])
+    def test_stdout(self, args, digest):
+        out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
+        assert out.returncode == 0
+        assert hashlib.md5(out.stdout).hexdigest() == digest
+
+    @pytest.mark.parametrize("system,levi,bound,digest", [
+        ("B:3", "1,3", "3", "1663c3275bb932b2779c2b00e8b00a64"),
+        ("D:5", "1,2,4,5", "2", "1a39f9fcd370262052b1a0a3dfb0f01f"),
+    ], ids=["B3", "D5"])
+    def test_certificates(self, tmp_path, system, levi, bound, digest):
+        certs = tmp_path / "c.jsonl"
+        out = run("search", "--system", system, "--levi", levi, "--bound", bound,
+                  "--certificates", str(certs))
+        assert out.returncode == 0
+        assert hashlib.md5(certs.read_bytes()).hexdigest() == digest
 
 
 class TestConfigAndErrors:

@@ -15,10 +15,9 @@ from levibranch import (Weight, WeylElement, branch_by_restriction,
                         dominant_box, dominant_representative, equivalence,
                         induced_equal, leading_term, relating_automorphism,
                         search_box)
-from levibranch.equivalence import (FAR_FROM_WALLS, MU_2RHO_DOMINANT, NONE,
-                                    POLARISATION, SAME_CHAMBER, TYPE_A,
-                                    ClassificationBugError, replay_resume_state,
-                                    same_closed_chamber)
+from levibranch.equivalence import (MU_2RHO_DOMINANT, POLARISATION, SAME_CHAMBER,
+                                    TYPE_A, ClassificationBugError,
+                                    replay_resume_state, same_closed_chamber)
 from oracles import is_identity
 
 

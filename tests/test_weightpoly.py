@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 
 from levibranch import (Weight, WeightPolynomial, branch_multiplicity,
-                        branch_row, build_levi, build_root_system,
+                        branch_row, build_levi, build_root_system, build_m,
                         weyl_character, weyl_group)
 from levibranch import weightpoly
 from levibranch.kernels import PackRangeError, orbit_images
@@ -351,8 +351,7 @@ class TestKostka:
     def test_dimension_sums(self, c2):
         for lam in dominants_below(c2, Weight.of(3, 2)):
             mult = dominant_multiplicities(c2, lam)
-            frame = _frame_for(c2)
-            total = sum(m * len(frame.orbit_rows(nu)) for nu, m in mult.items())
+            total = sum(m * len(oracles.orbit_rows(c2, nu)) for nu, m in mult.items())
             assert total == weyl_dim(c2, lam)
 
 
@@ -418,6 +417,51 @@ class TestFrames:
         beta = Weight((-1, 0, 0))
         with pytest.raises(WeightError):
             oracles.domrep(levi_gl3_21, beta)
+
+
+def _same_arrays(got, want):
+    return all(np.array_equal(getattr(got, a), getattr(want, a))
+               for a in ("_keys", "_rows", "_coeffs"))
+
+
+class TestOrbits:
+    """``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``
+    against one orbit at a time, bucketed by ``from_rows`` (``oracles``)."""
+
+    @pytest.mark.parametrize("family,rank", FRAME_SYSTEMS,
+                             ids=[f"{f}{n}" for f, n in FRAME_SYSTEMS])
+    def test_batched_orbits_match_per_orbit_route(self, family, rank):
+        datum = build_root_system(family, rank)
+        rng = np.random.default_rng(200 + rank)
+        for owner in [datum, *oracles.every_levi(datum)]:
+            rows = [2 * rng.integers(-1, 2, size=(2, rank))]
+            if family in ("B", "D"):
+                rows.append(2 * rng.integers(-1, 1, size=(1, rank)) + 1)  # spin
+            doms = np.unique(_frame_for(owner).dominant(np.concatenate(rows)), axis=0)
+            for lam in map(Weight, doms.tolist()):
+                assert _same_arrays(weyl_character(owner, lam),
+                                    oracles.character_by_orbits(owner, lam)), (owner, lam)
+                if owner is not datum:
+                    fn = build_m(owner, lam)
+                    assert _same_arrays(fn.poly(), oracles.poly_by_orbits(fn)), (owner, lam)
+
+    def test_chunks_match_one_batch(self, b3, levi_b3_gl2_so3, monkeypatch):
+        lam = Weight.of(2, 1, 1)
+        fn = build_m(levi_b3_gl2_so3, Weight((-1, -3, 1)))
+        whole = weyl_character(b3, lam), fn.poly()
+        for chunk in (1, 100):  # one orbit, and two, per chunk
+            monkeypatch.setattr(weightpoly, "ORBIT_CHUNK_ROWS", chunk)
+            for got, want in zip((weyl_character(b3, lam), fn.poly()), whole):
+                assert _same_arrays(got, want)
+
+    def test_orbits_refuse_repeated_or_non_dominant_rows(self, levi_c3_gl3):
+        for owner in (levi_c3_gl3.parent, levi_c3_gl3):
+            frame = _frame_for(owner)
+            doms = np.array([[4, 2, 0], [2, 0, 0]])
+            assert len(frame.orbits(doms)[0]) > 0
+            for bad in ([[4, 2, 0], [2, 0, 0], [4, 2, 0]], [[2, 0, 0], [0, 4, 2]]):
+                with pytest.raises(WeightError, match="distinct and frame-dominant"):
+                    frame.orbits(np.array(bad))
 
 
 class TestSymmetrize:

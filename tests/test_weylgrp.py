@@ -148,7 +148,6 @@ class TestStraighten:
 
     def test_consistent_with_characters(self, c2, rng):
         # straightened labels agree with the alternating numerator symmetry
-        from levibranch.weightpoly import weyl_character
         for _ in range(12):
             beta = Weight.of(rng.randint(-3, 4), rng.randint(-3, 4))
             res = straighten(c2, beta)
