@@ -13,9 +13,11 @@ exits 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import kernels
@@ -105,14 +107,13 @@ def _count_arg(text: str) -> int:
 
 
 def _emit(payload, out_path=None) -> None:
-    """Write ``payload`` as indented JSON, or as it is when it is text."""
-    text = (payload if isinstance(payload, str)
-            else json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``payload`` as indented JSON, or as it is when it is text, in
+    pieces of 2^14 encoder chunks: few writes even to an unbuffered stdout."""
+    chunks = iter([payload]) if isinstance(payload, str) else itertools.chain(
+        json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), "\n")
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        for piece in iter(lambda: "".join(itertools.islice(chunks, 1 << 14)), ""):
+            fh.write(piece)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -190,21 +191,13 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_autos(args) -> int:
+def cmd_group(args) -> int:
+    """``autos`` and ``u``: the order of the group, and its elements if ``full``."""
     cfg = _load_config(args)
-    levi = cfg.require_levi()
-    autos = diagram_automorphisms(levi, cfg.guard)
-    _emit({"count": len(autos), "elements": [u.to_json() for u in autos]}, args.out)
-    return EXIT_OK
-
-
-def cmd_u(args) -> int:
-    cfg = _load_config(args)
-    levi = cfg.require_levi()
-    trans = transversal(levi, cfg.guard)
-    payload = {"count": len(trans)}
+    group = args.group(cfg.require_levi(), cfg.guard)
+    payload = {"count": len(group)}
     if args.full:
-        payload["elements"] = [u.to_json() for u in trans]
+        payload["elements"] = group.to_json()
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -283,12 +276,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autos", help="diagram automorphisms inside the Weyl group")
     common(p)
-    p.set_defaults(func=cmd_autos)
+    p.set_defaults(func=cmd_group, group=diagram_automorphisms, full=True)
 
     p = sub.add_parser("u", help="minimal-length coset transversal")
     common(p)
     p.add_argument("--full", action="store_true", help="list the elements")
-    p.set_defaults(func=cmd_u)
+    p.set_defaults(func=cmd_group, group=transversal)
 
     p = sub.add_parser("mfun", help="the finite M-function of a Levi weight")
     common(p)

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .branching import build_m, far_from_walls, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
-from .weightpoly import _frame_for
+from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
 from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, diagram_automorphisms,
                       dominant_representative, levi_group)
 
@@ -83,11 +84,11 @@ def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
 
 def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight,
                           guard: int = DEFAULT_GROUP_GUARD) -> WeylElement | None:
-    """A Weyl element fixing the Levi positive roots with u(mu) = nu, if any."""
-    for u in diagram_automorphisms(levi, guard):
-        if u.act(mu) == nu:
-            return u
-    return None
+    """The first diagram automorphism u (in ``_keys`` order) with u(mu) = nu, if any."""
+    autos = diagram_automorphisms(levi, guard)
+    hit = (kernels.orbit_images(autos.perm, autos.sign, np.array(mu, dtype=np.int64))
+           == np.array(nu, dtype=np.int64)).all(axis=1)
+    return autos.element(int(hit.argmax())) if hit.any() else None
 
 
 def same_closed_chamber(levi: LeviDatum, mu: Weight, nu: Weight) -> bool:
@@ -230,13 +231,14 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
       (``branching.m_terms``, one batch per group unless the group exceeds
       ``M_BATCH_ROWS`` rows), and the built weights are partitioned by
       their M-function coefficients;
-    * each weight in a class of two or more gets, once, a map from its
-      automorphism images to the first automorphism giving them and its
-      FAR_FROM_WALLS and MU_2RHO_DOMINANT flags;
+    * each weight in a class of two or more gets, once, its FAR_FROM_WALLS
+      flag and its distinct packed automorphism images (``orbit_images`` and
+      ``pack_rows`` on at most ``ORBIT_CHUNK_ROWS`` rows per call), each with
+      the first automorphism giving it, the one a verdict carries;
     * the pairs are walked in ``itertools.combinations`` order and a verdict
       is made for every pair inside one class.  Both weights of a pair have
       the dominant image ``key``, so ``same_closed_chamber`` reduces to
-      <mu, nu> = <key, key>, which holds only for mu = nu.
+      <mu, nu> = <key, key>, which holds only for mu = nu: never in a pair.
 
     ``sink`` receives one JSON line per verdict plus one group-completion
     marker per group, written as soon as that group is done, so interrupted
@@ -281,17 +283,24 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         if not paired:
             return key, tested, []
         autos = diagram_automorphisms(levi, guard)
-        images, far = {}, {}
-        for j in paired:
-            images[j] = {}
-            for u in autos:  # the first automorphism in order relates the pair
-                images[j].setdefault(u.act(members[j]), u)
-            far[j] = far_from_walls(levi, members[j])
-        # both weights share the dominant image ``key``
-        norm = key.dot4(key)
+        images, far, step = {}, {}, max(1, ORBIT_CHUNK_ROWS // len(autos))
+        for lo in range(0, len(paired), step):
+            part = paired[lo:lo + step]
+            img = kernels.orbit_images(autos.perm, autos.sign, rows[[idx[j] for j in part]])
+            for j, packed in zip(part, kernels.pack_rows(img).reshape(len(part), -1)):
+                # own key (identity first), sorted distinct images, first u of each
+                images[j] = (packed[0], *np.unique(packed, return_index=True))
+                far[j] = far_from_walls(levi, members[j])
+
+        def relating(a: int, b: int) -> WeylElement | None:
+            (_, uniq, first), key_b = images[a], images[b][0]
+            # the last image <= key_b; at -1 every image exceeds key_b, uniq[-1] too
+            i = np.searchsorted(uniq, key_b, side="right") - 1
+            return autos.element(first[i]) if uniq[i] == key_b else None
+
         verdicts = [
-            _verdict(mu, nu, True, images[a].get(nu), levi_cases,
-                     same_chamber=mu.dot4(nu) == norm, far=far[a] and far[b],
+            _verdict(mu, nu, True, relating(a, b), levi_cases,
+                     same_chamber=False, far=far[a] and far[b],
                      two_rho_dominant=(two_rho_dominant[idx[a]]
                                        or two_rho_dominant[idx[b]]))
             for (a, mu), (b, nu) in itertools.combinations(enumerate(members), 2)

@@ -171,7 +171,8 @@ class WeightPolynomial:
 
     # -- serialization ---------------------------------------------------------
     def to_json(self) -> list:
-        return [{"w": w.to_json(), "c": c} for w, c in self]
+        return [{"w": [x // 2 if x % 2 == 0 else x / 2 for x in row], "c": c}
+                for row, c in zip(self._rows.tolist(), self._coeffs.tolist())]
 
     def __repr__(self):
         head = list(zip(map(Weight, self._rows[:6].tolist()), self._coeffs[:6].tolist()))

@@ -8,16 +8,16 @@ Weyl groups and the stabilisers are products over factor blocks
 permutation of a block's coordinates against every admissible sign vector.
 The transversal filters W chunk by chunk, so it never holds all of W; the
 diagram automorphisms filter a conjugate of a stabiliser block group and
-never enumerate W.  ``WeylElement`` objects are built only at the edges:
-the automorphisms, ``dominant_representative`` and code that iterates a
-group.
+never enumerate W.  No group is iterated element by element; a
+``WeylElement`` is one element, from ``dominant_representative`` or, for a
+verdict, ``WeylGroup.element``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -97,22 +97,19 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.perm)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     @property
     def arrays(self):
         """(perm, sign, eps) as C-contiguous int64 arrays for the kernels."""
         return self.perm, self.sign, self.eps
 
-    @cached_property
-    def elements(self) -> tuple[WeylElement, ...]:
-        return _objects(self.perm, self.sign)
+    def element(self, i: int) -> WeylElement:
+        """Row ``i`` as one ``WeylElement``."""
+        return WeylElement(tuple(self.perm[i].tolist()), tuple(self.sign[i].tolist()))
 
-
-def _objects(perm: np.ndarray, sign: np.ndarray) -> tuple[WeylElement, ...]:
-    return tuple(WeylElement(tuple(p), tuple(s))
-                 for p, s in zip(perm.tolist(), sign.tolist()))
+    def to_json(self) -> list:
+        """``WeylElement.to_json`` of every row, read off the arrays."""
+        return [{"perm": p, "signs": s}
+                for p, s in zip((self.perm + 1).tolist(), self.sign.tolist())]
 
 
 def _lehmer(perm: np.ndarray) -> np.ndarray:
@@ -296,9 +293,9 @@ def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
 
 
 @lru_cache(maxsize=None)
-def diagram_automorphisms(levi: LeviDatum,
-                          guard: int = DEFAULT_GROUP_GUARD) -> tuple[WeylElement, ...]:
-    """All w in W with w(rbar_plus) = rbar_plus; a subgroup, identity first.
+def diagram_automorphisms(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
+    """All w in W with w(rbar_plus) = rbar_plus; a subgroup in ``_keys``
+    order, so the identity first.
 
     They are the w in Stab_W(rho_bar) with w(Sbar) in Rbar+, so the guard
     counts |Stab_W(rho_bar)|, never |W|, and the filter runs over the
@@ -325,5 +322,4 @@ def diagram_automorphisms(levi: LeviDatum,
     if len(_maps_into(perm, sign, levi.rbar_plus, levi.rbar_plus)[0]) != len(perm):
         raise RootSystemError(
             f"an automorphism of {levi.describe()} maps a root of Rbar+ out of Rbar+")
-    # the identity has the least key, so it comes first
-    return _objects(perm, sign)
+    return WeylGroup(perm, sign)

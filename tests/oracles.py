@@ -4,7 +4,12 @@ The Weyl-group functions walk ``WeylElement`` objects one at a time:
 ``itertools`` for all of W, a breadth-first closure for parabolic
 subgroups, and element-by-element filters for the transversal and the
 diagram automorphisms.  They share no code with the array builders of
-``levibranch.weylgrp`` beyond the element type itself.
+``levibranch.weylgrp`` beyond the element type itself.  ``elements``
+turns a ``WeylGroup``'s arrays into objects, for the tests that walk a
+group; ``levibranch`` itself never does.  ``first_automorphism`` applies
+the automorphisms one ``act`` at a time: the reference route for the
+automorphism of every verdict, which ``levibranch.equivalence`` reads off
+the automorphism arrays.
 
 ``domrep`` reflects one weight at a time into the dominant chamber of g or
 of a Levi, and ``levi_cone`` decides the Levi dominance order by counting
@@ -64,12 +69,44 @@ from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities,
                                    signed_bucket)
-from levibranch.weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, _maps_into,
-                                _objects, dominant_representative, levi_group,
+from levibranch.weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, WeylGroup,
+                                _maps_into, diagram_automorphisms,
+                                dominant_representative, levi_group,
                                 stabilizer_subgroup, transversal, weyl_group)
 
 
 # -- Weyl-group elements one at a time -------------------------------------------
+
+def elements(group: WeylGroup) -> tuple[WeylElement, ...]:
+    """The rows of a group's arrays as ``WeylElement`` objects, in row order."""
+    return tuple(WeylElement(tuple(p), tuple(s))
+                 for p, s in zip(group.perm.tolist(), group.sign.tolist()))
+
+
+def first_automorphism(levi: LeviDatum, mu: Weight, nu: Weight) -> WeylElement | None:
+    """The first diagram automorphism u with u(mu) = nu, or None.
+
+    Every automorphism is applied to mu one ``act`` at a time, once per mu,
+    and the first u giving each image is kept: the reference route for
+    ``equivalence.relating_automorphism`` and for the automorphism of every
+    ``search_box`` verdict.
+    """
+    return _first_images(levi, mu).get(nu)
+
+
+@lru_cache(maxsize=4096)
+def _first_images(levi: LeviDatum, mu: Weight) -> dict:
+    """Each image u(mu), with the first automorphism u giving it."""
+    first = {}
+    for u in _automorphism_objects(levi):
+        first.setdefault(u.act(mu), u)
+    return first
+
+
+@lru_cache(maxsize=16)
+def _automorphism_objects(levi: LeviDatum) -> tuple[WeylElement, ...]:
+    return elements(diagram_automorphisms(levi))
+
 
 def element_sign(w: WeylElement) -> int:
     """det(w): the parity of the permutation times the product of the signs."""
@@ -380,7 +417,8 @@ def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     afresh, without the transversal cache.
     """
     trans = transversal.__wrapped__(levi)
-    return _objects(*_maps_into(trans.perm, trans.sign, levi.sbar_roots, levi.rbar_plus))
+    return elements(WeylGroup(*_maps_into(trans.perm, trans.sign, levi.sbar_roots,
+                                          levi.rbar_plus)))
 
 
 def dominant_box_by_prefix_roots(levi: LeviDatum, bound: int) -> list[Weight]:

@@ -227,7 +227,20 @@ class TestPinnedOutputs:
          "dd843ca45e942c2560fdcf05fd42b50b"),
         (("branch", "--system", "B:3", "--levi", "1,3", "--mu", "0,0,0",
           "--lam", "5,3,1", "--oracle"), "0cb2f6ece825f34f5586216922343e4b"),
-    ], ids=["mfun-GL6", "branch-oracle-B3"])
+        (("autos", "--system", "C:6", "--levi", "1,2,4,5,6"),
+         "756d5ffcdf0d3709e0e2bccb748bd3b6"),
+        (("autos", "--system", "D:5", "--levi", "1,2,4,5"),
+         "6bba9843229a858e3c4a2c7501117c54"),
+        (("autos", "--system", "GL:6", "--levi", "1,3,5"),
+         "0ec6bc7243f252f553f617f95f3e930e"),
+        (("u", "--system", "D:5", "--levi", "1,2,4,5", "--full"),
+         "d49a7fb1cd22ffdaba9230e01b92c940"),
+        (("compare", "--system", "B:3", "--levi", "1,3", "--mu=-1/2,-1/2,3/2",
+          "--nu=-1/2,-3/2,1/2"), "531ce81596fbafdaddaf79001d258028"),
+        (("compare", "--system", "GL:4", "--levi", "1,3", "--mu=2,1,1,0",
+          "--nu=1,0,2,1"), "a5936ecea9e89caf6fcd4e2fa22c3697"),
+    ], ids=["mfun-GL6", "branch-oracle-B3", "autos-C6", "autos-D5", "autos-GL6",
+            "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap"])
     def test_stdout(self, args, digest):
         out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
         assert out.returncode == 0
@@ -236,7 +249,9 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("system,levi,bound,digest", [
         ("B:3", "1,3", "3", "1663c3275bb932b2779c2b00e8b00a64"),
         ("D:5", "1,2,4,5", "2", "1a39f9fcd370262052b1a0a3dfb0f01f"),
-    ], ids=["B3", "D5"])
+        ("GL:6", "1,3,5", "1", "d8b74409690039cdbaf4ba196ba36c86"),
+        ("C:7", "1,2", "1", "1d72453c5097d218dcb2644517ee8906"),  # 768 automorphisms
+    ], ids=["B3", "D5", "GL6", "C7"])
     def test_certificates(self, tmp_path, system, levi, bound, digest):
         certs = tmp_path / "c.jsonl"
         out = run("search", "--system", system, "--levi", levi, "--bound", bound,

@@ -3,13 +3,14 @@ import itertools
 import json
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from levibranch import branching, weightpoly, weylgrp
-from levibranch import (Weight, WeylElement, branch_by_restriction,
+from levibranch import (Weight, branch_by_restriction,
                         branch_multiplicity, build_levi, build_m,
                         build_root_system, classify_pair, diagram_automorphisms,
                         dominant_box, dominant_representative, equivalence,
@@ -18,7 +19,8 @@ from levibranch import (Weight, WeylElement, branch_by_restriction,
 from levibranch.equivalence import (MU_2RHO_DOMINANT, POLARISATION, SAME_CHAMBER,
                                     TYPE_A, ClassificationBugError,
                                     replay_resume_state, same_closed_chamber)
-from oracles import is_identity
+from levibranch.weylgrp import WeylGroup
+from oracles import elements, is_identity
 
 
 class TestInducedEqual:
@@ -32,7 +34,7 @@ class TestInducedEqual:
         assert not induced_equal(levi_gl6_42, mu, nu)
 
     def test_automorphism_images_equal(self, levi_sp12, rng):
-        u = diagram_automorphisms(levi_sp12)[1]
+        u = elements(diagram_automorphisms(levi_sp12))[1]
         for _ in range(4):
             a = sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True)
             b = sorted((rng.randint(0, 3) for _ in range(3)), reverse=True)
@@ -112,7 +114,7 @@ class TestClassify:
                      levi_d4_gl4):
             datum = levi.parent
             n = datum.rank
-            group = list(weyl_group(datum))
+            group = list(elements(weyl_group(datum)))
             parities = (0, 1) if datum.family in ("B", "D") else (0,)
             seen = set()
             for k in range(120):
@@ -146,14 +148,14 @@ class TestSearch:
     def test_gl4_scan_swap_autos(self, levi_gl4_22):
         summary = search_box(levi_gl4_22, 3)
         assert summary.counterexamples == 0
-        swap = diagram_automorphisms(levi_gl4_22)[1]
+        swap = elements(diagram_automorphisms(levi_gl4_22))[1]
         for v in summary.verdicts:
             assert v.relating_auto is not None
             assert v.relating_auto in (swap,) or is_identity(v.relating_auto) is False
 
     def test_direct_soundness_inside_scan(self, levi_gl4_22):
         # every automorphism image inside the box is reported equal
-        autos = diagram_automorphisms(levi_gl4_22)
+        autos = elements(diagram_automorphisms(levi_gl4_22))
         box = set(dominant_box(levi_gl4_22, 2))
         found = {(v.mu, v.nu) for v in search_box(levi_gl4_22, 2).verdicts}
         for mu in box:
@@ -212,7 +214,7 @@ class TestSearch:
     def test_classification_guard_fires_in_scan(self, levi_gl4_22, monkeypatch):
         # TYPE_A covers every GL4 pair, so an equal pair without automorphism
         # can only come from a broken automorphism lookup
-        identity = (WeylElement.identity(4),)
+        identity = WeylGroup(np.arange(4)[None, :], np.ones((1, 4), dtype=np.int64))
         monkeypatch.setattr(equivalence, "diagram_automorphisms",
                             lambda *a, **k: identity)
         for threads in (1, 2):
@@ -259,6 +261,47 @@ def test_scan_and_compare_never_enumerate_w(monkeypatch):
     c6 = build_levi(build_root_system("C", 6), (1, 2, 4, 5, 6))
     swap = classify_pair(c6, Weight.of(1, 0, 0, 0, 0, 0), Weight.of(0, 0, -1, 0, 0, 0))
     assert swap.equal and swap.relating_auto is not None
+
+
+# -- the automorphism of a verdict against the object loop -------------------------
+
+AUTO_SYSTEMS = [("GL", range(2, 6)), ("B", range(2, 6)), ("C", range(2, 6)),
+                ("D", range(3, 6))]
+
+
+def _proper_levis(family, ranks):
+    for rank in ranks:
+        datum = build_root_system(family, rank)
+        yield from (levi for levi in oracles.every_levi(datum)
+                    if len(levi.sbar) < len(datum.simple_roots))
+    if family == "GL":  # six automorphisms, so the first one has rivals
+        yield build_levi(build_root_system("GL", 6), (1, 3, 5))
+
+
+@pytest.mark.parametrize("family,ranks", AUTO_SYSTEMS, ids=[f for f, _ in AUTO_SYSTEMS])
+def test_relating_automorphisms_match_the_object_loop(family, ranks):
+    """Every verdict's automorphism at bound 1, and ``relating_automorphism``
+    on each equal pair, is the first automorphism the object loop finds."""
+    moved = none = 0
+    for levi in _proper_levis(family, ranks):
+        for v in search_box(levi, 1).verdicts:  # spin weights on B and D
+            want = oracles.first_automorphism(levi, v.mu, v.nu)
+            assert v.relating_auto == want, (levi.describe(), v.mu, v.nu)
+            assert relating_automorphism(levi, v.mu, v.nu) == want
+            moved += want is not None and not is_identity(want)
+            none += want is None
+    assert moved > 0 and (none > 0) == (family in ("C", "D"))
+
+
+@pytest.mark.parametrize("family,rank,sbar,bound", [
+    ("GL", 6, (1, 3, 5), 1), ("C", 4, (1, 2, 4), 2), ("B", 3, (1, 3), 3)],
+    ids=["GL6", "C4", "B3"])
+def test_automorphism_images_in_small_chunks(family, rank, sbar, bound, monkeypatch):
+    # one weight's images per chunk give the verdicts of one chunk per group
+    levi = build_levi(build_root_system(family, rank), sbar)
+    whole = [v.to_json() for v in search_box(levi, bound).verdicts]
+    monkeypatch.setattr(equivalence, "ORBIT_CHUNK_ROWS", 1)
+    assert [v.to_json() for v in search_box(levi, bound).verdicts] == whole
 
 
 # -- the scan against the pairwise route ----------------------------------------
@@ -329,7 +372,7 @@ class TestEasyDirectionProperties:
     def test_automorphism_images_share_m(self, case):
         levi, mu = case
         m = build_m(levi, mu)
-        for u in diagram_automorphisms(levi):
+        for u in elements(diagram_automorphisms(levi)):
             nu = u.act(mu)
             assert levi.is_dominant(nu)
             assert build_m(levi, nu).coeffs == m.coeffs
