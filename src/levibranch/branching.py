@@ -20,7 +20,10 @@ term count makes exact equality checks cheap even for large Weyl groups.
 checks each in O(|Wbar|): the signed rows against the Weyl denominator
 identity once per Levi (in ``weightpoly._rho_drops``), and per weight the
 W-invariance of the dominant images, the order and two moments of the
-bucketed terms, the leading term and the cone below it.
+bucketed terms, the leading term and the cone below it.  The two Weyl
+elements of the invariance check, w0 and a Coxeter element, are sorted out
+of images of rho by ``kernels.dominant_elements``; ``far_from_walls`` reads
+its elements off the same kernel, for a batch of weights at once.
 """
 
 from __future__ import annotations
@@ -28,32 +31,34 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
-                      _positive_set, _scaled_coordinates, chamber_cone_mask)
+                      _scaled_coordinates, chamber_cone_mask)
 from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
                          _rho_drops, decompose_character, levi_table, signed_bucket,
                          weyl_character)
-from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement,
-                      dominant_representative, levi_group, weyl_group)
+from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative, levi_group,
+                      weyl_group)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # E-set rows per batch of M-function builds
 M_BATCH_ROWS = 1 << 15
 
 
-def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
-    """Is the whole E-set of ``mu`` contained in one closed Weyl chamber?
+def far_from_walls(levi: LeviDatum, mus) -> np.ndarray:
+    """Is the whole E-set of each weight of ``mus`` in one closed Weyl chamber?
 
-    The E-set E is the |Wbar| points mu + rho_bar - w(rho_bar), w in Wbar.
-    Let w1 be the element ``dominant_representative`` returns for
+    The E-set E of mu is the |Wbar| points mu + rho_bar - w(rho_bar), w in
+    Wbar.  Let w1 be the element ``kernels.dominant_elements`` gives for
     mu + rho_bar and lam = w1(mu + rho_bar).  Then E lies in a closed
     chamber exactly when w1(E) lies in the closed dominant chamber, so one
-    batched dominance test on w1(E) decides it.  Proof:
+    dominance test on the rows w1(E) decides it; up to ``M_BATCH_ROWS``
+    rows of several weights share one.  Returns one bool per weight.
+    Proof:
 
     * The sum of w(rho_bar) over Wbar is Wbar-invariant and lies in the
       span of the Levi roots, so it is 0, and the mean of E is mu + rho_bar.
@@ -66,13 +71,22 @@ def far_from_walls(levi: LeviDatum, mu: Weight) -> bool:
       of sigma w1(E), and w1(E) = sigma^-1 sigma w1(E) = sigma w1(E) is
       dominant.
     """
-    levi.require_dominant(mu)
+    for mu in mus:
+        levi.require_dominant(mu)
     datum = levi.parent
     drops, _ = _rho_drops(levi)
-    w1, _ = dominant_representative(datum, mu + levi.rho_bar)
-    rows = np.array(mu, dtype=np.int64) + drops
-    rows = rows[:, list(w1.perm)] * np.array(w1.signs, dtype=np.int64)
-    return bool((_frame_for(datum).dominant(rows) == rows).all())
+    mus = np.array(mus, dtype=np.int64).reshape(len(mus), datum.rank)
+    perm, sign = kernels.dominant_elements(mus + np.array(levi.rho_bar, dtype=np.int64),
+                                           kernels.FAMILY_CODE[datum.family])
+    far = np.empty(len(mus), dtype=bool)
+    per = max(1, M_BATCH_ROWS // len(drops))
+    for lo in range(0, len(mus), per):
+        part = slice(lo, lo + per)
+        rows = np.take_along_axis(mus[part, None, :] + drops, perm[part, None, :], axis=2)
+        rows = (rows * sign[part, None, :]).reshape(-1, datum.rank)
+        dominant = (_frame_for(datum).dominant(rows) == rows).all(axis=1)
+        far[part] = dominant.reshape(-1, len(drops)).all(axis=1)
+    return far
 
 
 # -- alternating-sum branching ----------------------------------------------
@@ -137,6 +151,7 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
     grid cut to its dominant rows, in sorted order.
     """
     datum = levi.parent
+    datum.require_weight(mu)
     top = np.array(mu + k * datum.highest_root, dtype=np.int64)
     t, scale = _scaled_coordinates(datum.family, [k * datum.highest_root])
     d = (t[0] // scale)[:len(datum.simple_roots)].tolist()
@@ -274,21 +289,20 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
 
 
 @lru_cache(maxsize=None)
-def _invariance_elements(datum: RootDatum) -> tuple[WeylElement, WeylElement]:
-    """The longest element and the Coxeter element s_1 s_2 ... s_r of W.
+def _invariance_elements(datum: RootDatum) -> tuple[np.ndarray, np.ndarray]:
+    """The longest element w0 and the Coxeter element s_1 s_2 ... s_r of W,
+    as the rows of one (perm, sign) pair.
 
-    Both are composed from the simple reflections, without enumerating W.
-    The longest element grows from the identity: while w keeps some simple
-    root alpha positive, w s_alpha is one longer; when w sends every simple
-    root to a negative root, w is the longest element.
+    W acts simply transitively on the orbit of the regular weight rho, so
+    the element ``kernels.dominant_elements`` gives for v(rho) is v^-1:
+    w0 = w0^-1 sorts w0(rho) = -rho, and c = s_1 ... s_r sorts c^-1(rho),
+    rho reflected in alpha_1, then in alpha_2, ..., then in alpha_r.
     """
-    pos = _positive_set(datum)
-    refl = [(a, WeylElement.reflection(a)) for a in datum.simple_roots]
-    identity = WeylElement.identity(datum.rank)
-    w0 = identity
-    while (s := next((s for a, s in refl if w0.act(a) in pos), None)) is not None:
-        w0 = w0.compose(s)
-    return w0, reduce(WeylElement.compose, (s for _, s in refl), identity)
+    x = datum.rho
+    for a in datum.simple_roots:
+        x = x - (2 * x.dot4(a) // a.dot4(a)) * a
+    return kernels.dominant_elements(np.array([-datum.rho, x], dtype=np.int64),
+                                     kernels.FAMILY_CODE[datum.family])
 
 
 def _invariants(rows: np.ndarray, family: str) -> np.ndarray:
@@ -306,8 +320,8 @@ def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
     drops, eps = _rho_drops(levi)
     m, k = len(mus), len(eps)
     rows = (np.array(mus, dtype=np.int64).reshape(m, 1, n) + drops).reshape(m * k, n)
-    moved = [rows[:, list(g.perm)] * np.array(g.signs, dtype=np.int64)
-             for g in _invariance_elements(datum)] if self_check else []
+    moved = [rows[:, perm] * sign
+             for perm, sign in zip(*_invariance_elements(datum))] if self_check else []
     images = _frame_for(datum).dominant(np.concatenate([rows, *moved]))
     images = images.reshape(len(moved) + 1, m * k, n)
     dom = images[0]

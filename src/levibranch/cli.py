@@ -6,8 +6,8 @@ deterministic: identical configuration yields byte-identical primary output
 primary output to a file instead of stdout, for every subcommand.
 
 Exit codes: 0 success, 2 validation error (also for an option the command
-would ignore), 3 group/size guard exceeded, 4 I/O failure.  No command
-exits 1.
+would ignore), 3 group/size guard exceeded (also a coordinate or a count
+beyond exact int64 arithmetic), 4 I/O failure.  No command exits 1.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (GroupSizeError, BudgetError, kernels.PackRangeError) as exc:
+    except (GroupSizeError, BudgetError, kernels.PackRangeError, OverflowError) as exc:
         sys.stderr.write(f"guard: {exc}\n")
         return EXIT_GUARD
     except (WeightError, RootSystemError, ValueError, json.JSONDecodeError) as exc:

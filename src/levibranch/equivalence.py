@@ -84,7 +84,7 @@ def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
 
 def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight,
                           guard: int = DEFAULT_GROUP_GUARD) -> WeylElement | None:
-    """The first diagram automorphism u (in ``_keys`` order) with u(mu) = nu, if any."""
+    """The first diagram automorphism u (in element order) with u(mu) = nu, if any."""
     autos = diagram_automorphisms(levi, guard)
     hit = (kernels.orbit_images(autos.perm, autos.sign, np.array(mu, dtype=np.int64))
            == np.array(nu, dtype=np.int64)).all(axis=1)
@@ -151,7 +151,7 @@ def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight,
         mu, nu, induced_equal(levi, mu, nu, guard),
         relating_automorphism(levi, mu, nu, guard), _levi_cases(levi),
         same_chamber=same_closed_chamber(levi, mu, nu),
-        far=far_from_walls(levi, mu) and far_from_walls(levi, nu),
+        far=bool(far_from_walls(levi, [mu, nu]).all()),
         two_rho_dominant=(datum.is_dominant(mu + two_rho)
                           or datum.is_dominant(nu + two_rho)))
 
@@ -231,10 +231,11 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
       (``branching.m_terms``, one batch per group unless the group exceeds
       ``M_BATCH_ROWS`` rows), and the built weights are partitioned by
       their M-function coefficients;
-    * each weight in a class of two or more gets, once, its FAR_FROM_WALLS
-      flag and its distinct packed automorphism images (``orbit_images`` and
-      ``pack_rows`` on at most ``ORBIT_CHUNK_ROWS`` rows per call), each with
-      the first automorphism giving it, the one a verdict carries;
+    * the weights in a class of two or more get their FAR_FROM_WALLS flags
+      from one ``far_from_walls`` call, and each gets, once, its distinct
+      packed automorphism images (``orbit_images`` and ``pack_rows`` on at
+      most ``ORBIT_CHUNK_ROWS`` rows per call), each with the first
+      automorphism giving it, the one a verdict carries;
     * the pairs are walked in ``itertools.combinations`` order and a verdict
       is made for every pair inside one class.  Both weights of a pair have
       the dominant image ``key``, so ``same_closed_chamber`` reduces to
@@ -283,14 +284,14 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         if not paired:
             return key, tested, []
         autos = diagram_automorphisms(levi, guard)
-        images, far, step = {}, {}, max(1, ORBIT_CHUNK_ROWS // len(autos))
+        far = dict(zip(paired, far_from_walls(levi, [members[j] for j in paired]).tolist()))
+        images, step = {}, max(1, ORBIT_CHUNK_ROWS // len(autos))
         for lo in range(0, len(paired), step):
             part = paired[lo:lo + step]
             img = kernels.orbit_images(autos.perm, autos.sign, rows[[idx[j] for j in part]])
             for j, packed in zip(part, kernels.pack_rows(img).reshape(len(part), -1)):
                 # own key (identity first), sorted distinct images, first u of each
                 images[j] = (packed[0], *np.unique(packed, return_index=True))
-                far[j] = far_from_walls(levi, members[j])
 
         def relating(a: int, b: int) -> WeylElement | None:
             (_, uniq, first), key_b = images[a], images[b][0]

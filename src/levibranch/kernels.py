@@ -9,6 +9,10 @@ Kernels:
 * ``dominant_rows``  -- per-row dominant representative (sort normal form)
   for GL, B, C or D; ``weightpoly`` frames apply it to each factor block of
   g or of a Levi,
+* ``dominant_elements`` -- per row, the Weyl element (perm, sign) of that
+  sort; ``dominant_representative``, ``far_from_walls`` and the w0 and
+  Coxeter element of the M-function checks read their elements off it, so
+  the sort order and the D sign rule live here only,
 * ``kostant_batch``  -- vector-partition counts over a root list, from one
   dense table per batch.
 
@@ -21,10 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 MAX_COUNT = 1 << 62
+# bound on the doubled coordinates of a weight: prefix sums over up to 64
+# coordinates of a row or of a difference of two rows, and pairings with
+# roots (entries at most 4), stay far inside int64
+MAX_COORDINATE = 1 << 52
 
 
 class PackRangeError(ValueError):
-    """Coordinates too large for the fixed-width int64 row encoding."""
+    """Coordinates too large for int64 rows or their fixed-width encoding."""
 
 
 class BudgetError(RuntimeError):
@@ -84,6 +92,25 @@ def dominant_rows(rows: np.ndarray, code: int) -> np.ndarray:
         odd = (np.count_nonzero(rows < 0, axis=1) & 1).astype(bool)
         srt[odd, -1] = -srt[odd, -1]
     return srt
+
+
+def dominant_elements(rows: np.ndarray, code: int) -> tuple[np.ndarray, np.ndarray]:
+    """The element (perm, sign) of the sort normal form of every row:
+    ``sign * row[perm]`` is the row's ``dominant_rows`` image.
+
+    A stable argsort by decreasing value (GL) or |value| (B, C, D), so tied
+    coordinates keep their order; each sign is that of the coordinate it
+    moves, and in D an odd number of negative coordinates flips the last
+    sign, so every element has an even number of sign changes.
+    """
+    if code == 0:
+        perm = np.argsort(-rows, axis=1, kind="stable")
+        return perm, np.ones_like(perm)
+    perm = np.argsort(-np.abs(rows), axis=1, kind="stable")
+    sign = 1 - 2 * (rows < 0)[np.arange(len(rows))[:, None], perm]
+    if code == 2:
+        sign[:, -1] *= sign.prod(axis=1)  # -1 exactly when the count is odd
+    return perm, sign
 
 
 # -- partition-function evaluation ------------------------------------------

@@ -21,6 +21,8 @@ from math import factorial, prod
 
 import numpy as np
 
+from . import kernels
+
 FAMILIES = ("GL", "B", "C", "D")
 
 
@@ -145,6 +147,10 @@ class RootDatum:
                               f"{self.describe()} needs {self.rank}")
         if not self.is_lattice_weight(beta):
             raise WeightError(f"{beta} is not an integral weight of {self.describe()}")
+        if any(abs(c) >= kernels.MAX_COORDINATE for c in beta):
+            raise kernels.PackRangeError(
+                f"{beta} has a coordinate of absolute value >= 2^51, the limit of "
+                "exact int64 arithmetic")
         return beta
 
     def is_dominant(self, beta: Weight) -> bool:
@@ -172,11 +178,6 @@ def _weyl_order(family: str, n: int) -> int:
     if family in ("B", "C"):
         return factorial(n) << n
     return factorial(n) << (n - 1)  # D
-
-
-@lru_cache(maxsize=None)
-def _positive_set(datum: RootDatum) -> frozenset:
-    return frozenset(datum.positive_roots)
 
 
 def _unit(n: int, i: int, c: int = 2) -> Weight:

@@ -44,6 +44,13 @@ factor blocks off sbar and the Levi cone off prefix sums.
 the reference route for ``standard_gl_blocks``, which reads them off the
 factor blocks.  ``every_levi`` lists the Levis the comparisons run over.
 
+``sort_normal_form`` is Python's stable sort of one weight: the reference
+route for ``kernels.dominant_elements``.  ``reflection``, ``compose`` and
+``identity`` are the scalar Weyl algebra ``levibranch`` no longer has;
+``invariance_elements_by_reflections`` composes w0 and the Coxeter element
+from them, the reference route for ``branching._invariance_elements``,
+which sorts images of rho.
+
 The rest are definitions that only tests call, kept apart from the
 package: the sign, identity test and order of a ``WeylElement``, coset
 decomposition by stripping descents, straightening of character labels,
@@ -64,7 +71,7 @@ import numpy as np
 from levibranch import kernels
 from levibranch.branching import branch_multiplicity
 from levibranch.rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                                WeightError, _positive_set, build_levi)
+                                WeightError, build_levi)
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities,
@@ -108,6 +115,72 @@ def _automorphism_objects(levi: LeviDatum) -> tuple[WeylElement, ...]:
     return elements(diagram_automorphisms(levi))
 
 
+def identity(n: int) -> WeylElement:
+    return WeylElement(tuple(range(n)), (1,) * n)
+
+
+def compose(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a o b (first apply ``b``)."""
+    return WeylElement(tuple(b.perm[p] for p in a.perm),
+                       tuple(s * b.signs[p] for s, p in zip(a.signs, a.perm)))
+
+
+def reflection(alpha: Weight) -> WeylElement:
+    """The reflection through ``alpha``; alpha must be a classical root."""
+    n = len(alpha)
+    aa = alpha.dot4(alpha)
+    perm = [0] * n
+    signs = [0] * n
+    for i in range(n):
+        e = Weight(4 if k == i else 0 for k in range(n))  # doubled 2*e_i
+        img = e - (2 * e.dot4(alpha) // aa) * alpha
+        nz = [k for k in range(n) if img[k] != 0]
+        if len(nz) != 1 or abs(img[nz[0]]) != 4:
+            raise RootSystemError(f"{alpha} is not a signed-permutation root")
+        # column i of the matrix: contributes to row nz[0]
+        perm[nz[0]] = i
+        signs[nz[0]] = 1 if img[nz[0]] > 0 else -1
+    return WeylElement(tuple(perm), tuple(signs))
+
+
+def sort_normal_form(datum: RootDatum, beta: Weight) -> tuple[WeylElement, Weight]:
+    """The element of the sort normal form of ``beta`` and its image, by
+    Python's stable sort: the reference route for
+    ``kernels.dominant_elements`` and ``weylgrp.dominant_representative``.
+    """
+    n = datum.rank
+    if datum.family == "GL":
+        order = sorted(range(n), key=lambda j: (-beta[j], j))
+        w = WeylElement(tuple(order), (1,) * n)
+        return w, w.act(beta)
+    order = sorted(range(n), key=lambda j: (-abs(beta[j]), j))
+    signs = [1 if beta[j] >= 0 else -1 for j in order]
+    if datum.family == "D" and sum(1 for c in beta if c < 0) % 2 == 1:
+        signs[-1] = -signs[-1]
+    w = WeylElement(tuple(order), tuple(signs))
+    return w, w.act(beta)
+
+
+def invariance_elements_by_reflections(datum: RootDatum) -> tuple[WeylElement, WeylElement]:
+    """The longest element and the Coxeter element s_1 s_2 ... s_r of W,
+    composed from the simple reflections: the reference route for
+    ``branching._invariance_elements``, which sorts images of rho.
+
+    The longest element grows from the identity: while w keeps some simple
+    root alpha positive, w s_alpha is one longer; when w sends every simple
+    root to a negative root, w is the longest element.
+    """
+    pos = set(datum.positive_roots)
+    refl = [(a, reflection(a)) for a in datum.simple_roots]
+    w0 = identity(datum.rank)
+    while (s := next((s for a, s in refl if w0.act(a) in pos), None)) is not None:
+        w0 = compose(w0, s)
+    coxeter = identity(datum.rank)
+    for _, s in refl:
+        coxeter = compose(coxeter, s)
+    return w0, coxeter
+
+
 def element_sign(w: WeylElement) -> int:
     """det(w): the parity of the permutation times the product of the signs."""
     perm = w.perm
@@ -125,7 +198,7 @@ def is_identity(w: WeylElement) -> bool:
 
 
 def sort_key(w: WeylElement):
-    """The order of ``weylgrp._keys``: by permutation, then by sign pattern."""
+    """Element order: by permutation, then by sign pattern (+ before -)."""
     return (w.perm, tuple(0 if s == 1 else 1 for s in w.signs))
 
 
@@ -155,15 +228,15 @@ def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylE
     to a negative root, multiply by its reflection on the right.
     """
     datum = levi.parent
-    pos = _positive_set(datum)
+    pos = set(datum.positive_roots)
     u = w
-    wbar = WeylElement.identity(datum.rank)
+    wbar = identity(datum.rank)
     while True:
         for alpha in levi.sbar_roots:
             if u.act(alpha) not in pos:
-                s = WeylElement.reflection(alpha)
-                u = u.compose(s)
-                wbar = s.compose(wbar)
+                s = reflection(alpha)
+                u = compose(u, s)
+                wbar = compose(s, wbar)
                 break
         else:
             return u, wbar
@@ -370,13 +443,13 @@ def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
 
 def closure(gens: list[WeylElement], n: int) -> tuple[WeylElement, ...]:
     """The group generated by ``gens``, sorted by ``sort_key``."""
-    seen = {WeylElement.identity(n)}
-    frontier = [WeylElement.identity(n)]
+    seen = {identity(n)}
+    frontier = [identity(n)]
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                h = g.compose(w)
+                h = compose(g, w)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
@@ -385,7 +458,7 @@ def closure(gens: list[WeylElement], n: int) -> tuple[WeylElement, ...]:
 
 
 def levi_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
-    return closure([WeylElement.reflection(a) for a in levi.sbar_roots],
+    return closure([reflection(a) for a in levi.sbar_roots],
                    levi.parent.rank)
 
 
@@ -413,7 +486,7 @@ def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     """The transversal rows sending every Levi simple root into rbar_plus.
 
     Every such w of W keeps Sbar positive, so it is in the transversal; the
-    transversal is in ``_keys`` order, so the identity comes first.  Built
+    transversal is in element order, so the identity comes first.  Built
     afresh, without the transversal cache.
     """
     trans = transversal.__wrapped__(levi)
@@ -682,7 +755,7 @@ def far_from_walls_by_cosets(levi: LeviDatum, mu: Weight) -> bool:
     datum = levi.parent
     drops, _ = _rho_drops(levi)
     rows = np.array(mu, dtype=np.int64)[None, :] + drops
-    w1, lam = dominant_representative(datum, mu + levi.rho_bar)
+    w1, lam = sort_normal_form(datum, mu + levi.rho_bar)
     stab_perm, stab_sign, _ = stabilizer_subgroup(datum, lam).arrays
     # sigma o w1 as arrays: perm = w1.perm[sigma.perm], signs likewise
     perm = np.array(w1.perm, dtype=np.int64)[stab_perm]

@@ -22,8 +22,8 @@ from levibranch.equivalence import dominant_box
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import _frame_for, chamber_cone_mask
 from levibranch.weylgrp import levi_group
-from oracles import (as_weight, coset_decompose, delta_shift_check, elements,
-                     in_littlewood_stable_range, is_regular, join_signed,
+from oracles import (as_weight, compose, coset_decompose, delta_shift_check,
+                     elements, in_littlewood_stable_range, is_regular, join_signed,
                      kostka_matrix_identity, kostka_multiplicity, kostka_number,
                      support)
 
@@ -169,7 +169,7 @@ def test_criterion_4_transversal_exhaustive(c3, b3, d4):
         seen = set()
         for w in elements(group):
             u, wbar = coset_decompose(levi, w)
-            if u.compose(wbar) != w or u not in us or wbar not in wbars:
+            if compose(u, wbar) != w or u not in us or wbar not in wbars:
                 violations += 1
             seen.add((u, wbar))
         if len(seen) != len(group) or len(us) * len(wbars) != len(group):

@@ -1,4 +1,4 @@
-"""Every definition in ``src/levibranch`` has a caller outside the tests.
+"""Every definition and constant in ``src/levibranch`` has a reader outside the tests.
 
 The rule covers every module-level function and class and every public
 method (properties included).  A definition counts as used when one of
@@ -15,10 +15,16 @@ A plain method counts from a ``.method`` attribute only where that is
 called (``w.sign()``), so an array attribute of the same name (the
 ``sign`` of a ``WeylGroup``) is no caller.  A definition that only tests
 reach belongs in the tests (``tests/oracles.py``).
+
+Each module-level constant (a name in capitals, with or without a leading
+underscore, bound by an assignment) must be read by name, in its own or
+another module of ``src`` or as a module attribute in ``perfbench/*.py``:
+a limit nothing reads limits nothing.
 """
 
 import ast
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "levibranch")
@@ -136,11 +142,27 @@ def _span_targets() -> set:
     return {entry.elts[2].value for entry in spans.elts}
 
 
-def referenced() -> set:
-    """The definitions of ``definitions()`` that something outside the tests reaches."""
+def _references() -> list:
     refs = [_References(tree, bare_names=True) for name, tree in _modules(SRC)
             if name != "__init__"]
-    refs += [_References(tree, bare_names=False) for _, tree in _modules(PERFBENCH)]
+    return refs + [_References(tree, bare_names=False) for _, tree in _modules(PERFBENCH)]
+
+
+def constants() -> set:
+    """The names of the module-level constants of ``src``."""
+    out = set()
+    for _, tree in _modules(SRC):
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id)}
+    return out
+
+
+def referenced() -> set:
+    """The definitions of ``definitions()`` that something outside the tests reaches."""
+    refs = _references()
     names = set().union(*(r.names for r in refs))
     qualified = set().union(*(r.qualified for r in refs)) | _span_targets()
     called = set().union(*(r.called for r in refs))
@@ -160,3 +182,9 @@ def referenced() -> set:
 def test_every_definition_has_a_caller_outside_the_tests():
     test_only = sorted(set(definitions()) - referenced())
     assert not test_only, f"definitions reached only from tests: {test_only}"
+
+
+def test_every_constant_is_read_outside_the_tests():
+    names = set().union(*(r.names for r in _references()))
+    unread = sorted(constants() - names)
+    assert not unread, f"constants nothing outside the tests reads: {unread}"

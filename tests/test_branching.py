@@ -15,7 +15,7 @@ from levibranch.branching import default_lambda_box, m_terms
 from levibranch.equivalence import search_box
 from levibranch.rootsys import WeightError, chamber_cone_mask
 from levibranch.weightpoly import _rho_drops, dominants_below
-from levibranch.weylgrp import WeylElement, levi_group
+from levibranch.weylgrp import levi_group
 from oracles import element_sign, elements, is_identity, symmetrize
 
 
@@ -337,7 +337,7 @@ class TestChecksCatchFaults:
     def test_one_round_closure(self, monkeypatch, fresh_drops):
         # the identity and the generators only
         levi = build_levi(build_root_system("C", 3), [1, 2])
-        gens = {WeylElement.reflection(a) for a in levi.sbar_roots}
+        gens = {oracles.reflection(a) for a in levi.sbar_roots}
         keep = [i for i, w in enumerate(elements(levi_group(levi)))
                 if is_identity(w) or w in gens]
         monkeypatch.setattr(weightpoly, "levi_group", lambda levi: _group_with(levi, keep))
@@ -452,7 +452,7 @@ class TestESets:
         levi = build_levi(gl3, [])
         mu = Weight.of(3, 1, 0)
         assert _e_set(levi, mu) == [mu]
-        assert far_from_walls(levi, mu)
+        assert far_from_walls(levi, [mu]).tolist() == [True]
 
     def test_cardinality_always_group_order(self, levi_c3_gl3, rng):
         for _ in range(8):
@@ -467,7 +467,7 @@ class TestESets:
         mu = Weight.of(5, 1, 0)
         assert set(_e_set(levi_gl3_21, mu)) == {Weight.of(5, 1, 0),
                                                 Weight.of(6, 0, 0)}
-        assert far_from_walls(levi_gl3_21, mu)
+        assert far_from_walls(levi_gl3_21, [mu]).tolist() == [True]
 
     def test_far_from_walls_matches_exhaustive(self, levi_c2_gl2, levi_gl4_22,
                                                levi_b3_gl2_so3, levi_c3_gl3,
@@ -479,11 +479,12 @@ class TestESets:
                             (levi_c3_gl3, 3), (levi_d4_gl4, 2)):
             datum = levi.parent
             group = list(elements(weyl_group(datum)))
-            for mu in dominant_box(levi, bound):  # spin weights on B and D
+            box = dominant_box(levi, bound)  # spin weights on B and D
+            for mu, far in zip(box, far_from_walls(levi, box).tolist()):
                 members = oracles.e_set(levi, mu)
                 oracle = any(all(datum.is_dominant(w.act(g)) for g in members)
                              for w in group)
-                assert far_from_walls(levi, mu) == oracle, (levi.describe(), mu)
+                assert far == oracle, (levi.describe(), mu)
                 seen.add((oracle, mu.is_integral()))
         # both outcomes occur, on integral and on spin weights
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -492,11 +493,33 @@ class TestESets:
                              ids=[f"{f}{n}" for f, n in oracles.LEVI_SYSTEMS])
     def test_far_from_walls_matches_coset_search(self, family, rank):
         # w1 alone against the whole stabiliser coset of w1, on every proper
-        # Levi at bound 1 (7,709 weights over the systems)
+        # Levi at bound 1 (7,709 weights over the systems), one batch per Levi
         datum = build_root_system(family, rank)
         for levi in oracles.every_levi(datum):
             if len(levi.sbar) == len(datum.simple_roots):
                 continue
-            for mu in dominant_box(levi, 1):
-                assert far_from_walls(levi, mu) == \
-                    oracles.far_from_walls_by_cosets(levi, mu), (levi.describe(), mu)
+            box = dominant_box(levi, 1)
+            assert far_from_walls(levi, box).tolist() == [
+                oracles.far_from_walls_by_cosets(levi, mu) for mu in box], levi.describe()
+
+    def test_far_from_walls_in_small_batches(self, monkeypatch, levi_c3_gl3):
+        # many batches, some of one weight and the last one ragged
+        box = dominant_box(levi_c3_gl3, 2)
+        whole = far_from_walls(levi_c3_gl3, box)
+        assert whole.any() and not whole.all()
+        for rows in (6, 6 * 5 + 1):
+            monkeypatch.setattr(branching, "M_BATCH_ROWS", rows)
+            assert (far_from_walls(levi_c3_gl3, box) == whole).all()
+
+
+@pytest.mark.parametrize("family,ranks", [
+    ("GL", range(1, 10)), ("B", range(1, 10)), ("C", range(1, 10)), ("D", range(2, 10))],
+    ids=["GL", "B", "C", "D"])
+def test_invariance_elements_match_reflection_loop(family, ranks):
+    # w0 and the Coxeter element sorted from images of rho, against the
+    # elements composed from simple reflections
+    for rank in ranks:
+        datum = build_root_system(family, rank)
+        perm, sign = branching._invariance_elements(datum)
+        assert list(zip(map(tuple, perm.tolist()), map(tuple, sign.tolist()))) == [
+            (w.perm, w.signs) for w in oracles.invariance_elements_by_reflections(datum)]

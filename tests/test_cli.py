@@ -251,7 +251,9 @@ class TestPinnedOutputs:
         ("D:5", "1,2,4,5", "2", "1a39f9fcd370262052b1a0a3dfb0f01f"),
         ("GL:6", "1,3,5", "1", "d8b74409690039cdbaf4ba196ba36c86"),
         ("C:7", "1,2", "1", "1d72453c5097d218dcb2644517ee8906"),  # 768 automorphisms
-    ], ids=["B3", "D5", "GL6", "C7"])
+        ("C:4", "1,2,4", "2", "f5913b647e77ab688595f16de9315e9c"),
+        ("D:6", "5,6", "1", "4e12f2e3e84478c8ef94bb6a1f1e5707"),
+    ], ids=["B3", "D5", "GL6", "C7", "C4", "D6"])
     def test_certificates(self, tmp_path, system, levi, bound, digest):
         certs = tmp_path / "c.jsonl"
         out = run("search", "--system", system, "--levi", levi, "--bound", bound,
@@ -392,6 +394,24 @@ class TestConfigAndErrors:
                   "--mu", "300,0,0,0,0,-300", "--compact")
         assert out.returncode == 3
         assert out.stderr.startswith("guard:") and "512" in out.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("compare", "--mu=100000000000000000000,0", "--nu=0,-100000000000000000000"),
+        ("mfun", "--mu=100000000000000000000,0"),
+        ("branch", "--mu=100000000000000000000,0")], ids=["compare", "mfun", "branch"])
+    def test_coordinate_beyond_int64_exit(self, args):
+        out = run(*args, "--system", "C:2", "--levi", "1")
+        assert out.returncode == 3
+        assert out.stderr.startswith("guard:") and "2^51" in out.stderr
+
+    def test_exactness_guard_exit(self, monkeypatch, capsys):
+        # a partition count at the 2^62 guard, here lowered to 3
+        from levibranch import cli, kernels
+        monkeypatch.setattr(kernels, "MAX_COUNT", 3)
+        code = cli.main(["branch", "--system", "B:3", "--levi", "1",
+                         "--lam", "4,2,0", "--mu", "0,0,0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("guard: partition count exceeds")
 
     def test_table_size_exit(self):
         # (3000,0,-3000) over gl2+gl1 needs a 3001 x 3001 partition table

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from levibranch import (Weight, build_levi, build_root_system,
                         dominant_representative, weyl_group)
 from levibranch import kernels as K
-from oracles import elements
+from oracles import elements, sort_normal_form
 
 
 @pytest.mark.parametrize("family,rank,vec", [
@@ -58,8 +58,40 @@ def test_dominant_rows_match_group_normal_form(family, code):
     rows = rng.integers(-12, 13, size=(400, 5)).astype(np.int64)
     out = K.dominant_rows(rows.copy(), code)
     for row, dom in zip(rows, out):
-        _, lam = dominant_representative(datum, Weight(row))
+        _, lam = sort_normal_form(datum, Weight(row))
         assert Weight(dom) == lam
+
+
+# rows of doubled coordinates with ties, zeros and half-integers (odd entries)
+_SORT_ROWS = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["GL", "B", "C", "D"]), _SORT_ROWS)
+def test_dominant_elements_sort_like_the_python_sort(family, rows):
+    # the element's image is dominant_rows's, the element lies in the
+    # family's group, and it is the element of Python's stable sort
+    n = len(rows[0])
+    if family == "D" and n < 2:
+        family = "B"
+    datum = build_root_system(family, n)
+    code = K.FAMILY_CODE[family]
+    arr = np.array(rows, dtype=np.int64)
+    perm, sign = K.dominant_elements(arr, code)
+    assert perm.dtype == sign.dtype == np.int64
+    image = np.take_along_axis(arr, perm, axis=1) * sign
+    assert image.tolist() == K.dominant_rows(arr, code).tolist()
+    assert (np.sort(perm, axis=1) == np.arange(n)).all()
+    negative = np.count_nonzero(sign < 0, axis=1)
+    if family == "GL":
+        assert not negative.any()
+    elif family == "D":
+        assert not (negative & 1).any()
+    for row, p, s in zip(rows, perm.tolist(), sign.tolist()):
+        w, lam = sort_normal_form(datum, Weight(row))
+        assert (tuple(p), tuple(s)) == (w.perm, w.signs)
+        assert dominant_representative(datum, Weight(row)) == (w, lam)
 
 
 def _enumerate_combinations(roots, fcoef, hmax):

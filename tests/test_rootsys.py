@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 
-from levibranch import Weight, WeightError, build_levi, build_root_system
+from levibranch import Weight, WeightError, build_levi, build_root_system, kernels
 from levibranch.rootsys import (RootSystemError, _scaled_coordinates,
                                 chamber_cone_mask)
 from oracles import coroot_pairing, standard_gl_blocks
@@ -105,6 +105,14 @@ class TestWeight:
         assert d4.is_lattice_weight(Weight((1, 1, 1, 1)))
         mixed = Weight((2, 1, 0))
         assert not b3.is_lattice_weight(mixed)
+
+    def test_coordinate_limit(self, c3, b3):
+        # true coordinates below 2^51 in absolute value, spin ones included
+        assert c3.require_weight(Weight.of(2**51 - 1, 0, -(2**51 - 1)))
+        assert b3.require_weight(Weight((2**52 - 1, 1, -1)))
+        for beta in (Weight.of(0, 2**51, 0), Weight.of(0, 0, -(2**51))):
+            with pytest.raises(kernels.PackRangeError, match="2\\^51"):
+                c3.require_weight(beta)
 
     def test_arithmetic_is_exact(self):
         a = Weight.of(3, -1)

@@ -8,11 +8,9 @@ from levibranch import (Weight, build_levi, build_root_system,
                         diagram_automorphisms, dominant_representative,
                         transversal, weyl_group, weylgrp)
 from levibranch.equivalence import dominant_box
-from levibranch.kernels import PackRangeError
-from levibranch.weylgrp import (GroupSizeError, WeylElement, levi_group,
-                                stabilizer_subgroup)
-from oracles import (coset_decompose, element_sign, elements, is_identity,
-                     straighten)
+from levibranch.weylgrp import GroupSizeError, levi_group, stabilizer_subgroup
+from oracles import (compose, coset_decompose, element_sign, elements, identity,
+                     is_identity, reflection, straighten)
 
 
 def dot_act(datum, w, beta):
@@ -22,11 +20,11 @@ def dot_act(datum, w, beta):
 
 class TestElements:
     def test_action_convention_matches_reflections(self, c2):
-        s_short = WeylElement.reflection(Weight.of(1, -1))
+        s_short = reflection(Weight.of(1, -1))
         assert s_short.act(Weight.of(3, 1)) == Weight.of(1, 3)
-        s_sum = WeylElement.reflection(Weight.of(1, 1))
+        s_sum = reflection(Weight.of(1, 1))
         assert s_sum.act(Weight.of(3, 1)) == Weight.of(-1, -3)
-        s_long = WeylElement.reflection(Weight.of(2, 0))
+        s_long = reflection(Weight.of(2, 0))
         assert s_long.act(Weight.of(3, 1)) == Weight.of(-3, 1)
 
     def test_compose_inverse_sign(self, rng):
@@ -35,10 +33,10 @@ class TestElements:
         for _ in range(100):
             w1, w2 = rng.choice(elems), rng.choice(elems)
             beta = Weight.of(*(rng.randint(-5, 5) for _ in range(n)))
-            assert w1.compose(w2).act(beta) == w1.act(w2.act(beta))
-            assert element_sign(w1) * element_sign(w2) == element_sign(w1.compose(w2))
-            inv = next(g for g in elems if is_identity(g.compose(w1)))
-            assert is_identity(w1.compose(inv)) and element_sign(inv) == element_sign(w1)
+            assert compose(w1, w2).act(beta) == w1.act(w2.act(beta))
+            assert element_sign(w1) * element_sign(w2) == element_sign(compose(w1, w2))
+            inv = next(g for g in elems if is_identity(compose(g, w1)))
+            assert is_identity(compose(w1, inv)) and element_sign(inv) == element_sign(w1)
             assert inv.act(w1.act(beta)) == beta
 
     def test_action_preserves_pairing(self, rng, d4):
@@ -79,22 +77,37 @@ class TestEnumeration:
             weyl_group(build_root_system("C", 8))
         assert err.value.size == 10_321_920
 
-    def test_key_rank_limit(self):
-        # element keys (permutation rank times 2^n) would overflow int64
-        levi = build_levi(build_root_system("GL", weylgrp.MAX_KEY_RANK + 1), [1])
-        with pytest.raises(PackRangeError):
-            levi_group(levi)
-        assert len(levi_group(build_levi(build_root_system("GL", 16), [1, 15]))) == 4
+    @pytest.mark.parametrize("family,ranks", [("GL", range(1, 8)), ("B", range(1, 7)),
+                                              ("C", range(1, 7)), ("D", range(2, 7))],
+                             ids=["GL", "B", "C", "D"])
+    def test_block_product_in_lexsort_order(self, family, ranks):
+        # unsorted, the block product is in element order on every Levi, and
+        # on a product of two signed blocks, which no Levi has
+        cases = [(rank, levi.blocks) for rank in ranks
+                 for levi in oracles.every_levi(build_root_system(family, rank))]
+        if family != "GL":
+            cases.append((5, ((0, 2, family, False), (2, 5, family, False))))
+        for rank, blocks in cases:
+            group = weylgrp._block_group.__wrapped__(rank, blocks)
+            order = np.lexsort(np.hstack((group.perm, group.sign < 0)).T[::-1])
+            assert (order == np.arange(len(group))).all(), blocks
+
+    def test_no_rank_limit(self):
+        # no element key bounds the rank of a block group
+        levi = build_levi(build_root_system("GL", 17), [1, 16])
+        assert levi_group(levi).perm.tolist() == [
+            list(range(17)), list(range(15)) + [16, 15],
+            [1, 0] + list(range(2, 17)), [1, 0] + list(range(2, 15)) + [16, 15]]
 
 
 class TestActions:
     def test_dot_act_identity(self, c3):
-        w = WeylElement.identity(3)
+        w = identity(3)
         beta = Weight.of(2, -1, 3)
         assert dot_act(c3, w, beta) == beta
 
     def test_dot_act_gl3_example(self, gl3):
-        s = WeylElement.reflection(gl3.simple_roots[0])
+        s = reflection(gl3.simple_roots[0])
         assert dot_act(gl3, s, Weight.zero(3)) == Weight.of(-1, 1, 0)
 
     @pytest.mark.parametrize("family,rank", [("GL", 3), ("B", 2), ("C", 2)])
@@ -176,7 +189,7 @@ class TestCosets:
         pairs = {}
         for w in elements(weyl_group(c3)):
             u, wbar = coset_decompose(levi_c3_gl3, w)
-            assert u.compose(wbar) == w
+            assert compose(u, wbar) == w
             pairs[w] = (u, wbar)
         assert len(set(pairs.values())) == 48
         us = {u for u, _ in pairs.values()}
@@ -221,7 +234,7 @@ class TestDiagramAutomorphisms:
                 assert u.act(levi.rho_bar) == levi.rho_bar
                 assert {u.act(a) for a in levi.rbar_plus} == rbar
             for a, b in itertools.product(autos, repeat=2):
-                assert a.compose(b) in set(autos)
+                assert compose(a, b) in set(autos)
 
 
 class TestTransversalTheorems:
