@@ -5,7 +5,8 @@ weight mu inside the restriction of the ambient irreducible of highest
 weight lambda.  Two independent routes are implemented:
 
 * the alternating Weyl sum over the complement partition function, and
-* a highest-weight stripping oracle on the full character multiset.
+* the restriction oracle: the character of g, expanded once, with Levi
+  characters stripped off its Levi-dominant terms.
 
 On the torus Levi (no retained simple roots) the Weyl sum is Kostant's
 weight-multiplicity formula, the independent check of the Freudenthal
@@ -173,10 +174,15 @@ def branch_row(levi: LeviDatum, mu: Weight, k: int = 2,
 
 
 def branch_by_restriction(levi: LeviDatum, lam: Weight) -> dict:
-    """Restriction oracle: strip Levi highest weights off the full character.
+    """Restriction oracle: strip Levi highest weights off the character of g.
 
     Returns the complete row {mu: multiplicity} for the ambient highest
-    weight ``lam``; independent of the alternating-sum route.
+    weight ``lam``; independent of the alternating-sum route.  The
+    character of g is the one orbit expansion (``weyl_character``).
+    ``decompose_character`` checks that it is symmetric under the Levi Weyl
+    group and strips on its Levi-dominant terms alone, with each Levi
+    character's dominant multiplicities a product over the Levi's factor
+    blocks, checked against the Weyl dimension formula.
     """
     datum = levi.parent
     datum.require_dominant(lam)

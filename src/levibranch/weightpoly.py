@@ -7,23 +7,30 @@ Freudenthal recursion.  Their independent cross-check is the Weyl sum of
 ``branching.branch_multiplicity`` on the torus Levi (no retained simple
 roots), which is Kostant's weight-multiplicity formula.
 
-Characters of g and of a Levi share one frame (``_Frame``): one cone test
-and one batched dominant image, a ``kernels.dominant_rows`` sort on each
-factor block of coordinates, so the recursion works on row blocks.  Its
-``orbits`` expands a block of dominant weights at once, straight into the
-canonical arrays of a ``WeightPolynomial``, with no second bucketing.
+Characters of g and of a Levi share one frame (``_Frame``): one batched
+dominant image, a ``kernels.dominant_rows`` sort on each factor block of
+coordinates, and the orbit sizes read off the same blocks.  Its ``orbits``
+expands a block of dominant weights at once, straight into the canonical
+arrays of a ``WeightPolynomial``, with no second bucketing.  Freudenthal's
+recursion runs on root systems only: a Levi irreducible is the outer
+tensor product of its factor blocks' irreducibles, so its dominant
+multiplicities are products of the blocks' (``dominant_multiplicities``).
+``decompose_character`` strips characters off the dominant terms alone,
+after checking that the multiset is symmetric under the frame's Weyl group.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from . import kernels
 from .kernels import BudgetError
-from .rootsys import LeviDatum, Weight, WeightError, chamber_cone_mask
+from .rootsys import (LeviDatum, RootDatum, Weight, WeightError, build_root_system,
+                      chamber_cone_mask)
 from .weylgrp import levi_group, weyl_group
 
 DEFAULT_CHAR_BUDGET = 2_000_000
@@ -247,34 +254,30 @@ def levi_table(levi: LeviDatum) -> PartitionTable:
 # -- frames: a uniform view of a datum or a Levi ------------------------------
 
 class _Frame:
-    """Simple roots, positive roots and Weyl vector of either g or the Levi.
+    """Positive roots and Weyl vector of either g or the Levi.
 
-    The frame's dominance order is the cone test ``chamber_cone_mask``, with
-    ``sbar`` selecting the Levi cone (None for g), and ``dominant`` is its
-    one batched dominant image.  Rows are int64 doubled coordinates.
-    ``blocks`` are the factor blocks ``dominant`` sorts (``LeviDatum.blocks``,
-    one block for g) with their ``kernels.FAMILY_CODE``, less the lone gl
-    coordinates, whose groups are trivial.
+    ``dominant`` is the frame's one batched dominant image and
+    ``orbit_sizes`` the sizes of the orbits of dominant rows.  Rows are int64
+    doubled coordinates.  ``blocks`` are the factor blocks both read
+    (``LeviDatum.blocks``, one block for g) with their
+    ``kernels.FAMILY_CODE``, less the lone gl coordinates, whose groups are
+    trivial.
     """
 
     def __init__(self, owner):
         self.owner = owner
         if isinstance(owner, LeviDatum):
             self.datum = owner.parent
-            self.sbar = owner.sbar
             self.rho = owner.rho_bar
-            simple_roots, positive_roots = owner.sbar_roots, owner.rbar_plus
-            blocks = owner.blocks
+            positive_roots, blocks = owner.rbar_plus, owner.blocks
         else:
             self.datum = owner
-            self.sbar = None
             self.rho = owner.rho
-            simple_roots, positive_roots = owner.simple_roots, owner.positive_roots
+            positive_roots = owner.positive_roots
             blocks = [(0, owner.rank, owner.family, False)]  # the Levi on all of S
         self.n = self.datum.rank
         self.blocks = [(lo, hi, kernels.FAMILY_CODE[fam], flip)
                        for lo, hi, fam, flip in blocks if hi - lo > 1 or fam != "GL"]
-        self.simple = np.array(simple_roots, dtype=np.int64).reshape(-1, self.n)
         self.roots = np.array(positive_roots, dtype=np.int64).reshape(-1, self.n)
         self.two_rho = self.roots.sum(axis=0)  # doubled coords of 2*rho_frame
 
@@ -297,6 +300,35 @@ class _Frame:
                 block[:, -1] *= -1
         return out
 
+    def orbit_sizes(self, doms: np.ndarray) -> np.ndarray:
+        """|W_frame . nu| of every frame-dominant row nu.
+
+        The orbit is the product of the blocks' orbits.  A dominant block is
+        sorted (by |value| in B, C and D; a ``flip`` block with its last
+        coordinate negated, as ``dominant`` sorts it), so its distinct
+        permutations number w! / prod(run lengths)!, where the runs are
+        those of equal adjacent entries (of equal |value| in B, C and D).
+        B, C and D multiply by 2^(nonzero entries), the sign choices, and
+        D halves that when no entry is zero: its sign changes are even.
+        """
+        doms = np.asarray(doms, dtype=np.int64).reshape(-1, self.n)
+        sizes = np.ones(len(doms), dtype=np.int64)
+        for lo, hi, code, flip in self.blocks:
+            block = np.abs(doms[:, lo:hi]) if code else doms[:, lo:hi].copy()
+            if flip:
+                block[:, -1] *= -1
+            # run[:, j]: position of entry j in its run of equal entries, from 1
+            run = np.ones(block.shape, dtype=np.int64)
+            for j in range(1, hi - lo):
+                run[:, j] = np.where(block[:, j] == block[:, j - 1], run[:, j - 1] + 1, 1)
+            sizes *= math.factorial(hi - lo) // run.prod(axis=1)  # the runs' factorials
+            if code:
+                nonzero = np.count_nonzero(block, axis=1)
+                sizes <<= nonzero
+                if code == kernels.FAMILY_CODE["D"]:
+                    sizes[nonzero == hi - lo] >>= 1
+        return sizes
+
     def orbits(self, doms: np.ndarray, limit: float = math.inf):
         """The disjoint orbits of the distinct frame-dominant rows ``doms``:
         their points' ``pack_rows`` keys in increasing order, the points and
@@ -307,7 +339,8 @@ class _Frame:
         sorted_keys = np.sort(kernels.pack_rows(doms))  # np.unique would import numpy.ma
         if (sorted_keys[1:] == sorted_keys[:-1]).any() or (self.dominant(doms) != doms).any():
             raise WeightError("orbit representatives must be distinct and frame-dominant")
-        group = weyl_group(self.datum) if self.sbar is None else levi_group(self.owner)
+        levi = isinstance(self.owner, LeviDatum)
+        group = levi_group(self.owner) if levi else weyl_group(self.datum)
         perm, sign, _ = group.arrays
         step = max(1, ORBIT_CHUNK_ROWS // len(perm))
         parts, total = [], 0
@@ -342,20 +375,20 @@ def _frame_for(owner) -> _Frame:
 
 # -- Freudenthal characters ----------------------------------------------------
 
-def dominants_below(owner, top: Weight) -> tuple[Weight, ...]:
-    """All frame-dominant weights ``nu`` with ``nu`` <= ``top`` in the frame order.
+def dominants_below(datum: RootDatum, top: Weight) -> tuple[Weight, ...]:
+    """All dominant weights ``nu`` of the root datum with ``nu`` <= ``top``.
 
-    Breadth first from ``top``: the whole frontier steps down by every frame
+    Breadth first from ``top``: the whole frontier steps down by every
     positive root, takes its dominant images in one batch and keeps those
     still below ``top`` by one cone test.
     """
-    frame = _frame_for(owner)
+    frame = _frame_for(datum)
     top_row = np.array(top, dtype=np.int64)
     seen = {top}
     frontier = top_row[None, :]
     while len(frontier):
         cand = frame.dominant((frontier[:, None, :] - frame.roots).reshape(-1, frame.n))
-        cand = cand[chamber_cone_mask(frame.datum.family, top_row - cand, frame.sbar)]
+        cand = cand[chamber_cone_mask(datum.family, top_row - cand)]
         fresh = set(map(tuple, cand.tolist())) - seen
         seen |= fresh
         frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, frame.n)
@@ -363,21 +396,34 @@ def dominants_below(owner, top: Weight) -> tuple[Weight, ...]:
 
 
 @lru_cache(maxsize=None)
-def dominant_multiplicities(owner, lam: Weight) -> dict:
+def dominant_multiplicities(owner, lam: Weight) -> MappingProxyType:
     """Weight multiplicities of the irreducible with highest weight ``lam``,
-    recorded on dominant representatives (Freudenthal recursion, exact).
+    recorded on dominant representatives: a read-only mapping, shared by
+    every caller through the cache.
 
-    For each nu the xi = nu + k a, over the frame positive roots a and
+    For a root datum, Freudenthal's recursion (``_freudenthal``).  For a
+    Levi, the product over its factor blocks (``_levi_multiplicities``).
+    """
+    if not owner.is_dominant(lam):
+        raise WeightError(f"{lam} is not dominant for {owner}")
+    if isinstance(owner, LeviDatum):
+        rows, mult = _levi_multiplicities(owner, lam)
+        return MappingProxyType(dict(zip(map(Weight, rows.tolist()), mult.tolist())))
+    return MappingProxyType(_freudenthal(owner, lam))
+
+
+def _freudenthal(datum: RootDatum, lam: Weight) -> dict:
+    """Freudenthal's recursion on the dominant weights below ``lam``, exact.
+
+    For each nu the xi = nu + k a, over the positive roots a and
     1 <= k <= <lam - nu, 2 rho> / <a, 2 rho> (higher xi are not weights),
     need no multiplicity, so those of every nu take their dominant images in
     one batch, and the sum runs over the xi whose image has a multiplicity.
     That is the sum that stops each a-string at its first miss, because
     a-strings through weights are unbroken.
     """
-    frame = _frame_for(owner)
-    if not owner.is_dominant(lam):
-        raise WeightError(f"{lam} is not dominant for {owner}")
-    doms = dominants_below(owner, lam)
+    frame = _frame_for(datum)
+    doms = dominants_below(datum, lam)
     lam_row = np.array(lam, dtype=np.int64)
     heights = dict(zip(doms, ((lam_row - np.array(doms)) @ frame.two_rho).tolist()))
     nus = sorted((nu for nu in doms if nu != lam), key=lambda nu: (heights[nu], nu))
@@ -408,12 +454,58 @@ def dominant_multiplicities(owner, lam: Weight) -> dict:
     return mult
 
 
+def _levi_multiplicities(levi: LeviDatum, lam: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """The Levi-dominant weights of the Levi irreducible of ``lam`` and their
+    multiplicities, as rows and counts.
+
+    The Levi irreducible is the outer tensor product of its factor blocks'
+    irreducibles, and Levi dominance holds block by block, so the dominant
+    weights are the products of the blocks' dominant weights and their
+    multiplicities the products of the blocks' multiplicities
+    (``_block_multiplicities``).  A lone gl coordinate stays constant.  A gl
+    block takes the shift that makes its last coordinate 0 off its top and
+    puts it back on every weight; a ``flip`` block negates its last
+    coordinate going in and coming out, as ``_Frame.dominant`` does.
+    """
+    rows = np.array([lam], dtype=np.int64)
+    mult = np.ones(1, dtype=np.int64)
+    for lo, hi, fam, flip in levi.blocks:
+        if fam == "GL" and hi - lo == 1:
+            continue
+        top = rows[0, lo:hi].copy()
+        if flip:
+            top[-1] *= -1
+        shift = top[-1] if fam == "GL" else 0
+        block_rows, block_mult = _block_multiplicities(fam, hi - lo, tuple((top - shift).tolist()))
+        block_rows = block_rows + shift
+        if flip:
+            block_rows[:, -1] *= -1
+        rows = np.repeat(rows, len(block_rows), axis=0)
+        rows[:, lo:hi] = np.tile(block_rows, (len(mult), 1))
+        _coefficient_guard(int(mult.max()) * int(block_mult.max()))
+        mult = np.outer(mult, block_mult).ravel()
+    return rows, mult
+
+
+@lru_cache(maxsize=None)
+def _block_multiplicities(family: str, width: int, top: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The dominant multiplicities of the irreducible of ``top`` (doubled
+    coordinates) of ``build_root_system(family, width)``, as read-only
+    rows and counts, shared by every Levi with such a block."""
+    mult = dominant_multiplicities(build_root_system(family, width), Weight(top))
+    rows = np.array(list(mult), dtype=np.int64).reshape(len(mult), width)
+    counts = np.fromiter(mult.values(), np.int64, len(mult))
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
+
+
 def weyl_character(owner, lam: Weight) -> WeightPolynomial:
     """Full weight multiset of the irreducible with highest weight ``lam``.
 
-    ``owner`` may be a RootDatum or a LeviDatum.  The Freudenthal
-    multiplicities go on the orbits of one ``_Frame.orbits`` call; the result
-    is validated against the Weyl dimension formula on every call.
+    ``owner`` may be a RootDatum or a LeviDatum.  The dominant
+    multiplicities (``dominant_multiplicities``) go on the orbits of one
+    ``_Frame.orbits`` call; the result is validated against the Weyl
+    dimension formula on every call.
     """
     frame = _frame_for(owner)
     owner.require_dominant(lam)
@@ -470,37 +562,58 @@ def _check_denominator(levi: LeviDatum, drops: np.ndarray, eps: np.ndarray) -> N
 def decompose_character(owner, poly: WeightPolynomial) -> dict:
     """Decompose a symmetric nonnegative weight multiset into irreducibles.
 
-    Repeatedly extracts a maximal dominant weight (maximal for the frame
-    dominance order) and strips that many copies of its character.  Exact:
-    raises if the multiset is not a nonnegative combination of characters.
+    Exact: raises if the multiset is not a nonnegative combination of
+    characters.  First the symmetry under the frame's Weyl group, from one
+    batched ``dominant`` image of every term: each term must have the
+    coefficient of its dominant image, and each dominant term nu exactly
+    |W_frame nu| terms in its orbit (``_Frame.orbit_sizes``).  A symmetric
+    multiset is the sum of its dominant terms' orbit sums, and so is a
+    character, so the stripping then reads the dominant terms alone.
 
-    Every other weight of a character lies strictly below its highest
-    weight, so it has smaller height against 2 rho of the frame; the
-    dominant weights of ``poly`` are therefore visited once, by decreasing
-    (height, weight).
+    It repeatedly extracts a maximal dominant weight (maximal for the frame
+    dominance order) and subtracts that many times its character's dominant
+    multiplicities (``dominant_multiplicities``), checked against the Weyl
+    dimension: sum mult(nu) |W_frame nu| = dim.  Every other weight of a
+    character lies strictly below its highest weight, so it has smaller
+    height against 2 rho of the frame; the dominant terms are therefore
+    visited once, by decreasing (height, weight).
     """
     frame = _frame_for(owner)
-    keys, rows = poly._keys, poly._rows
-    remaining = poly._coeffs.copy()
+    keys, rows, coeffs = poly._keys, poly._rows, poly._coeffs
     out: dict[Weight, int] = {}
-    if not len(remaining):
+    if not len(coeffs):
         return out
-    dominant = np.flatnonzero((rows @ frame.simple.T >= 0).all(axis=1))
-    height = rows[dominant] @ frame.two_rho
+    image_keys = kernels.pack_rows(frame.dominant(rows))
+    image = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
+    if not ((keys[image] == image_keys) & (coeffs[image] == coeffs)).all():
+        raise WeightError("multiset admits no dominant maximal weight")
+    dominant = np.flatnonzero(image == np.arange(len(keys)))
+    sizes = frame.orbit_sizes(rows[dominant])
+    short = np.bincount(image, minlength=len(keys))[dominant] != sizes
+    if short.any():
+        nu = Weight(rows[dominant[np.argmax(short)]].tolist())
+        raise WeightError(f"orbit of {nu} has weights outside the remaining multiset")
+    keys, rows, remaining = keys[dominant], rows[dominant], coeffs[dominant].copy()
     # keys sort like the rows, so this is (height, weight), highest first
-    for i in dominant[np.lexsort((keys[dominant], height))[::-1]]:
+    for i in np.lexsort((keys, rows @ frame.two_rho))[::-1].tolist():
         m = int(remaining[i])
         if m == 0:
             continue
         top = Weight(rows[i].tolist())
         if m < 0:
             raise WeightError(f"negative multiplicity {m} at {top} while stripping")
-        char = weyl_character(owner, top)
-        at = np.minimum(np.searchsorted(keys, char._keys), len(keys) - 1)
-        if not ((keys[at] == char._keys) & (remaining[at] != 0)).all():
+        mult = dominant_multiplicities(owner, top)
+        nu_keys = kernels.pack_rows(np.array(list(mult), dtype=np.int64))
+        at = np.minimum(np.searchsorted(keys, nu_keys), len(keys) - 1)
+        if not ((keys[at] == nu_keys) & (remaining[at] != 0)).all():
             raise WeightError(
                 f"character of {top} has weights outside the remaining multiset")
-        remaining[at] -= m * char._coeffs
+        counts = np.fromiter(mult.values(), np.int64, len(mult))
+        total, dim = int(counts @ sizes[at]), frame.weyl_dim(top)
+        if total != dim:
+            raise WeightError(f"character of {top} has size {total}, but the dimension "
+                              f"formula gives {dim}")
+        remaining[at] -= m * counts
         out[top] = m
     if remaining.any():
         raise WeightError("multiset admits no dominant maximal weight")

@@ -15,6 +15,13 @@ the automorphism arrays.
 of a Levi, and ``levi_cone`` decides the Levi dominance order by counting
 partitions over the Levi positive roots: the oracles for the frames'
 batched dominant image and Levi cone test in ``levibranch.weightpoly``.
+``levi_dominant_multiplicities`` runs Freudenthal's recursion in the Levi
+frame, on the dominant weights a breadth-first search finds below the top
+in the Levi cone: the reference route for ``dominant_multiplicities`` of a
+Levi, the product of its factor blocks' multiplicities.
+``strip_full_character`` strips whole characters off the whole multiset:
+the reference route for ``decompose_character``, which checks the
+multiset's symmetry and then strips dominant terms alone.
 ``e_set`` builds the E-set of a Levi weight one element at a time, and
 ``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
 a chamber holding it: the reference route for ``branching.far_from_walls``,
@@ -71,11 +78,11 @@ import numpy as np
 from levibranch import kernels
 from levibranch.branching import branch_multiplicity
 from levibranch.rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                                WeightError, build_levi)
+                                WeightError, build_levi, chamber_cone_mask)
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities,
-                                   signed_bucket)
+                                   signed_bucket, weyl_character)
 from levibranch.weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, WeylGroup,
                                 _maps_into, diagram_automorphisms,
                                 dominant_representative, levi_group,
@@ -283,8 +290,7 @@ def kostka_multiplicity(datum: RootDatum, lam: Weight, beta: Weight) -> int:
 
 def orbit_rows(owner, beta: Weight) -> np.ndarray:
     """The distinct frame-Weyl images of ``beta``, in lexicographic order."""
-    frame = _frame_for(owner)
-    group = weyl_group(frame.datum) if frame.sbar is None else levi_group(owner)
+    group = levi_group(owner) if isinstance(owner, LeviDatum) else weyl_group(owner)
     perm, sign, _ = group.arrays
     img = kernels.orbit_images(perm, sign, np.array(beta, dtype=np.int64))
     _, first = np.unique(kernels.pack_rows(img), return_index=True)
@@ -312,6 +318,86 @@ def poly_by_orbits(fn) -> WeightPolynomial:
     orbits = [orbit_rows(datum, lam) for lam, _ in fn.coeffs]
     return _bucketed(orbits, [a * datum.weyl_order() // len(orbit)
                               for (_, a), orbit in zip(fn.coeffs, orbits)])
+
+
+# -- Levi characters in the Levi frame --------------------------------------------------
+
+def levi_dominants_below(levi: LeviDatum, top: Weight) -> tuple[Weight, ...]:
+    """The Levi-dominant weights below ``top`` in the Levi order, breadth
+    first: each frontier steps down by every Levi positive root, takes its
+    Levi-dominant images and keeps those in the Levi cone below ``top``."""
+    frame = _frame_for(levi)
+    top_row = np.array(top, dtype=np.int64)
+    seen = {top}
+    frontier = top_row[None, :]
+    while len(frontier):
+        cand = frame.dominant((frontier[:, None, :] - frame.roots).reshape(-1, frame.n))
+        cand = cand[chamber_cone_mask(levi.parent.family, top_row - cand, levi.sbar)]
+        fresh = set(map(tuple, cand.tolist())) - seen
+        seen |= fresh
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, frame.n)
+    return tuple(sorted(map(Weight, seen)))
+
+
+def levi_dominant_multiplicities(levi: LeviDatum, lam: Weight) -> dict:
+    """Freudenthal's recursion in the Levi frame: for nu below ``lam`` by
+    increasing height, 2 sum_a sum_(k >= 1) m(nu + k a) <nu + k a, a> over
+    |lam + rho_bar|^2 - |nu + rho_bar|^2, each a-string read up to its first
+    weight without a multiplicity."""
+    frame = _frame_for(levi)
+    levi.require_dominant(lam)
+    doms = levi_dominants_below(levi, lam)
+    height = {nu: (lam - nu).dot4(Weight(frame.two_rho.tolist())) for nu in doms}
+    rho = frame.rho
+    lam_norm = (lam + rho).dot4(lam + rho)
+    mult = {lam: 1}
+    for nu in sorted((nu for nu in doms if nu != lam), key=lambda nu: (height[nu], nu)):
+        num = 0
+        for a in levi.rbar_plus:
+            xi = nu + a
+            while True:
+                image = Weight(frame.dominant(np.array([xi], dtype=np.int64))[0].tolist())
+                if image not in mult:
+                    break
+                num += mult[image] * xi.dot4(a)
+                xi = xi + a
+        q, r = divmod(2 * num, lam_norm - (nu + rho).dot4(nu + rho))
+        if r:
+            raise WeightError(f"Freudenthal division failed at {nu}")
+        mult[nu] = q
+    return mult
+
+
+def strip_full_character(owner, poly: WeightPolynomial) -> dict:
+    """Strip whole characters (``weyl_character``) off the whole multiset,
+    maximal dominant weights first, by decreasing (height, weight)."""
+    frame = _frame_for(owner)
+    keys, rows = poly._keys, poly._rows
+    remaining = poly._coeffs.copy()
+    out: dict[Weight, int] = {}
+    if not len(remaining):
+        return out
+    simple = owner.sbar_roots if isinstance(owner, LeviDatum) else owner.simple_roots
+    simple = np.array(simple, dtype=np.int64).reshape(-1, frame.n)
+    dominant = np.flatnonzero((rows @ simple.T >= 0).all(axis=1))
+    height = rows[dominant] @ frame.two_rho
+    for i in dominant[np.lexsort((keys[dominant], height))[::-1]]:
+        m = int(remaining[i])
+        if m == 0:
+            continue
+        top = Weight(rows[i].tolist())
+        if m < 0:
+            raise WeightError(f"negative multiplicity {m} at {top} while stripping")
+        char = weyl_character(owner, top)
+        at = np.minimum(np.searchsorted(keys, char._keys), len(keys) - 1)
+        if not ((keys[at] == char._keys) & (remaining[at] != 0)).all():
+            raise WeightError(
+                f"character of {top} has weights outside the remaining multiset")
+        remaining[at] -= m * char._coeffs
+        out[top] = m
+    if remaining.any():
+        raise WeightError("multiset admits no dominant maximal weight")
+    return out
 
 
 # -- type A -------------------------------------------------------------------------
