@@ -42,8 +42,7 @@ from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
 from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
                          _rho_drops, decompose_character, levi_table, signed_bucket,
                          weyl_character)
-from .weylgrp import (DEFAULT_GROUP_GUARD, dominant_representative, levi_group,
-                      weyl_group)
+from .weylgrp import dominant_representative, levi_group, weyl_group
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # E-set rows per batch of M-function builds
@@ -92,8 +91,7 @@ def far_from_walls(levi: LeviDatum, mus) -> np.ndarray:
 
 # -- alternating-sum branching ----------------------------------------------
 
-def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight,
-                        guard: int = DEFAULT_GROUP_GUARD) -> int:
+def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight) -> int:
     """Branching coefficient via the signed Weyl sum of partition counts.
 
     Terms whose argument fails the ambient cone test are pruned before the
@@ -104,7 +102,7 @@ def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight,
     levi.require_dominant(mu)
     if not (lam - mu).is_integral():
         return 0  # different lattice classes never branch into each other
-    group = weyl_group(datum, guard)
+    group = weyl_group(datum)
     perm, sign, eps = group.arrays
     args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
     args -= np.array(mu + datum.rho, dtype=np.int64)
@@ -165,11 +163,10 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
     return tuple(sorted(map(Weight, rows[keep].tolist())))
 
 
-def branch_row(levi: LeviDatum, mu: Weight, k: int = 2,
-               guard: int = DEFAULT_GROUP_GUARD) -> BranchingRow:
+def branch_row(levi: LeviDatum, mu: Weight, k: int = 2) -> BranchingRow:
     """Evaluate the alternating-sum branching over the default lambda box."""
     box = default_lambda_box(levi, mu, k)
-    entries = {lam: branch_multiplicity(levi, lam, mu, guard) for lam in box}
+    entries = {lam: branch_multiplicity(levi, lam, mu) for lam in box}
     return BranchingRow(levi, mu, entries, box)
 
 
@@ -246,8 +243,7 @@ def leading_term(levi: LeviDatum, mu: Weight) -> tuple[Weight, int]:
     return lam, sign
 
 
-def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
-            guard: int = DEFAULT_GROUP_GUARD) -> MFunction:
+def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True) -> MFunction:
     """Construct the M-function of ``mu`` on the orbit-sum basis.
 
     Each translate mu + rho_bar - w(rho_bar) contributes its sign at its
@@ -258,7 +254,7 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True,
     cone assertions always run.
     """
     levi.require_dominant(mu)
-    levi_group(levi, guard)  # enforce the guard before any heavy work
+    levi_group(levi)  # enforce the guard before any heavy work
     lam_top, _ = leading_term(levi, mu)
     (urows, sums), = m_terms(levi, [mu], [lam_top], self_check=self_check)
     return MFunction(levi, mu, tuple(zip(map(Weight, urows.tolist()), sums.tolist())))

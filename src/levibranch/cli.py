@@ -7,7 +7,8 @@ primary output to a file instead of stdout, for every subcommand.
 
 Exit codes: 0 success, 2 validation error (also for an option the command
 would ignore), 3 group/size guard exceeded (also a coordinate or a count
-beyond exact int64 arithmetic), 4 I/O failure.  No command exits 1.
+beyond exact int64 arithmetic), 4 I/O failure.  No command exits 1.  The
+group guard is a constant: no option or config key sets it.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
                       WeightError, build_levi, build_root_system)
 from .typea_lr import Partition, lr_coefficient, multi_lr, polarisation_branch
 from .weightpoly import BudgetError
-from .weylgrp import (DEFAULT_GROUP_GUARD, GroupSizeError,
-                      diagram_automorphisms, transversal)
+from .weylgrp import GroupSizeError, diagram_automorphisms, transversal
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {"family", "rank", "levi", "threads", "guard"}
+_CONFIG_FIELDS = {"family", "rank", "levi", "threads"}
 
 
 @dataclass
@@ -44,7 +44,6 @@ class JobConfig:
     datum: RootDatum
     levi: LeviDatum | None
     threads: int = 1
-    guard: int = DEFAULT_GROUP_GUARD
 
     def require_levi(self) -> LeviDatum:
         if self.levi is None:
@@ -79,12 +78,10 @@ def _load_config(args) -> JobConfig:
     datum = build_root_system(str(data["family"]).upper(),
                               _integer(data["rank"], "config field rank"))
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
-    for key in ("threads", "guard"):
-        if _integer(data.get(key) or 0, f"config field {key}") < 0:
-            raise ValueError(f"config key {key} must be >= 0, got {data[key]}")
+    if _integer(data.get("threads") or 0, "config field threads") < 0:
+        raise ValueError(f"config key threads must be >= 0, got {data['threads']}")
     threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
-    guard = int(getattr(args, "guard", 0) or data.get("guard", 0) or DEFAULT_GROUP_GUARD)
-    return JobConfig(datum, levi, threads, guard)
+    return JobConfig(datum, levi, threads)
 
 
 def _integer(value, name: str) -> int:
@@ -128,7 +125,7 @@ def cmd_branch(args) -> int:
     mu = Weight.parse(args.mu)
     if args.lam:
         lam = Weight.parse(args.lam)
-        value = branch_multiplicity(levi, lam, mu, cfg.guard)
+        value = branch_multiplicity(levi, lam, mu)
         if args.oracle:
             row = branch_by_restriction(levi, lam)
             oracle_value = row.get(mu, 0)
@@ -140,7 +137,7 @@ def cmd_branch(args) -> int:
         else:
             _emit(f"{value}\n", args.out)
     else:
-        row = branch_row(levi, mu, args.box_k, cfg.guard)
+        row = branch_row(levi, mu, args.box_k)
         if args.oracle:
             diffs = []
             for lam in row.box:
@@ -163,7 +160,7 @@ def cmd_compare(args) -> int:
     levi = cfg.require_levi()
     mu = Weight.parse(args.mu)
     nu = Weight.parse(args.nu)
-    verdict = classify_pair(levi, mu, nu, cfg.guard)
+    verdict = classify_pair(levi, mu, nu)
     _emit(verdict.to_json(), args.out)
     return EXIT_OK
 
@@ -183,7 +180,7 @@ def cmd_search(args) -> int:
     sink = open(args.certificates, "a", buffering=1) if args.certificates else None
     try:
         summary = search_box(levi, args.bound, sink=sink, threads=cfg.threads,
-                             guard=cfg.guard, resume_keys=resume)
+                             resume_keys=resume)
     finally:
         if sink:
             sink.close()
@@ -194,7 +191,7 @@ def cmd_search(args) -> int:
 def cmd_group(args) -> int:
     """``autos`` and ``u``: the order of the group, and its elements if ``full``."""
     cfg = _load_config(args)
-    group = args.group(cfg.require_levi(), cfg.guard)
+    group = args.group(cfg.require_levi())
     payload = {"count": len(group)}
     if args.full:
         payload["elements"] = group.to_json()
@@ -206,7 +203,7 @@ def cmd_mfun(args) -> int:
     cfg = _load_config(args)
     levi = cfg.require_levi()
     mu = Weight.parse(args.mu)
-    fn = build_m(levi, mu, guard=cfg.guard)
+    fn = build_m(levi, mu)
     lam, sign = fn.leading()
     payload = {"mu": mu.to_json(), "leading": {"w": lam.to_json(), "sign": sign}}
     if args.compact:
@@ -237,15 +234,14 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levibranch",
         description="Exact branching to Levi subalgebras and induced-character "
-                    "equality for the classical families")
+                    "equality for the classical families.  A Weyl group of more "
+                    "than 2,000,000 elements is never enumerated (exit 3).")
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
         p.add_argument("--system", help="root system FAMILY:RANK, e.g. C:6")
         p.add_argument("--levi", help="retained simple-root indices, e.g. 1,2,4,5,6")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--guard", type=_count_arg, default=0,
-                       help="Weyl-group enumeration guard (default 2e6)")
         p.add_argument("--out", help="write primary output to this file")
 
     p = sub.add_parser("branch", help="branching multiplicity or a whole row")

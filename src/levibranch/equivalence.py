@@ -28,8 +28,8 @@ from . import kernels
 from .branching import build_m, far_from_walls, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
-from .weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, diagram_automorphisms,
-                      dominant_representative, levi_group)
+from .weylgrp import (WeylElement, diagram_automorphisms, dominant_representative,
+                      levi_group)
 
 SAME_CHAMBER = "SAME_CHAMBER"
 FAR_FROM_WALLS = "FAR_FROM_WALLS"
@@ -63,8 +63,7 @@ class PairVerdict:
         }
 
 
-def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
-                  guard: int = DEFAULT_GROUP_GUARD) -> bool:
+def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight) -> bool:
     """Exact equality of the induced characters of ``mu`` and ``nu``.
 
     Fast-fails through two necessary conditions (same Weyl orbit; same
@@ -79,13 +78,12 @@ def induced_equal(levi: LeviDatum, mu: Weight, nu: Weight,
         return False
     if leading_term(levi, mu)[0] != leading_term(levi, nu)[0]:
         return False
-    return build_m(levi, mu, guard=guard).coeffs == build_m(levi, nu, guard=guard).coeffs
+    return build_m(levi, mu).coeffs == build_m(levi, nu).coeffs
 
 
-def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight,
-                          guard: int = DEFAULT_GROUP_GUARD) -> WeylElement | None:
+def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight) -> WeylElement | None:
     """The first diagram automorphism u (in element order) with u(mu) = nu, if any."""
-    autos = diagram_automorphisms(levi, guard)
+    autos = diagram_automorphisms(levi)
     hit = (kernels.orbit_images(autos.perm, autos.sign, np.array(mu, dtype=np.int64))
            == np.array(nu, dtype=np.int64)).all(axis=1)
     return autos.element(int(hit.argmax())) if hit.any() else None
@@ -142,14 +140,13 @@ def _verdict(mu: Weight, nu: Weight, equal: bool, auto: WeylElement | None,
     return PairVerdict(mu, nu, equal, auto, frozenset(covered), counterexample)
 
 
-def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight,
-                  guard: int = DEFAULT_GROUP_GUARD) -> PairVerdict:
+def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight) -> PairVerdict:
     """Full verdict: equality, relating automorphism, and covering theorem cases."""
     datum = levi.parent
     two_rho = levi.two_rho_bar
     return _verdict(
-        mu, nu, induced_equal(levi, mu, nu, guard),
-        relating_automorphism(levi, mu, nu, guard), _levi_cases(levi),
+        mu, nu, induced_equal(levi, mu, nu),
+        relating_automorphism(levi, mu, nu), _levi_cases(levi),
         same_chamber=same_closed_chamber(levi, mu, nu),
         far=bool(far_from_walls(levi, [mu, nu]).all()),
         two_rho_dominant=(datum.is_dominant(mu + two_rho)
@@ -214,12 +211,12 @@ def dominant_box(levi: LeviDatum, bound: int) -> list[Weight]:
 
 
 def search_box(levi: LeviDatum, coord_bound: int, sink=None,
-               threads: int = 1, guard: int = DEFAULT_GROUP_GUARD,
-               resume_keys: set | None = None) -> SearchSummary:
+               threads: int = 1, resume_keys: set | None = None) -> SearchSummary:
     """Scan a bounded box for equal induced characters and counterexamples.
 
     The box is ``dominant_box``.  Only Levi-sized groups are enumerated,
-    each under ``guard``: the Levi Weyl group and Stab_W(rho_bar), never W.
+    each under the group guard: the Levi Weyl group and Stab_W(rho_bar),
+    never W.
     Weights are grouped by their dominant representative (pairs in distinct
     Weyl orbits can never be equal); groups are processed in deterministic
     order and every equal pair is emitted as one verdict.  Within a group the
@@ -249,7 +246,7 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     t0 = time.monotonic()
     datum = levi.parent
     dominant = _frame_for(datum).dominant
-    levi_group(levi, guard)  # enforce the guard before any build
+    levi_group(levi)  # enforce the guard before any build
     box = dominant_box(levi, coord_bound)
     rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
     groups: dict[Weight, list[int]] = {}
@@ -283,7 +280,7 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         paired = [j for j, c in enumerate(cls) if c is not None and sizes[c] > 1]
         if not paired:
             return key, tested, []
-        autos = diagram_automorphisms(levi, guard)
+        autos = diagram_automorphisms(levi)
         far = dict(zip(paired, far_from_walls(levi, [members[j] for j in paired]).tolist()))
         images, step = {}, max(1, ORBIT_CHUNK_ROWS // len(autos))
         for lo in range(0, len(paired), step):

@@ -92,8 +92,8 @@ class WeightPolynomial:
         return int(np.abs(self._coeffs).max()) if len(self._coeffs) else 0
 
     @classmethod
-    def monomial(cls, w: Weight, c: int = 1) -> "WeightPolynomial":
-        return cls({w: c})
+    def monomial(cls, w: Weight) -> "WeightPolynomial":
+        return cls({w: 1})
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":

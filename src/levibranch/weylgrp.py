@@ -7,10 +7,12 @@ character.  Row w acts by ``act(w, b)[i] = sign[w, i] * b[perm[w, i]]``.
 W, the Levi Weyl groups and the stabilisers are products over factor
 blocks (``LeviDatum.blocks``, one block for W) of classical groups: every
 permutation of a block's coordinates against every admissible sign vector,
-built in element order.  The transversal filters W chunk by chunk, so it
-never holds all of W; the diagram automorphisms filter a conjugate of a
-stabiliser block group, sorted once, and never enumerate W.  No group is
-iterated element by element.  A ``WeylElement`` is one element: the one
+built in element order, each under the constant ``DEFAULT_GROUP_GUARD``.
+The transversal is read off the W-orbit of rho - rho_bar with two sorts
+per point; the diagram automorphisms filter a conjugate of a stabiliser
+block group with the Levi cone test and never enumerate W.  One
+``np.lexsort`` puts each in element order.  No group is iterated element
+by element.  A ``WeylElement`` is one element: the one
 ``kernels.dominant_elements`` gives for a weight
 (``dominant_representative``) or the one a verdict carries
 (``WeylGroup.element``).
@@ -26,20 +28,18 @@ import numpy as np
 
 from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
-                      build_levi)
+                      build_levi, chamber_cone_mask)
 
+# the largest group that is ever enumerated
 DEFAULT_GROUP_GUARD = 2_000_000
-# rows of W per block when the transversal filters W
-FILTER_BLOCK_ROWS = 1 << 14
 
 
 class GroupSizeError(RuntimeError):
-    """The requested enumeration exceeds the configured group guard."""
+    """The requested enumeration exceeds the group guard."""
 
-    def __init__(self, label: str, size: int, guard: int):
-        super().__init__(f"|{label}| = {size} exceeds the guard {guard}")
+    def __init__(self, label: str, size: int):
+        super().__init__(f"|{label}| = {size} exceeds the guard {DEFAULT_GROUP_GUARD}")
         self.size = size
-        self.guard = guard
 
 
 @dataclass(frozen=True)
@@ -113,19 +113,6 @@ def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def _blocks(datum: RootDatum, rows: int):
-    """W in element order as (perm, sign) chunks of about ``rows`` rows.
-
-    Each chunk is a run of whole permutations, each repeated against every
-    admissible sign vector.
-    """
-    perms, signs = _signed_perms(datum.family, datum.rank)
-    step = max(1, rows // len(signs))
-    for lo in range(0, len(perms), step):
-        block = perms[lo:lo + step]
-        yield np.repeat(block, len(signs), axis=0), np.tile(signs, (len(block), 1))
-
-
 @lru_cache(maxsize=None)
 def _block_group(n: int, blocks: tuple) -> WeylGroup:
     """The product of the factor blocks' groups on n coordinates, in element order.
@@ -163,26 +150,35 @@ def _block_group(n: int, blocks: tuple) -> WeylGroup:
     return WeylGroup(perm.reshape(-1, n), sign.reshape(-1, n))
 
 
-def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
-    """The rows (perm, sign) that send every vector of ``roots`` into ``targets``."""
-    if not roots:
-        return perm, sign
-    keys = np.sort(kernels.pack_rows(np.array(targets, dtype=np.int64)))
+def _in_element_order(perm: np.ndarray, sign: np.ndarray):
+    """The rows (perm, sign) sorted into element order: perm columns, then
+    negative-sign columns, column 0 first.  As int16 (entries below the
+    rank) the keys sort ~4x faster."""
+    order = np.lexsort(np.hstack((perm, sign < 0)).astype(np.int16).T[::-1])
+    return perm[order], sign[order]
+
+
+def _levi_cone_mask(levi: LeviDatum, perm: np.ndarray, sign: np.ndarray,
+                    roots) -> np.ndarray:
+    """Which rows (perm, sign) send every root of ``roots`` into Rbar+.
+
+    One cone test per root: a Weyl image of a root is a root, and the roots
+    in the Levi cone of ``chamber_cone_mask`` are Rbar+ (``build_levi``).
+    """
+    ok = np.ones(len(perm), dtype=bool)
     for a in roots:
-        img = kernels.pack_rows(kernels.orbit_images(perm, sign, np.array(a, dtype=np.int64)))
-        at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
-        keep = keys[at] == img
-        perm, sign = perm[keep], sign[keep]
-    return perm, sign
+        img = kernels.orbit_images(perm, sign, np.array(a, dtype=np.int64))
+        ok &= chamber_cone_mask(levi.parent.family, img, levi.sbar)
+    return ok
 
 
-def check_group_guard(label: str, size: int, guard: int) -> None:
-    if size > guard:
-        raise GroupSizeError(label, size, guard)
+def check_group_guard(label: str, size: int) -> None:
+    if size > DEFAULT_GROUP_GUARD:
+        raise GroupSizeError(label, size)
 
 
-def weyl_group(datum: RootDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    check_group_guard(f"W({datum.describe()})", datum.weyl_order(), guard)
+def weyl_group(datum: RootDatum) -> WeylGroup:
+    check_group_guard(f"W({datum.describe()})", datum.weyl_order())
     return _block_group(datum.rank, ((0, datum.rank, datum.family, False),))
 
 
@@ -213,32 +209,45 @@ def stabilizer_subgroup(datum: RootDatum, lam: Weight) -> WeylGroup:
 
 # -- Levi-side groups ------------------------------------------------------
 
-def levi_group(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    check_group_guard(f"Wbar({levi.describe()})", levi.weylbar_order(), guard)
+def levi_group(levi: LeviDatum) -> WeylGroup:
+    check_group_guard(f"Wbar({levi.describe()})", levi.weylbar_order())
     return _block_group(levi.parent.rank, levi.blocks)
 
 
 @lru_cache(maxsize=None)
-def transversal(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
-    """Minimal-length coset representatives of W over the Levi Weyl group.
+def transversal(levi: LeviDatum) -> WeylGroup:
+    """Minimal-length coset representatives of W over Wbar, in element order.
 
-    The w in W that keep every Levi simple root positive, filtered block by
-    block; W is listed in element order, so the survivors are too.
+    Read off the W-orbit of x = rho - rho_bar: w = ``dominant_elements(y)``
+    sorts an orbit point y to x, z is the Levi-dominant image of w(rho), and
+    u, the element that sorts z to rho, is the representative with u(x) = y.
+    Proof: u(alpha) > 0 for alpha in Sbar exactly when <u^-1 rho, alpha> > 0,
+    so u is a representative exactly when u^-1(rho) is Levi-dominant.  x is
+    dominant with stabiliser Wbar (Chevalley), so w u fixes x and
+    w = wbar u^-1 with wbar in Wbar: the Levi-dominant point of the
+    Wbar-orbit of w(rho) is z = u^-1(rho).  rho is regular, so u is the one
+    element that sorts z to rho, in D as in every family.
     """
+    # weightpoly imports this module, so its frames are imported on use
+    from .weightpoly import _frame_for
+
     datum = levi.parent
-    check_group_guard(f"W({datum.describe()})", datum.weyl_order(), guard)
-    kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
-            for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
-    perm = np.concatenate([p for p, _ in kept])
+    code = kernels.FAMILY_CODE[datum.family]
+    rho = np.array(datum.rho, dtype=np.int64)
+    x = rho - np.array(levi.rho_bar, dtype=np.int64)
+    _, points, _ = _frame_for(datum).orbits(x[None, :])
+    w_perm, w_sign = kernels.dominant_elements(points, code)
+    z = _frame_for(levi).dominant(rho[w_perm] * w_sign)
+    perm, sign = _in_element_order(*kernels.dominant_elements(z, code))
     expected = datum.weyl_order() // levi.weylbar_order()
     if len(perm) != expected:
         raise RootSystemError(
             f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")
-    return WeylGroup(perm, np.concatenate([s for _, s in kept]))
+    return WeylGroup(perm, sign)
 
 
 @lru_cache(maxsize=None)
-def diagram_automorphisms(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeylGroup:
+def diagram_automorphisms(levi: LeviDatum) -> WeylGroup:
     """All w in W with w(rbar_plus) = rbar_plus; a subgroup in element
     order, so the identity first.
 
@@ -250,23 +259,22 @@ def diagram_automorphisms(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> 
     * w(Sbar) in Rbar+ implies w(Rbar+) = Rbar+: w(alpha) is a root in
       N.Sbar for alpha in Rbar+, so in Rbar+, and w is injective.
 
-    Each element is checked to map all of Rbar+ into Rbar+, i.e. to act as
-    a Dynkin diagram automorphism of the Levi.
+    Both conditions are the Levi cone test (``_levi_cone_mask``).  Each
+    element is checked to map all of Rbar+ into Rbar+, i.e. to act as a
+    Dynkin diagram automorphism of the Levi.
     """
     w1, dom = dominant_representative(levi.parent, levi.rho_bar)
     check_group_guard(f"Stab_W(rho_bar) of {levi.describe()}",
-                      _fixing_levi(levi.parent, dom).weylbar_order(), guard)
+                      _fixing_levi(levi.parent, dom).weylbar_order())
     g_perm, g_sign, _ = stabilizer_subgroup(levi.parent, dom).arrays
     p1, s1 = np.array(w1.perm, dtype=np.int64), np.array(w1.signs, dtype=np.int64)
     inv = np.argsort(p1)
     # w1^-1 o g o w1 for each g, where a o b has perm b.perm[a.perm] and sign
     # a.sign * b.sign[a.perm]
     perm, sign = p1[g_perm][:, inv], s1[inv] * (g_sign * s1[g_perm])[:, inv]
-    # element order: perm columns, then negative-sign columns, column 0
-    # first; as int16 (entries below the rank) the keys sort ~4x faster
-    order = np.lexsort(np.hstack((perm, sign < 0)).astype(np.int16).T[::-1])
-    perm, sign = _maps_into(perm[order], sign[order], levi.sbar_roots, levi.rbar_plus)
-    if len(_maps_into(perm, sign, levi.rbar_plus, levi.rbar_plus)[0]) != len(perm):
+    keep = _levi_cone_mask(levi, perm, sign, levi.sbar_roots)
+    perm, sign = _in_element_order(perm[keep], sign[keep])
+    if not _levi_cone_mask(levi, perm, sign, levi.rbar_plus).all():
         raise RootSystemError(
             f"an automorphism of {levi.describe()} maps a root of Rbar+ out of Rbar+")
     return WeylGroup(perm, sign)

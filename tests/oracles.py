@@ -36,10 +36,13 @@ the |Wbar|^2 products of two Levi alternants: the reference route for
 coordinate, pruning on the Levi simple roots that a prefix already
 supports: the reference route for ``equivalence.dominant_box``, which
 takes the product of the factor blocks' chambers.
-``automorphisms_by_transversal`` filters the transversal (and so all of W)
-for the elements sending Sbar into Rbar+: the reference route for
+``transversal_by_filter`` filters all of W, chunk by chunk, for the
+elements keeping Sbar positive: the reference route for
+``weylgrp.transversal``, which reads them off the orbit of rho - rho_bar.
+``automorphisms_by_transversal`` filters that transversal for the elements
+sending Sbar into the packed Rbar+: the reference route for
 ``weylgrp.diagram_automorphisms``, which filters a conjugate of the
-stabiliser of rho_bar.
+stabiliser of rho_bar with the Levi cone test.
 
 ``levi_components`` classifies the connected components of the Levi's
 Dynkin diagram by the coroot pairings of its simple roots, and
@@ -83,10 +86,9 @@ from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities,
                                    signed_bucket, weyl_character)
-from levibranch.weylgrp import (DEFAULT_GROUP_GUARD, WeylElement, WeylGroup,
-                                _maps_into, diagram_automorphisms,
-                                dominant_representative, levi_group,
-                                stabilizer_subgroup, transversal, weyl_group)
+from levibranch.weylgrp import (WeylElement, WeylGroup, _signed_perms,
+                                diagram_automorphisms, dominant_representative,
+                                levi_group, stabilizer_subgroup, weyl_group)
 
 
 # -- Weyl-group elements one at a time -------------------------------------------
@@ -256,26 +258,33 @@ def support(poly: WeightPolynomial) -> tuple[Weight, ...]:
     return tuple(w for w, _ in poly)
 
 
-def symmetrize(datum: RootDatum, gamma: Weight,
-               guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
+def support_rows(poly: WeightPolynomial) -> np.ndarray:
+    """The weights of the terms as int64 rows, in term order: ``support``
+    without one ``Weight`` per term.  Read-only, as the polynomial shares it."""
+    rows = poly._rows.view()
+    rows.flags.writeable = False
+    return rows
+
+
+def symmetrize(datum: RootDatum, gamma: Weight) -> WeightPolynomial:
     """Orbit sum over the full Weyl group, counted with multiplicity.
 
     The coefficient of every orbit point equals the order of the stabiliser
     of ``gamma``, so the total mass is always |W|.
     """
-    perm, sign, _ = weyl_group(datum, guard).arrays
+    perm, sign, _ = weyl_group(datum).arrays
     img = kernels.orbit_images(perm, sign, np.array(gamma, dtype=np.int64))
     return WeightPolynomial.from_rows(img, np.ones(len(img), dtype=np.int64))
 
 
-def nabla_bar(levi: LeviDatum, guard: int = DEFAULT_GROUP_GUARD) -> WeightPolynomial:
+def nabla_bar(levi: LeviDatum) -> WeightPolynomial:
     """The product of (1 - e^alpha) over the Levi positive roots.
 
     Read off the signed rows of ``weightpoly._rho_drops``, the ones
     ``build_m`` reads; ``_rho_drops`` has checked them against the literal
     product (the Weyl denominator identity).
     """
-    levi_group(levi, guard)  # enforce the guard before any heavy work
+    levi_group(levi)  # enforce the guard before any heavy work
     return WeightPolynomial.from_rows(*_rho_drops(levi))
 
 
@@ -568,14 +577,59 @@ def automorphism_elements(levi: LeviDatum) -> tuple[WeylElement, ...]:
     return tuple(sorted(autos, key=lambda u: (not is_identity(u), sort_key(u))))
 
 
+# rows of W per block when ``transversal_by_filter`` filters W
+FILTER_BLOCK_ROWS = 1 << 14
+
+
+def _blocks(datum: RootDatum, rows: int):
+    """W in element order as (perm, sign) chunks of about ``rows`` rows.
+
+    Each chunk is a run of whole permutations, each repeated against every
+    admissible sign vector.
+    """
+    perms, signs = _signed_perms(datum.family, datum.rank)
+    step = max(1, rows // len(signs))
+    for lo in range(0, len(perms), step):
+        block = perms[lo:lo + step]
+        yield np.repeat(block, len(signs), axis=0), np.tile(signs, (len(block), 1))
+
+
+def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
+    """The rows (perm, sign) that send every vector of ``roots`` into ``targets``."""
+    if not roots:
+        return perm, sign
+    keys = np.sort(kernels.pack_rows(np.array(targets, dtype=np.int64)))
+    for a in roots:
+        img = kernels.pack_rows(kernels.orbit_images(perm, sign, np.array(a, dtype=np.int64)))
+        at = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+        keep = keys[at] == img
+        perm, sign = perm[keep], sign[keep]
+    return perm, sign
+
+
+def transversal_by_filter(levi: LeviDatum) -> WeylGroup:
+    """The w in W that keep every Levi simple root positive, filtered chunk
+    by chunk (``_blocks``) against the packed positive roots: the reference
+    route for ``weylgrp.transversal``, which reads the transversal off the
+    orbit of rho - rho_bar.  W is listed in element order, so the survivors
+    are too; B6, C6 and D6 take several chunks, the last one ragged."""
+    datum = levi.parent
+    kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
+            for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
+    return WeylGroup(np.concatenate([p for p, _ in kept]),
+                     np.concatenate([s for _, s in kept]))
+
+
 def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     """The transversal rows sending every Levi simple root into rbar_plus.
 
     Every such w of W keeps Sbar positive, so it is in the transversal; the
-    transversal is in element order, so the identity comes first.  Built
-    afresh, without the transversal cache.
+    transversal is in element order, so the identity comes first.  The
+    transversal is ``transversal_by_filter``'s and the test is membership in
+    the packed Rbar+ (``_maps_into``): no Levi cone test and no orbit of
+    rho - rho_bar.
     """
-    trans = transversal.__wrapped__(levi)
+    trans = transversal_by_filter(levi)
     return elements(WeylGroup(*_maps_into(trans.perm, trans.sign, levi.sbar_roots,
                                           levi.rbar_plus)))
 
@@ -618,10 +672,14 @@ def dominant_box_by_prefix_roots(levi: LeviDatum, bound: int) -> list[Weight]:
     return sorted(out)
 
 
-# the systems the replaced box and automorphism routes are compared over:
-# GL1-6, B1-6, C1-6 and D2-6, 439 Levis in all
+# the systems the replaced box route is compared over: GL1-6, B1-6, C1-6
+# and D2-6, 439 Levis in all
 RANK6_SYSTEMS = [("GL", range(1, 7)), ("B", range(1, 7)), ("C", range(1, 7)),
                  ("D", range(2, 7))]
+
+# the systems the replaced transversal and automorphism routes are compared
+# over: GL1-7, B1-6, C1-6 and D2-6, 503 Levis in all
+GROUP_SYSTEMS = [("GL", range(1, 8))] + RANK6_SYSTEMS[1:]
 
 # the systems the every-Levi comparisons run over: GL2-5, B2-4, C2-4, D3-5
 LEVI_SYSTEMS = ([("GL", n) for n in range(2, 6)] + [("B", n) for n in range(2, 5)]

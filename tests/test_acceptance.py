@@ -25,7 +25,7 @@ from levibranch.weylgrp import levi_group
 from oracles import (as_weight, compose, coset_decompose, delta_shift_check,
                      elements, in_littlewood_stable_range, is_regular, join_signed,
                      kostka_matrix_identity, kostka_multiplicity, kostka_number,
-                     support)
+                     support_rows)
 
 REPORT_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "reports")
 
@@ -231,7 +231,7 @@ def test_criterion_5_leading_terms(gl4, gl6, c2, c3, b3, d4):
             # the predicate of datum.dominance_leq(w, lam) on all rows at once;
             # test_cone_mask_matches_scalar checks the two agree on whole boxes
             top = np.array(lam, dtype=np.int64)
-            rows = np.array(support(poly), dtype=np.int64)
+            rows = support_rows(poly)
             below = chamber_cone_mask(datum.family, top - rows)
             is_top = (rows == top).all(axis=1)
             failures += int((~is_top & ~below).sum())

@@ -239,8 +239,15 @@ class TestPinnedOutputs:
           "--nu=-1/2,-3/2,1/2"), "531ce81596fbafdaddaf79001d258028"),
         (("compare", "--system", "GL:4", "--levi", "1,3", "--mu=2,1,1,0",
           "--nu=1,0,2,1"), "a5936ecea9e89caf6fcd4e2fa22c3697"),
+        (("u", "--full", "--system", "B:4", "--levi", "1,3,4"),
+         "05fb36c0b76b0fb8a833af266f459a94"),
+        (("u", "--full", "--system", "C:4", "--levi", "2,4"),
+         "1e1ca804b42d4a1dc62cf24199720c71"),
+        (("autos", "--system", "D:4", "--levi", "1,2,4"),  # a flip block
+         "345bd044fe44450dc18aa08e7de46bde"),
     ], ids=["mfun-GL6", "branch-oracle-B3", "autos-C6", "autos-D5", "autos-GL6",
-            "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap"])
+            "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap",
+            "u-full-B4", "u-full-C4", "autos-D4-flip"])
     def test_stdout(self, args, digest):
         out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
         assert out.returncode == 0
@@ -372,22 +379,34 @@ class TestConfigAndErrors:
         c3 = ("--system", "C:3", "--levi", "1,2")
         for args, name in ((("search", *c3, "--bound", "-1"), "--bound"),
                            (("branch", *c3, "--mu", "1,0,0", "--box-k", "-1"), "--box-k"),
-                           (("search", *c3, "--bound", "1", "--threads", "-4"), "--threads"),
-                           (("u", *c3, "--guard", "-5"), "--guard")):
+                           (("search", *c3, "--bound", "1", "--threads", "-4"), "--threads")):
             out = run(*args)
             assert out.returncode == 2 and f"argument {name}: must be >= 0" in out.stderr
         cfg = tmp_path / "cfg.json"
-        for key in ("threads", "guard"):
-            cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], key: -4}))
-            out = run("search", "--config", str(cfg), "--bound", "1")
-            assert out.returncode == 2 and f"config key {key} must be >= 0" in out.stderr
-        assert run("search", *c3, "--bound", "1", "--threads", "0",
-                   "--guard", "0").returncode == 0
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], "threads": -4}))
+        out = run("search", "--config", str(cfg), "--bound", "1")
+        assert out.returncode == 2 and "config key threads must be >= 0" in out.stderr
+        assert run("search", *c3, "--bound", "1", "--threads", "0").returncode == 0
+        # the group guard is a constant: no option and no config key sets it
+        out = run("u", *c3, "--guard", "5")
+        assert out.returncode == 2 and "unrecognized arguments: --guard 5" in out.stderr
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], "guard": 5}))
+        out = run("u", "--config", str(cfg))
+        assert out.returncode == 2 and "unknown config fields: ['guard']" in out.stderr
 
     def test_guard_exit(self):
         out = run("u", "--system", "C:8", "--levi", "1,2")
         assert out.returncode == 3
         assert "guard" in out.stderr
+
+    @pytest.mark.parametrize("args,label", [
+        (("u", "--system", "C:8", "--levi", "1,2"), "W(C8)"),
+        (("autos", "--system", "C:8", "--levi", ""),
+         "Stab_W(rho_bar) of C8>" + "+".join(["gl1"] * 8))])
+    def test_guard_message(self, args, label):
+        out = run(*args)
+        assert out.returncode == 3
+        assert out.stderr == f"guard: |{label}| = 10321920 exceeds the guard 2000000\n"
 
     def test_pack_range_exit(self):
         out = run("mfun", "--system", "GL:6", "--levi", "1",

@@ -246,7 +246,6 @@ def test_scan_and_compare_never_enumerate_w(monkeypatch):
 
     for module in (weylgrp, branching, weightpoly):
         monkeypatch.setattr(module, "weyl_group", refuse)
-    monkeypatch.setattr(weylgrp, "_blocks", refuse)
     monkeypatch.setattr(weylgrp, "transversal", refuse)
     # a fresh cache, so the automorphisms are built under the patches
     monkeypatch.setattr(equivalence, "diagram_automorphisms",
@@ -261,6 +260,19 @@ def test_scan_and_compare_never_enumerate_w(monkeypatch):
     c6 = build_levi(build_root_system("C", 6), (1, 2, 4, 5, 6))
     swap = classify_pair(c6, Weight.of(1, 0, 0, 0, 0, 0), Weight.of(0, 0, -1, 0, 0, 0))
     assert swap.equal and swap.relating_auto is not None
+
+
+def test_warm_automorphism_cache_is_hit():
+    """Once the automorphisms of a Levi are built, scans and pair verdicts
+    reuse them: every caller keys the cache by the Levi alone."""
+    levi = build_levi(build_root_system("D", 5), (1, 2, 4, 5))
+    diagram_automorphisms(levi)
+    misses = diagram_automorphisms.cache_info().misses
+    summary = search_box(levi, 1)
+    assert summary.autos_found > 0
+    pair = summary.verdicts[0]
+    assert classify_pair(levi, pair.mu, pair.nu).relating_auto == pair.relating_auto
+    assert diagram_automorphisms.cache_info().misses == misses
 
 
 # -- the automorphism of a verdict against the object loop -------------------------

@@ -364,22 +364,34 @@ class TestAgainstObjectOracles:
     def test_sp12(self, levi_sp12):
         _assert_levi_matches(levi_sp12)
 
-    @pytest.mark.parametrize("family,ranks", oracles.RANK6_SYSTEMS,
-                             ids=[f for f, _ in oracles.RANK6_SYSTEMS])
+    @pytest.mark.parametrize("family,ranks", oracles.GROUP_SYSTEMS,
+                             ids=[f for f, _ in oracles.GROUP_SYSTEMS])
     def test_automorphisms_match_the_transversal_filter(self, family, ranks):
         # the stabiliser of rho_bar against a filter of all of W, order included
         for levi in _all_levis(family, ranks):
             assert (elements(diagram_automorphisms(levi))
                     == oracles.automorphisms_by_transversal(levi))
 
-    @pytest.mark.parametrize("family,rank,sbar", [
-        ("GL", 5, (1, 3)), ("B", 4, (1, 3, 4)), ("C", 4, (1, 2, 4)), ("D", 4, (1, 2, 4))])
-    def test_transversal_in_small_blocks(self, family, rank, sbar, monkeypatch):
-        # W is filtered in many blocks, some of them ragged at the end
-        monkeypatch.setattr(weylgrp, "FILTER_BLOCK_ROWS", 100)
-        levi = build_levi(build_root_system(family, rank), sbar)
-        fresh = weylgrp.transversal.__wrapped__(levi)
-        assert elements(fresh) == oracles.transversal_elements(levi)
+    @pytest.mark.parametrize("family,ranks", oracles.GROUP_SYSTEMS,
+                             ids=[f for f, _ in oracles.GROUP_SYSTEMS])
+    def test_transversal_matches_the_filter(self, family, ranks):
+        # the orbit of rho - rho_bar against a filter of all of W: perm, sign,
+        # eps, dtype and row order
+        for levi in _all_levis(family, ranks):
+            got, ref = transversal(levi), oracles.transversal_by_filter(levi)
+            for a, b in zip(got.arrays, ref.arrays):
+                assert a.dtype == b.dtype and np.array_equal(a, b), levi.sbar
+
+    @pytest.mark.parametrize("family,ranks", oracles.GROUP_SYSTEMS,
+                             ids=[f for f, _ in oracles.GROUP_SYSTEMS])
+    def test_levi_cone_mask_on_the_transversal(self, family, ranks):
+        # on the transversal the cone test with Sbar keeps exactly the
+        # automorphisms; the cone of g alone would keep every row
+        for levi in _all_levis(family, ranks):
+            trans, autos = transversal(levi), diagram_automorphisms(levi)
+            keep = weylgrp._levi_cone_mask(levi, trans.perm, trans.sign, levi.sbar_roots)
+            assert np.array_equal(trans.perm[keep], autos.perm), levi.sbar
+            assert np.array_equal(trans.sign[keep], autos.sign), levi.sbar
 
     @pytest.mark.parametrize("family,rank,bound", [
         ("GL", 4, 2), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2)])
