@@ -17,14 +17,9 @@ finite M-function: the signed sum over the Levi Weyl group of full orbit
 sums of mu + rho_bar - w(rho_bar).  M-functions are stored compactly on the
 orbit-sum basis (coefficients indexed by dominant representatives); the low
 term count makes exact equality checks cheap even for large Weyl groups.
-``m_terms`` builds them, one weight or a batch of weights at a time, and
-checks each in O(|Wbar|): the signed rows against the Weyl denominator
-identity once per Levi (in ``weightpoly._rho_drops``), and per weight the
-W-invariance of the dominant images, the order and two moments of the
-bucketed terms, the leading term and the cone below it.  The two Weyl
-elements of the invariance check, w0 and a Coxeter element, are sorted out
-of images of rho by ``kernels.dominant_elements``; ``far_from_walls`` reads
-its elements off the same kernel, for a batch of weights at once.
+``m_terms`` builds them, one weight or a batch of weights at a time,
+checks each in O(|Wbar|) rows, and reads each weight's FAR_FROM_WALLS flag
+off the same dominant images of its E-set (``_far_flags``).
 """
 
 from __future__ import annotations
@@ -51,42 +46,40 @@ M_BATCH_ROWS = 1 << 15
 
 def far_from_walls(levi: LeviDatum, mus) -> np.ndarray:
     """Is the whole E-set of each weight of ``mus`` in one closed Weyl chamber?
-
-    The E-set E of mu is the |Wbar| points mu + rho_bar - w(rho_bar), w in
-    Wbar.  Let w1 be the element ``kernels.dominant_elements`` gives for
-    mu + rho_bar and lam = w1(mu + rho_bar).  Then E lies in a closed
-    chamber exactly when w1(E) lies in the closed dominant chamber, so one
-    dominance test on the rows w1(E) decides it; up to ``M_BATCH_ROWS``
-    rows of several weights share one.  Returns one bool per weight.
-    Proof:
-
-    * The sum of w(rho_bar) over Wbar is Wbar-invariant and lies in the
-      span of the Levi roots, so it is 0, and the mean of E is mu + rho_bar.
-    * If w(E) is dominant for some w in W, so is its mean w(mu + rho_bar),
-      hence w(mu + rho_bar) = lam and w = sigma w1 with sigma in Stab(lam).
-    * Stab(lam) is generated by the simple reflections fixing lam
-      (Chevalley).  Each such simple root alpha pairs >= 0 with every point
-      of the dominant set sigma w1(E) and 0 with their mean sigma(lam) =
-      lam, so it pairs 0 with every point.  So Stab(lam) fixes every point
-      of sigma w1(E), and w1(E) = sigma^-1 sigma w1(E) = sigma w1(E) is
-      dominant.
-    """
+    One bool per weight: ``_far_flags`` on E-set images, ``M_BATCH_ROWS`` rows at a time."""
     for mu in mus:
         levi.require_dominant(mu)
     datum = levi.parent
     drops, _ = _rho_drops(levi)
     mus = np.array(mus, dtype=np.int64).reshape(len(mus), datum.rank)
-    perm, sign = kernels.dominant_elements(mus + np.array(levi.rho_bar, dtype=np.int64),
-                                           kernels.FAMILY_CODE[datum.family])
     far = np.empty(len(mus), dtype=bool)
     per = max(1, M_BATCH_ROWS // len(drops))
     for lo in range(0, len(mus), per):
-        part = slice(lo, lo + per)
-        rows = np.take_along_axis(mus[part, None, :] + drops, perm[part, None, :], axis=2)
-        rows = (rows * sign[part, None, :]).reshape(-1, datum.rank)
-        dominant = (_frame_for(datum).dominant(rows) == rows).all(axis=1)
-        far[part] = dominant.reshape(-1, len(drops)).all(axis=1)
+        part = mus[lo:lo + per]
+        dom = _frame_for(datum).dominant((part[:, None, :] + drops).reshape(-1, datum.rank))
+        far[lo:lo + per] = _far_flags(levi, part, dom)
     return far
+
+
+def _far_flags(levi: LeviDatum, mus: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    """Does the E-set E of each row mu of ``mus``, the |Wbar| rows
+    x = mu + rho_bar - w(rho_bar) whose dominant images ``dom`` holds in the
+    order of ``_rho_drops``, lie in one closed Weyl chamber?
+
+    Exactly when the deviations dom(x) - dom(mu + rho_bar) sum to 0 over E.
+    The sum s of E is |Wbar| (mu + rho_bar): the sum of w(rho_bar) over Wbar
+    is Wbar-invariant and in the span of the Levi roots, so 0.  In the
+    dominance order w(x) <= dom(x) for every w in W.  For w with w(s)
+    dominant, dom(s) = sum w(x) <= sum dom(x), with equality exactly when
+    w(x) = dom(x) for every x, that is when w puts all of E in the closed
+    dominant chamber; and if some w' does, dom(s) = sum w'(x) = sum dom(x).
+    The sort normal forms are 1-Lipschitz in the sup norm and D's sign rule
+    2-Lipschitz, so each deviation is at most 2 max|rho_bar| per coordinate
+    and their int64 sum is exact, where the sum of dom(x) could wrap.
+    """
+    centre = _frame_for(levi.parent).dominant(mus + np.array(levi.rho_bar, dtype=np.int64))
+    deviation = dom.reshape(mus.shape[0], -1, mus.shape[1]) - centre[:, None, :]
+    return ~deviation.sum(axis=1).any(axis=1)
 
 
 # -- alternating-sum branching ----------------------------------------------
@@ -256,7 +249,7 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True) -> MFunctio
     levi.require_dominant(mu)
     levi_group(levi)  # enforce the guard before any heavy work
     lam_top, _ = leading_term(levi, mu)
-    (urows, sums), = m_terms(levi, [mu], [lam_top], self_check=self_check)
+    (urows, sums, _), = m_terms(levi, [mu], [lam_top], self_check=self_check)
     return MFunction(levi, mu, tuple(zip(map(Weight, urows.tolist()), sums.tolist())))
 
 
@@ -264,11 +257,12 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     """The M-functions of the Levi-dominant weights ``mus``, as arrays.
 
     ``tops[i]`` is the dominant image of mus[i] + 2 rho_bar, the leading
-    term.  Returns one (rows, sums) pair per weight: the distinct dominant
-    images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero signed
-    count, in lexicographic order, and those counts.  Up to ``M_BATCH_ROWS``
-    rows share one frame ``dominant`` and one ``signed_bucket`` call; a
-    member-id column keeps the weights' buckets apart.
+    term.  Returns one (rows, sums, far) triple per weight: the distinct
+    dominant images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero
+    signed count, in lexicographic order, those counts and ``_far_flags`` of
+    the images.  Up to ``M_BATCH_ROWS`` rows share one frame ``dominant``
+    and one ``signed_bucket`` call, and a member-id column keeps the
+    weights' buckets apart; rows with no room for it go one weight a batch.
 
     The signed rows were checked once per Levi against the Weyl denominator
     identity (``weightpoly._rho_drops``).  With ``self_check``, each
@@ -282,8 +276,11 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     if not len(mus):
         return []
     _, eps = _rho_drops(levi)
-    # member ids stay below the packing offset of one more column
-    per = min(kernels.pack_spec(levi.parent.rank + 1)[1], max(1, M_BATCH_ROWS // len(eps)))
+    try:  # member ids stay below the packing offset of one more column
+        ids = kernels.pack_spec(levi.parent.rank + 1)[1]
+    except kernels.PackRangeError:  # no room for the column
+        ids = 1
+    per = min(ids, max(1, M_BATCH_ROWS // len(eps)))
     out = []
     for lo in range(0, len(mus), per):
         out += _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)
@@ -321,7 +318,8 @@ def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
     n = datum.rank
     drops, eps = _rho_drops(levi)
     m, k = len(mus), len(eps)
-    rows = (np.array(mus, dtype=np.int64).reshape(m, 1, n) + drops).reshape(m * k, n)
+    mu_rows = np.array(mus, dtype=np.int64).reshape(m, n)
+    rows = (mu_rows[:, None, :] + drops).reshape(m * k, n)
     moved = [rows[:, perm] * sign
              for perm, sign in zip(*_invariance_elements(datum))] if self_check else []
     images = _frame_for(datum).dominant(np.concatenate([rows, *moved]))
@@ -346,7 +344,8 @@ def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
         _check_buckets(levi, mus, dom, urows, sums, member)
     _check_leading(levi, mus, tops, urows, sums, member)
     cuts = np.searchsorted(member, np.arange(1, m))
-    return list(zip(np.split(urows, cuts), np.split(sums, cuts)))
+    far = _far_flags(levi, mu_rows, dom).tolist()
+    return list(zip(np.split(urows, cuts), np.split(sums, cuts), far))
 
 
 # odd multipliers and the splitmix64 finaliser of the row fingerprint

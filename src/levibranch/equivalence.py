@@ -226,10 +226,9 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     * the M-functions of the weights that share their leading term with
       another member are built together, with every check of ``build_m``
       (``branching.m_terms``, one batch per group unless the group exceeds
-      ``M_BATCH_ROWS`` rows), and the built weights are partitioned by
-      their M-function coefficients;
-    * the weights in a class of two or more get their FAR_FROM_WALLS flags
-      from one ``far_from_walls`` call, and each gets, once, its distinct
+      ``M_BATCH_ROWS`` rows), each with its FAR_FROM_WALLS flag, and the
+      built weights are partitioned by their M-function coefficients;
+    * the weights in a class of two or more each get, once, their distinct
       packed automorphism images (``orbit_images`` and ``pack_rows`` on at
       most ``ORBIT_CHUNK_ROWS`` rows per call), each with the first
       automorphism giving it, the one a verdict carries;
@@ -274,14 +273,15 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
                         top_rows[[idx[j] for j in built]])
         classes: dict = {}
         cls: list = [None] * len(idx)
-        for j, (urows, sums) in zip(built, terms):
+        far: list = [False] * len(idx)
+        for j, (urows, sums, flag) in zip(built, terms):
             cls[j] = classes.setdefault((urows.tobytes(), sums.tobytes()), idx[j])
+            far[j] = flag
         sizes = Counter(c for c in cls if c is not None)
         paired = [j for j, c in enumerate(cls) if c is not None and sizes[c] > 1]
         if not paired:
             return key, tested, []
         autos = diagram_automorphisms(levi)
-        far = dict(zip(paired, far_from_walls(levi, [members[j] for j in paired]).tolist()))
         images, step = {}, max(1, ORBIT_CHUNK_ROWS // len(autos))
         for lo in range(0, len(paired), step):
             part = paired[lo:lo + step]

@@ -10,9 +10,9 @@ Kernels:
   for GL, B, C or D; ``weightpoly`` frames apply it to each factor block of
   g or of a Levi,
 * ``dominant_elements`` -- per row, the Weyl element (perm, sign) of that
-  sort; ``dominant_representative``, ``far_from_walls`` and the w0 and
-  Coxeter element of the M-function checks read their elements off it, so
-  the sort order and the D sign rule live here only,
+  sort; ``dominant_representative``, the transversal and the w0 and Coxeter
+  element of the M-function checks read their elements off it, so the sort
+  order and the D sign rule live here only,
 * ``kostant_batch``  -- vector-partition counts over a root list, from one
   dense table per batch.
 

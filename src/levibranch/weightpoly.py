@@ -7,11 +7,11 @@ Freudenthal recursion.  Their independent cross-check is the Weyl sum of
 ``branching.branch_multiplicity`` on the torus Levi (no retained simple
 roots), which is Kostant's weight-multiplicity formula.
 
-Characters of g and of a Levi share one frame (``_Frame``): one batched
-dominant image, a ``kernels.dominant_rows`` sort on each factor block of
-coordinates, and the orbit sizes read off the same blocks.  Its ``orbits``
-expands a block of dominant weights at once, straight into the canonical
-arrays of a ``WeightPolynomial``, with no second bucketing.  Freudenthal's
+g and every Levi share one frame (``_Frame``): one batched dominant image,
+a ``kernels.dominant_rows`` sort on each factor block of coordinates, and
+the orbit sizes read off the same blocks.  Only g's frame expands orbits
+(``orbits``): a block of dominant weights at once under W, straight into
+the canonical arrays of a ``WeightPolynomial``.  Freudenthal's
 recursion runs on root systems only: a Levi irreducible is the outer
 tensor product of its factor blocks' irreducibles, so its dominant
 multiplicities are products of the blocks' (``dominant_multiplicities``).
@@ -334,14 +334,15 @@ class _Frame:
         their points' ``pack_rows`` keys in increasing order, the points and
         each point's row in ``doms``.  A chunk of up to ``ORBIT_CHUNK_ROWS``
         images takes one ``orbit_images``, ``pack_rows`` and ``np.unique`` call;
-        past ``limit`` points it raises ``BudgetError``.  Chunks are merged."""
+        past ``limit`` points it raises ``BudgetError``.  Chunks are merged.
+        Only g's frame expands orbits: a Levi's raises ``TypeError``."""
+        if self.owner is not self.datum:
+            raise TypeError(f"orbits are expanded under W only, not under {self.owner.describe()}")
         doms = np.asarray(doms, dtype=np.int64).reshape(-1, self.n)
         sorted_keys = np.sort(kernels.pack_rows(doms))  # np.unique would import numpy.ma
         if (sorted_keys[1:] == sorted_keys[:-1]).any() or (self.dominant(doms) != doms).any():
             raise WeightError("orbit representatives must be distinct and frame-dominant")
-        levi = isinstance(self.owner, LeviDatum)
-        group = levi_group(self.owner) if levi else weyl_group(self.datum)
-        perm, sign, _ = group.arrays
+        perm, sign, _ = weyl_group(self.datum).arrays
         step = max(1, ORBIT_CHUNK_ROWS // len(perm))
         parts, total = [], 0
         for lo in range(0, max(len(doms), 1), step):  # one chunk when doms is empty
@@ -499,21 +500,20 @@ def _block_multiplicities(family: str, width: int, top: tuple) -> tuple[np.ndarr
     return rows, counts
 
 
-def weyl_character(owner, lam: Weight) -> WeightPolynomial:
-    """Full weight multiset of the irreducible with highest weight ``lam``.
+def weyl_character(datum: RootDatum, lam: Weight) -> WeightPolynomial:
+    """Full weight multiset of the irreducible of g with highest weight ``lam``.
 
-    ``owner`` may be a RootDatum or a LeviDatum.  The dominant
-    multiplicities (``dominant_multiplicities``) go on the orbits of one
-    ``_Frame.orbits`` call; the result is validated against the Weyl
-    dimension formula on every call.
+    The dominant multiplicities (``dominant_multiplicities``) go on the
+    orbits of one ``_Frame.orbits`` call, so a Levi raises ``TypeError``;
+    the result is validated against the Weyl dimension formula on every call.
     """
-    frame = _frame_for(owner)
-    owner.require_dominant(lam)
+    frame = _frame_for(datum)
+    datum.require_dominant(lam)
     dim = frame.weyl_dim(lam)
     if dim > DEFAULT_CHAR_BUDGET:
         raise BudgetError(
             f"character of {lam} has dimension {dim} > budget {DEFAULT_CHAR_BUDGET}")
-    mult = dominant_multiplicities(owner, lam)
+    mult = dominant_multiplicities(datum, lam)
     m = np.fromiter(mult.values(), np.int64, len(mult))
     keys, rows, orbit = frame.orbits(list(mult))
     total = int(m @ np.bincount(orbit, minlength=len(m)))

@@ -126,8 +126,8 @@ def _block_group(n: int, blocks: tuple) -> WeylGroup:
     stay fixed.  Every block's permutation axis comes before any sign axis;
     as the runs go left to right and each block lists its permutations and
     its sign vectors in element order, so does the product, with no sort.
-    At most 2^rank block tuples arise per root system, so the cache is
-    bounded.
+    The cache has at most 2^rank entries per root system, but no bound on
+    bytes: it keeps every group built, W included, for the whole process.
     """
     blocks = [b for b in blocks if b[1] - b[0] > 1 or b[2] != "GL"]
     parts = [_signed_perms(family, hi - lo) for lo, hi, family, _ in blocks]

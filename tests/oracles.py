@@ -24,13 +24,15 @@ the reference route for ``decompose_character``, which checks the
 multiset's symmetry and then strips dominant terms alone.
 ``e_set`` builds the E-set of a Levi weight one element at a time, and
 ``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
-a chamber holding it: the reference route for ``branching.far_from_walls``,
-which tests w1 alone.  ``dual_m_construction`` builds an M-function from
-the |Wbar|^2 products of two Levi alternants: the reference route for
-``branching.m_terms``.  ``orbit_rows`` expands one orbit at a time, and
+a chamber holding it: the reference route for ``branching.far_from_walls``
+and the flags of ``branching.m_terms``, which sum the deviations of the
+E-set's dominant images from the dominant image of its mean.
+``dual_m_construction`` builds an M-function from the |Wbar|^2 products of
+two Levi alternants: the reference route for ``branching.m_terms``.  ``orbit_rows`` expands one orbit at a time, and
 ``character_by_orbits`` and ``poly_by_orbits`` bucket those orbits with
 ``WeightPolynomial.from_rows``: the reference routes for the batched
-``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``.
+``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``, and the
+one route to the characters of a Levi, whose frame expands no orbits.
 
 ``dominant_box_by_prefix_roots`` grows the Levi-dominant box coordinate by
 coordinate, pruning on the Levi simple roots that a prefix already
@@ -85,7 +87,7 @@ from levibranch.rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities,
-                                   signed_bucket, weyl_character)
+                                   signed_bucket)
 from levibranch.weylgrp import (WeylElement, WeylGroup, _signed_perms,
                                 diagram_automorphisms, dominant_representative,
                                 levi_group, stabilizer_subgroup, weyl_group)
@@ -314,8 +316,8 @@ def _bucketed(orbits, coeffs) -> WeightPolynomial:
 
 
 def character_by_orbits(owner, lam: Weight) -> WeightPolynomial:
-    """The character of ``lam``, its dominant multiplicities expanded one orbit
-    at a time: the reference route for ``weyl_character``."""
+    """The character of ``lam``, of g or of a Levi, its dominant multiplicities
+    expanded one orbit at a time: the reference route for ``weyl_character``."""
     mult = dominant_multiplicities(owner, lam)
     return _bucketed([orbit_rows(owner, nu) for nu in mult], list(mult.values()))
 
@@ -378,8 +380,8 @@ def levi_dominant_multiplicities(levi: LeviDatum, lam: Weight) -> dict:
 
 
 def strip_full_character(owner, poly: WeightPolynomial) -> dict:
-    """Strip whole characters (``weyl_character``) off the whole multiset,
-    maximal dominant weights first, by decreasing (height, weight)."""
+    """Strip whole characters (``character_by_orbits``) off the whole
+    multiset, maximal dominant weights first, by decreasing (height, weight)."""
     frame = _frame_for(owner)
     keys, rows = poly._keys, poly._rows
     remaining = poly._coeffs.copy()
@@ -397,7 +399,7 @@ def strip_full_character(owner, poly: WeightPolynomial) -> dict:
         top = Weight(rows[i].tolist())
         if m < 0:
             raise WeightError(f"negative multiplicity {m} at {top} while stripping")
-        char = weyl_character(owner, top)
+        char = character_by_orbits(owner, top)
         at = np.minimum(np.searchsorted(keys, char._keys), len(keys) - 1)
         if not ((keys[at] == char._keys) & (remaining[at] != 0)).all():
             raise WeightError(

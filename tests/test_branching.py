@@ -246,7 +246,7 @@ def _oracle_coeffs(levi, mu):
 
 
 def _terms_coeffs(terms):
-    return [tuple(zip(map(Weight, rows.tolist()), sums.tolist())) for rows, sums in terms]
+    return [tuple(zip(map(Weight, rows.tolist()), sums.tolist())) for rows, sums, _ in terms]
 
 
 class TestMAgainstDualOracle:
@@ -267,7 +267,10 @@ class TestMAgainstDualOracle:
             assert [build_m(levi, mu).coeffs for mu in box] == want, levi.describe()
             tops = kernels.dominant_rows(np.array(box, dtype=np.int64)
                                          + np.array(levi.two_rho_bar, dtype=np.int64), code)
-            assert _terms_coeffs(m_terms(levi, box, tops)) == want, levi.describe()
+            terms = m_terms(levi, box, tops)
+            assert _terms_coeffs(terms) == want, levi.describe()
+            # the FAR_FROM_WALLS flags the scan reads off the same images
+            assert [far for _, _, far in terms] == far_from_walls(levi, box).tolist()
             batches = []
             monkeypatch.setattr(equivalence, "m_terms", lambda levi, mus, tops: batches.append(
                 (mus, m_terms(levi, mus, tops))) or batches[-1][1])

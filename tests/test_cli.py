@@ -201,6 +201,16 @@ class TestOtherCommands:
         payload = json.loads(out.stdout)
         assert payload["leading"] == {"sign": -1, "w": [8, 5, 3, 2, 1, -2]}
 
+    def test_mfun_at_rank_15(self):
+        # 16 packed columns do not fit in int64, so each weight is its own batch
+        out = run("mfun", "--system", "GL:15", "--levi", "1", "--mu", ",".join("0" * 15),
+                  "--compact")
+        assert out.returncode == 0, out.stderr
+        top = [1] + [0] * 13 + [-1]
+        assert json.loads(out.stdout) == {
+            "mu": [0] * 15, "leading": {"sign": -1, "w": top},
+            "coeffs": [{"c": 1, "w": [0] * 15}, {"c": -1, "w": top}]}
+
     def test_lr(self):
         assert run("lr", "--lam", "3,2,1", "--mu", "2,1",
                    "--nu", "2,1").stdout.strip() == "2"
@@ -245,9 +255,12 @@ class TestPinnedOutputs:
          "1e1ca804b42d4a1dc62cf24199720c71"),
         (("autos", "--system", "D:4", "--levi", "1,2,4"),  # a flip block
          "345bd044fe44450dc18aa08e7de46bde"),
+        # E-set coordinates far beyond the packing range of rank 4
+        (("compare", "--system", "C:3", "--levi", "1", "--mu=20000,0,0",
+          "--nu=19999,0,0"), "49f1b436994a26df69325f498cfc24e6"),
     ], ids=["mfun-GL6", "branch-oracle-B3", "autos-C6", "autos-D5", "autos-GL6",
             "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap",
-            "u-full-B4", "u-full-C4", "autos-D4-flip"])
+            "u-full-B4", "u-full-C4", "autos-D4-flip", "compare-C3-large"])
     def test_stdout(self, args, digest):
         out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
         assert out.returncode == 0

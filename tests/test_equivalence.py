@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from levibranch import branching, weightpoly, weylgrp
+from levibranch import branching, kernels, weightpoly, weylgrp
 from levibranch import (Weight, branch_by_restriction,
                         branch_multiplicity, build_levi, build_m,
                         build_root_system, classify_pair, diagram_automorphisms,
@@ -273,6 +273,20 @@ def test_warm_automorphism_cache_is_hit():
     pair = summary.verdicts[0]
     assert classify_pair(levi, pair.mu, pair.nu).relating_auto == pair.relating_auto
     assert diagram_automorphisms.cache_info().misses == misses
+
+
+def test_warm_scan_sorts_no_weyl_elements(monkeypatch):
+    """After one warm-up scan, a scan reads its FAR_FROM_WALLS flags off the
+    dominant images of its M-function builds and sorts out no Weyl element."""
+    levi = build_levi(build_root_system("D", 5), (1, 2, 4, 5))
+    want = search_box(levi, 2)
+    calls = []
+    real = kernels.dominant_elements
+    monkeypatch.setattr(kernels, "dominant_elements",
+                        lambda *args: calls.append(args) or real(*args))
+    summary = search_box(levi, 2)
+    assert calls == []
+    assert summary.verdicts == want.verdicts and summary.counterexamples > 0
 
 
 # -- the automorphism of a verdict against the object loop -------------------------

@@ -4,9 +4,9 @@
 characters off its dominant terms, with each Levi character's dominant
 multiplicities a product over the Levi's factor blocks.  These tests hold
 the block product against Freudenthal's recursion in the Levi frame, the
-orbit sizes against the expanded orbits, and the stripping against whole
-characters stripped off the whole multiset; they also pin the checks that
-guard the stripping and the shape of the route.
+orbit sizes against orbits expanded one at a time, and the stripping
+against whole characters stripped off the whole multiset; they also pin
+the checks that guard the stripping and the shape of the route.
 """
 
 import itertools
@@ -101,9 +101,8 @@ class TestOrbitSizes:
             rows = np.concatenate([2 * rng.integers(-2, 3, size=(20, rank)),
                                    2 * rng.integers(-2, 2, size=(8, rank)) + 1])
             doms = np.unique(frame.dominant(rows), axis=0)
-            _, _, orbit = frame.orbits(doms)
             assert frame.orbit_sizes(doms).tolist() == \
-                np.bincount(orbit, minlength=len(doms)).tolist(), owner
+                [len(oracles.orbit_rows(owner, Weight(nu))) for nu in doms.tolist()], owner
 
 
 def _restricted(levi_c3_gl3):

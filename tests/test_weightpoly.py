@@ -309,13 +309,13 @@ class TestDecompose:
             decompose_character(levi_c3_gl3, poly)
 
     def test_negative_top(self, levi_c3_gl3):
-        poly = -weyl_character(levi_c3_gl3, Weight.of(1, 0, 0))
+        poly = -oracles.character_by_orbits(levi_c3_gl3, Weight.of(1, 0, 0))
         with pytest.raises(WeightError, match="negative multiplicity -1"):
             decompose_character(levi_c3_gl3, poly)
 
     def test_negative_leftovers(self, levi_c3_gl3):
         # two copies at the top but one at the lower weights
-        poly = (weyl_character(levi_c3_gl3, Weight.of(1, 0, 0))
+        poly = (oracles.character_by_orbits(levi_c3_gl3, Weight.of(1, 0, 0))
                 + WeightPolynomial.monomial(Weight.of(1, 0, 0)))
         with pytest.raises(WeightError, match="no dominant maximal weight"):
             decompose_character(levi_c3_gl3, poly)
@@ -426,7 +426,8 @@ def _same_arrays(got, want):
 
 class TestOrbits:
     """``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``
-    against one orbit at a time, bucketed by ``from_rows`` (``oracles``)."""
+    against one orbit at a time, bucketed by ``from_rows`` (``oracles``).
+    Only g's frame expands orbits."""
 
     @pytest.mark.parametrize("family,rank", FRAME_SYSTEMS,
                              ids=[f"{f}{n}" for f, n in FRAME_SYSTEMS])
@@ -439,9 +440,10 @@ class TestOrbits:
                 rows.append(2 * rng.integers(-1, 1, size=(1, rank)) + 1)  # spin
             doms = np.unique(_frame_for(owner).dominant(np.concatenate(rows)), axis=0)
             for lam in map(Weight, doms.tolist()):
-                assert _same_arrays(weyl_character(owner, lam),
-                                    oracles.character_by_orbits(owner, lam)), (owner, lam)
-                if owner is not datum:
+                if owner is datum:
+                    assert _same_arrays(weyl_character(owner, lam),
+                                        oracles.character_by_orbits(owner, lam)), (owner, lam)
+                else:
                     fn = build_m(owner, lam)
                     assert _same_arrays(fn.poly(), oracles.poly_by_orbits(fn)), (owner, lam)
 
@@ -455,13 +457,20 @@ class TestOrbits:
                 assert _same_arrays(got, want)
 
     def test_orbits_refuse_repeated_or_non_dominant_rows(self, levi_c3_gl3):
-        for owner in (levi_c3_gl3.parent, levi_c3_gl3):
-            frame = _frame_for(owner)
-            doms = np.array([[4, 2, 0], [2, 0, 0]])
-            assert len(frame.orbits(doms)[0]) > 0
-            for bad in ([[4, 2, 0], [2, 0, 0], [4, 2, 0]], [[2, 0, 0], [0, 4, 2]]):
-                with pytest.raises(WeightError, match="distinct and frame-dominant"):
-                    frame.orbits(np.array(bad))
+        frame = _frame_for(levi_c3_gl3.parent)
+        doms = np.array([[4, 2, 0], [2, 0, 0]])
+        assert len(frame.orbits(doms)[0]) > 0
+        for bad in ([[4, 2, 0], [2, 0, 0], [4, 2, 0]], [[2, 0, 0], [0, 4, 2]],
+                    [[2, 0, 0], [0, 0, -2]]):  # the last is Levi-dominant only
+            with pytest.raises(WeightError, match="distinct and frame-dominant"):
+                frame.orbits(np.array(bad))
+
+    def test_levi_frames_expand_no_orbits(self, levi_c3_gl3):
+        # a Levi's orbits would silently come out as W-orbits
+        with pytest.raises(TypeError, match="under W only"):
+            _frame_for(levi_c3_gl3).orbits(np.array([[4, 2, 0], [2, 0, 0]]))
+        with pytest.raises(TypeError, match="under W only"):
+            weyl_character(levi_c3_gl3, Weight.of(1, 0, 0))
 
 
 class TestSymmetrize:
