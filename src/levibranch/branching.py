@@ -8,6 +8,12 @@ weight lambda.  Two independent routes are implemented:
 * the restriction oracle: the character of g, expanded once, with Levi
   characters stripped off its Levi-dominant terms.
 
+The Weyl sum never enumerates W.  Only the w with w(lam + rho) - (mu + rho)
+in the positive cone contribute (the Weyl alternation set), and a pruned
+search over signed permutations finds them for a whole batch of lambdas
+(``_alternation_set``); one partition table then counts the arguments of
+the batch.  A row is one batch, a single multiplicity a batch of one.
+
 On the torus Levi (no retained simple roots) the Weyl sum is Kostant's
 weight-multiplicity formula, the independent check of the Freudenthal
 multiplicities in ``weightpoly``.
@@ -37,7 +43,8 @@ from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
 from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
                          _rho_drops, decompose_character, levi_table, signed_bucket,
                          weyl_character)
-from .weylgrp import dominant_representative, levi_group, weyl_group
+from .weylgrp import (GroupSizeError, check_group_guard, dominant_representative,
+                      levi_group)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # E-set rows per batch of M-function builds
@@ -85,28 +92,102 @@ def _far_flags(levi: LeviDatum, mus: np.ndarray, dom: np.ndarray) -> np.ndarray:
 # -- alternating-sum branching ----------------------------------------------
 
 def branch_multiplicity(levi: LeviDatum, lam: Weight, mu: Weight) -> int:
-    """Branching coefficient via the signed Weyl sum of partition counts.
+    """Branching coefficient via the signed Weyl sum of partition counts:
+    a one-lambda ``_weyl_batch``."""
+    return _weyl_batch(levi, [lam], mu)[0]
 
-    Terms whose argument fails the ambient cone test are pruned before the
-    partition table counts the rest in one batch.
+
+def _weyl_sums(levi: LeviDatum, lams, mu: Weight) -> list:
+    """m_mu^lam for each lambda of ``lams``: one ``_weyl_batch``, or one per
+    lambda when the batch passes a limit.
+
+    The batch's search counts the partial elements of every lambda at once,
+    and its partition table spans, coordinate by coordinate, the largest
+    argument of any lambda; either can pass a limit that no lambda alone
+    passes.  Alone, a lambda meets the limits of the sum over W: its partial
+    elements are prefixes of distinct elements of W, at most |W| of them,
+    and its table is the one that sum would build.
+    """
+    try:
+        return _weyl_batch(levi, lams, mu)
+    except (GroupSizeError, kernels.BudgetError, OverflowError):
+        if len(lams) < 2:
+            raise
+        return [_weyl_batch(levi, [lam], mu)[0] for lam in lams]
+
+
+def _weyl_batch(levi: LeviDatum, lams, mu: Weight) -> list:
+    """m_mu^lam for each lambda of ``lams``: the sum of eps(w) P(w(lam + rho) -
+    (mu + rho)) over the w in W whose argument lies in the positive cone,
+    with P the partition function of the roots off the Levi.
+
+    ``_alternation_set`` finds those w for the whole batch, and one
+    ``count_rows`` call counts their arguments.  Every argument is at most
+    lam - mu in the dominance order, so the table lies inside the box of
+    the largest lam - mu.
     """
     datum = levi.parent
-    datum.require_dominant(lam)
-    levi.require_dominant(mu)
-    if not (lam - mu).is_integral():
-        return 0  # different lattice classes never branch into each other
-    group = weyl_group(datum)
-    perm, sign, eps = group.arrays
-    args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
-    args -= np.array(mu + datum.rho, dtype=np.int64)
-    mask = chamber_cone_mask(datum.family, args)
-    if not mask.any():
-        return 0
-    counts = levi_table(levi).count_rows(args[mask])
-    total = int((eps[mask] * counts).sum())
-    if total < 0:
-        raise WeightError(f"negative branching multiplicity {total} at {lam}, {mu}")
-    return total
+    for lam in lams:
+        datum.require_dominant(lam)
+    if lams:
+        levi.require_dominant(mu)
+    # different lattice classes never branch into each other
+    live = [i for i, lam in enumerate(lams) if (lam - mu).is_integral()]
+    total = np.zeros(len(lams), dtype=np.int64)
+    vs = np.array([lams[i] + datum.rho for i in live], dtype=np.int64).reshape(-1, datum.rank)
+    who, args, eps = _alternation_set(datum, vs, np.array(mu + datum.rho, dtype=np.int64))
+    if len(args):
+        counts = levi_table(levi).count_rows(args)
+        np.add.at(total, np.array(live, dtype=np.int64)[who], eps * counts)
+    for lam, m in zip(lams, total.tolist()):
+        if m < 0:
+            raise WeightError(f"negative branching multiplicity {m} at {lam}, {mu}")
+    return total.tolist()
+
+
+def _alternation_set(datum: RootDatum, vs: np.ndarray, target: np.ndarray):
+    """The w in W with w(v) - target in the positive cone, for each row v of
+    ``vs``: (row id, argument w(v) - target, eps(w)) per such w, by a
+    search that never enumerates W.
+
+    Each w is a signed permutation, grown one image position i at a time
+    over every row at once: position i takes sign * v[j] for an unused j.
+    A partial element is cut as soon as a prefix sum t_i of w(v) - target
+    is negative or odd.  Every row in the cone has all its t_i nonnegative
+    and even (``_scaled_coordinates``): t_i = 2 c_i, save that in GL t_n is
+    0, in C t_n = 4 c_n, and in D t_(n-1) = 2 (c_(n-1) + c_n) and t_n = 4 c_n.
+    eps(w) is the permutation's parity, which grows by the number of unused
+    indices below j, times the signs.  In D only even sign changes are in W;
+    where v has a 0 both signs give one image, and exactly one of them is
+    kept.  The leaves go through ``chamber_cone_mask``.  The guard counts
+    the partial elements each position extends.
+    """
+    fam, n = datum.family, datum.rank
+    signs = np.array([1] if fam == "GL" else [1, -1], dtype=np.int64)
+    who = np.arange(len(vs))
+    img = np.zeros((len(vs), n), dtype=np.int64)
+    used = np.zeros((len(vs), n), dtype=bool)
+    t = np.zeros(len(vs), dtype=np.int64)
+    parity = np.ones(len(vs), dtype=np.int64)
+    sign = np.ones(len(vs), dtype=np.int64)
+    for i in range(n):
+        check_group_guard(f"Weyl-sum search in W({datum.describe()}), position {i + 1}",
+                          len(who))
+        free = ~used
+        x = vs[who][:, :, None] * signs  # (row, j, sign)
+        step = t[:, None, None] + x - target[i]
+        r, j, s = np.nonzero(free[:, :, None] & (step >= 0) & ((step & 1) == 0))
+        below = np.cumsum(free, axis=1)[r, j] - 1  # unused indices below j
+        who, t, img, used = who[r], step[r, j, s], img[r], used[r]
+        img[:, i] = x[r, j, s]
+        used[np.arange(len(r)), j] = True
+        parity = parity[r] * (1 - 2 * (below & 1))
+        sign = sign[r] * signs[s]
+    args = img - target
+    keep = chamber_cone_mask(fam, args)
+    if fam == "D":
+        keep &= sign == 1  # W(D) changes an even number of signs
+    return who[keep], args[keep], (parity * sign)[keep]
 
 
 @dataclass
@@ -159,8 +240,7 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
 def branch_row(levi: LeviDatum, mu: Weight, k: int = 2) -> BranchingRow:
     """Evaluate the alternating-sum branching over the default lambda box."""
     box = default_lambda_box(levi, mu, k)
-    entries = {lam: branch_multiplicity(levi, lam, mu) for lam in box}
-    return BranchingRow(levi, mu, entries, box)
+    return BranchingRow(levi, mu, dict(zip(box, _weyl_sums(levi, box, mu))), box)
 
 
 def branch_by_restriction(levi: LeviDatum, lam: Weight) -> dict:

@@ -34,6 +34,11 @@ two Levi alternants: the reference route for ``branching.m_terms``.  ``orbit_row
 ``_Frame.orbits`` under ``weyl_character`` and ``MFunction.poly``, and the
 one route to the characters of a Levi, whose frame expands no orbits.
 
+``weyl_sum_over_w`` is the alternating Weyl sum of a branching coefficient
+over all of W, masked by the cone test: the reference route for
+``branching._weyl_sums``, which grows only the signed permutations whose
+prefix sums stay in the cone.
+
 ``dominant_box_by_prefix_roots`` grows the Levi-dominant box coordinate by
 coordinate, pruning on the Levi simple roots that a prefix already
 supports: the reference route for ``equivalence.dominant_box``, which
@@ -86,7 +91,7 @@ from levibranch.rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
                                 WeightError, build_levi, chamber_cone_mask)
 from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
-                                   _rho_drops, dominant_multiplicities,
+                                   _rho_drops, dominant_multiplicities, levi_table,
                                    signed_bucket)
 from levibranch.weylgrp import (WeylElement, WeylGroup, _signed_perms,
                                 diagram_automorphisms, dominant_representative,
@@ -442,6 +447,26 @@ def in_littlewood_stable_range(family: str, n: int, lam: Partition) -> bool:
     if lam.size > n:
         return False
     return not (family == "D" and len(lam) == n)
+
+
+def weyl_sum_over_w(levi: LeviDatum, lam: Weight, mu: Weight):
+    """The alternating Weyl sum over all of W: every image w(lam + rho) -
+    (mu + rho), the cone mask, one partition count per survivor.
+
+    Returns the surviving arguments, their signs eps(w) in element order and
+    the multiplicity: the reference route for ``branching._weyl_sums``,
+    which finds the survivors by a pruned search.
+    """
+    datum = levi.parent
+    if not (lam - mu).is_integral():
+        return np.zeros((0, datum.rank), dtype=np.int64), np.zeros(0, dtype=np.int64), 0
+    perm, sign, eps = weyl_group(datum).arrays
+    args = kernels.orbit_images(perm, sign, np.array(lam + datum.rho, dtype=np.int64))
+    args -= np.array(mu + datum.rho, dtype=np.int64)
+    mask = chamber_cone_mask(datum.family, args)
+    args, eps = args[mask], eps[mask]
+    total = int((eps * levi_table(levi).count_rows(args)).sum()) if len(args) else 0
+    return args, eps, total
 
 
 def delta_shift_check(levi: LeviDatum, lam: Weight, mu: Weight, a: int) -> bool:

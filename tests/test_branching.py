@@ -137,6 +137,114 @@ class TestBranchRow:
                 levi_c2_gl2, lam).get(mu, 0)
 
 
+def _sweep_mus(levi, per_class: int = 2) -> list:
+    """A few Levi-dominant weights of bound 1, from each lattice class
+    (spin weights on B and D), spread over the sorted box."""
+    box = dominant_box(levi, 1)
+    out = []
+    for integral in (True, False):
+        pool = [mu for mu in box if mu.is_integral() == integral]
+        out += pool[::max(1, len(pool) // per_class)][:per_class]
+    return out
+
+
+def _signed_rows(args, eps) -> list:
+    """The arguments with their signs, as a sorted list of tuples."""
+    return sorted(map(tuple, np.column_stack((args, eps)).tolist()))
+
+
+class TestWeylSumSearch:
+    @pytest.mark.parametrize("family,rank", oracles.LEVI_SYSTEMS,
+                             ids=[f"{f}{n}" for f, n in oracles.LEVI_SYSTEMS])
+    def test_survivors_match_weyl_sum_over_w(self, family, rank):
+        # the pruned search against the masked sum over all of W, on every
+        # proper Levi, default boxes with k = 1 and 2: the same arguments
+        # with the same signs for each lambda, and the same multiplicities.
+        # In D, lam + rho ends in 0 whenever lam does, and the equal images
+        # of the two signs there must count once
+        datum = build_root_system(family, rank)
+        for levi in oracles.every_levi(datum):
+            if len(levi.sbar) == len(datum.simple_roots):
+                continue
+            for mu in _sweep_mus(levi):
+                target = np.array(mu + datum.rho, dtype=np.int64)
+                for k in (1, 2):
+                    box = default_lambda_box(levi, mu, k)
+                    row = branch_row(levi, mu, k)
+                    vs = np.array([lam + datum.rho for lam in box],
+                                  dtype=np.int64).reshape(-1, rank)
+                    who, args, eps = branching._alternation_set(datum, vs, target)
+                    for i, lam in enumerate(box):
+                        want_args, want_eps, want = oracles.weyl_sum_over_w(levi, lam, mu)
+                        assert (_signed_rows(args[who == i], eps[who == i])
+                                == _signed_rows(want_args, want_eps)), (levi.sbar, mu, lam)
+                        assert row.entries[lam] == want, (levi.sbar, mu, lam)
+                        assert branch_multiplicity(levi, lam, mu) == want
+
+    def test_rows_never_enumerate_w(self, monkeypatch):
+        """Rows and single multiplicities come from the search and one
+        partition table: no Weyl group of g and no orbit images."""
+        cases = []
+        for family, rank, sbar, mu in (("GL", 4, (1, 3), Weight.of(1, 0, 1, -1)),
+                                       ("B", 3, (1, 3), Weight((-1, -1, 3))),
+                                       ("C", 4, (1, 2, 4), Weight.of(1, 0, 0, 1)),
+                                       ("D", 5, (1, 2, 4, 5), Weight.of(1, 0, 0, 0, 0))):
+            levi = build_levi(build_root_system(family, rank), sbar)
+            want = {lam: oracles.weyl_sum_over_w(levi, lam, mu)[2]
+                    for lam in default_lambda_box(levi, mu, 2)}
+            assert any(want.values())
+            cases.append((levi, mu, want))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a Weyl group orbit")
+
+        for module in (weylgrp, weightpoly):
+            monkeypatch.setattr(module, "weyl_group", refuse)
+        monkeypatch.setattr(kernels, "orbit_images", refuse)
+        for levi, mu, want in cases:
+            assert branch_row(levi, mu, 2).entries == want, levi.describe()
+            for lam, m in want.items():
+                assert branch_multiplicity(levi, lam, mu) == m
+
+    def test_row_over_the_guard_searches_lambda_by_lambda(self, monkeypatch):
+        # the C3 row's four lambdas enter the search together, and each has
+        # at most 2 partial elements at a position
+        levi = build_levi(build_root_system("C", 3), (1, 2))
+        mu = Weight.of(1, 0, 0)
+        want = branch_row(levi, mu, 1).entries
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 2)
+        assert branch_row(levi, mu, 1).entries == want
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 1)
+        with pytest.raises(weylgrp.GroupSizeError, match="Weyl-sum search"):
+            branch_row(levi, mu, 1)
+
+    def test_row_over_the_table_limit_counts_lambda_by_lambda(self, monkeypatch):
+        # the row's one table has 8 cells, each lambda's own at most 4: at a
+        # limit of 4 the row is unchanged, at 3 it fails as one lambda does
+        levi = build_levi(build_root_system("GL", 4), (1, 3))
+        mu = Weight.of(1, 0, 1, -1)
+        want = branch_row(levi, mu, 1).entries
+        assert want == {Weight.of(1, 1, 0, -1): 1, Weight.of(1, 1, 1, -2): 1,
+                        Weight.of(2, 0, 0, -1): 1}
+        monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 4)
+        assert branch_row(levi, mu, 1).entries == want
+        monkeypatch.setattr(kernels, "MAX_TABLE_CELLS", 3)
+        with pytest.raises(kernels.BudgetError, match="needs 4 cells > limit 3"):
+            branch_row(levi, mu, 1)
+
+    def test_negative_total_is_refused(self, monkeypatch, levi_c2_gl2):
+        # with every sign flipped, the row's nonzero totals turn negative
+        search = branching._alternation_set
+
+        def flipped(*args):
+            who, rows, eps = search(*args)
+            return who, rows, -eps
+
+        monkeypatch.setattr(branching, "_alternation_set", flipped)
+        with pytest.raises(WeightError, match="negative branching multiplicity"):
+            branch_row(levi_c2_gl2, Weight.of(1, 0), 2)
+
+
 class TestMFunction:
     def test_empty_levi_m_is_orbit_sum(self, gl3):
         levi = build_levi(gl3, [])
@@ -495,8 +603,9 @@ class TestESets:
     @pytest.mark.parametrize("family,rank", oracles.LEVI_SYSTEMS,
                              ids=[f"{f}{n}" for f, n in oracles.LEVI_SYSTEMS])
     def test_far_from_walls_matches_coset_search(self, family, rank):
-        # w1 alone against the whole stabiliser coset of w1, on every proper
-        # Levi at bound 1 (7,709 weights over the systems), one batch per Levi
+        # the summed deviations of the E-set images (``_far_flags``) against
+        # a search of the whole stabiliser coset of w1, on every proper Levi
+        # at bound 1 (7,709 weights over the systems), one batch per Levi
         datum = build_root_system(family, rank)
         for levi in oracles.every_levi(datum):
             if len(levi.sbar) == len(datum.simple_roots):

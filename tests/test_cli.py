@@ -176,6 +176,20 @@ class TestOtherCommands:
         assert out.returncode == 3
         assert out.stderr.startswith("guard:") and "10321920" in out.stderr
 
+    def test_branch_row_at_rank_8(self):
+        # the Weyl-sum search never enumerates |W(C8)| = 10321920; in the
+        # stable range the row is the sp12 > gl3+sp6 row, padded with zeros
+        rows = {}
+        for system, levi, zeros in (("C:8", "1,2,4,5,6,7,8", 2), ("C:6", "1,2,4,5,6", 0)):
+            out = run("branch", "--system", system, "--levi", levi,
+                      "--mu", ",".join(["1", "0", "0", "1", "0", "0"] + ["0"] * zeros),
+                      "--box-k", "1")
+            assert out.returncode == 0, out.stderr
+            rows[system] = [(e["lam"], e["m"]) for e in json.loads(out.stdout)["entries"]]
+        assert rows["C:8"] == [(lam + [0, 0], m) for lam, m in rows["C:6"]]
+        assert rows["C:8"] == [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([1, 1, 1, 1, 0, 0, 0, 0], 1),
+                               ([2, 0, 0, 0, 0, 0, 0, 0], 1)]
+
     @pytest.mark.parametrize("system,summary", [
         ("C:8", (60, 9, 216, 24, 24, 0)), ("D:8", (78, 12, 287, 34, 34, 0))])
     def test_search_at_rank_8(self, system, summary):
@@ -258,9 +272,15 @@ class TestPinnedOutputs:
         # E-set coordinates far beyond the packing range of rank 4
         (("compare", "--system", "C:3", "--levi", "1", "--mu=20000,0,0",
           "--nu=19999,0,0"), "49f1b436994a26df69325f498cfc24e6"),
+        # whole rows, each lambda of the box from one batched Weyl sum
+        (("branch", "--system", "C:6", "--levi", "1,2,4,5,6", "--mu", "1,0,0,1,0,0",
+          "--box-k", "1"), "27376f1121c71a4fcaec2d2d32438dcd"),
+        (("branch", "--system", "D:5", "--levi", "1,2,4,5", "--mu", "1,0,0,0,0",
+          "--box-k", "2", "--format", "csv"), "e22ce7e47e063bf5e38ca01e13ee1f40"),
     ], ids=["mfun-GL6", "branch-oracle-B3", "autos-C6", "autos-D5", "autos-GL6",
             "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap",
-            "u-full-B4", "u-full-C4", "autos-D4-flip", "compare-C3-large"])
+            "u-full-B4", "u-full-C4", "autos-D4-flip", "compare-C3-large",
+            "branch-row-C6", "branch-row-D5-csv"])
     def test_stdout(self, args, digest):
         out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
         assert out.returncode == 0
@@ -420,6 +440,17 @@ class TestConfigAndErrors:
         out = run(*args)
         assert out.returncode == 3
         assert out.stderr == f"guard: |{label}| = 10321920 exceeds the guard 2000000\n"
+
+    def test_weyl_sum_search_guard_exit(self, monkeypatch, capsys):
+        # the search counts its partial elements position by position, not
+        # |W|: here at most 2 for each lambda of the row
+        from levibranch import cli, weylgrp
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 1)
+        code = cli.main(["branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
+                         "--box-k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "guard: |Weyl-sum search in W(C3), position 3| = 2 exceeds the guard 1\n")
 
     def test_pack_range_exit(self):
         out = run("mfun", "--system", "GL:6", "--levi", "1",

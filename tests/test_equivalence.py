@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from levibranch import branching, kernels, weightpoly, weylgrp
+from levibranch import kernels, weightpoly, weylgrp
 from levibranch import (Weight, branch_by_restriction,
                         branch_multiplicity, build_levi, build_m,
                         build_root_system, classify_pair, diagram_automorphisms,
@@ -244,7 +244,7 @@ def test_scan_and_compare_never_enumerate_w(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated the Weyl group of g")
 
-    for module in (weylgrp, branching, weightpoly):
+    for module in (weylgrp, weightpoly):
         monkeypatch.setattr(module, "weyl_group", refuse)
     monkeypatch.setattr(weylgrp, "transversal", refuse)
     # a fresh cache, so the automorphisms are built under the patches
