@@ -5,8 +5,8 @@ weight mu inside the restriction of the ambient irreducible of highest
 weight lambda.  Two independent routes are implemented:
 
 * the alternating Weyl sum over the complement partition function, and
-* the restriction oracle: the character of g, expanded once, with Levi
-  characters stripped off its Levi-dominant terms.
+* the restriction oracle: the character of g, expanded once, decomposed
+  on the Levi frame by Klimyk's formula.
 
 The Weyl sum never enumerates W.  Only the w with w(lam + rho) - (mu + rho)
 in the positive cone contribute (the Weyl alternation set), and a pruned
@@ -129,8 +129,7 @@ def _weyl_batch(levi: LeviDatum, lams, mu: Weight) -> list:
     datum = levi.parent
     for lam in lams:
         datum.require_dominant(lam)
-    if lams:
-        levi.require_dominant(mu)
+    levi.require_dominant(mu)
     # different lattice classes never branch into each other
     live = [i for i, lam in enumerate(lams) if (lam - mu).is_integral()]
     total = np.zeros(len(lams), dtype=np.int64)
@@ -250,9 +249,9 @@ def branch_by_restriction(levi: LeviDatum, lam: Weight) -> dict:
     weight ``lam``; independent of the alternating-sum route.  The
     character of g is the one orbit expansion (``weyl_character``).
     ``decompose_character`` checks that it is symmetric under the Levi Weyl
-    group and strips on its Levi-dominant terms alone, with each Levi
-    character's dominant multiplicities a product over the Levi's factor
-    blocks, checked against the Weyl dimension formula.
+    group and reads the whole row off one signed sort of its terms into the
+    Levi chamber (Klimyk's formula), with no Levi character, checked once
+    against the Weyl dimension formula.
     """
     datum = levi.parent
     datum.require_dominant(lam)

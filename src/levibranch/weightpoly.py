@@ -12,11 +12,10 @@ a ``kernels.dominant_rows`` sort on each factor block of coordinates, and
 the orbit sizes read off the same blocks.  Only g's frame expands orbits
 (``orbits``): a block of dominant weights at once under W, straight into
 the canonical arrays of a ``WeightPolynomial``.  Freudenthal's
-recursion runs on root systems only: a Levi irreducible is the outer
-tensor product of its factor blocks' irreducibles, so its dominant
-multiplicities are products of the blocks' (``dominant_multiplicities``).
-``decompose_character`` strips characters off the dominant terms alone,
-after checking that the multiset is symmetric under the frame's Weyl group.
+recursion (``dominant_multiplicities``) runs on root data only.
+``decompose_character`` checks that a multiset is symmetric under the
+frame's Weyl group and decomposes it by Klimyk's formula: one signed sort
+of its terms, so no Levi character is ever made.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import BudgetError
-from .rootsys import (LeviDatum, RootDatum, Weight, WeightError, build_root_system,
-                      chamber_cone_mask)
+from .rootsys import LeviDatum, RootDatum, Weight, WeightError, chamber_cone_mask
 from .weylgrp import levi_group, weyl_group
 
 DEFAULT_CHAR_BUDGET = 2_000_000
@@ -397,20 +395,19 @@ def dominants_below(datum: RootDatum, top: Weight) -> tuple[Weight, ...]:
 
 
 @lru_cache(maxsize=None)
-def dominant_multiplicities(owner, lam: Weight) -> MappingProxyType:
-    """Weight multiplicities of the irreducible with highest weight ``lam``,
-    recorded on dominant representatives: a read-only mapping, shared by
-    every caller through the cache.
-
-    For a root datum, Freudenthal's recursion (``_freudenthal``).  For a
-    Levi, the product over its factor blocks (``_levi_multiplicities``).
+def dominant_multiplicities(datum: RootDatum, lam: Weight) -> MappingProxyType:
+    """Weight multiplicities of the irreducible of g with highest weight
+    ``lam``, recorded on dominant representatives by Freudenthal's recursion
+    (``_freudenthal``): a read-only mapping, shared by every caller through
+    the cache, so its entries are root-data entries only.  A Levi raises
+    ``TypeError``: ``decompose_character`` needs no Levi character.
     """
-    if not owner.is_dominant(lam):
-        raise WeightError(f"{lam} is not dominant for {owner}")
-    if isinstance(owner, LeviDatum):
-        rows, mult = _levi_multiplicities(owner, lam)
-        return MappingProxyType(dict(zip(map(Weight, rows.tolist()), mult.tolist())))
-    return MappingProxyType(_freudenthal(owner, lam))
+    if isinstance(datum, LeviDatum):
+        raise TypeError(f"dominant multiplicities are made under W only, "
+                        f"not under {datum.describe()}")
+    if not datum.is_dominant(lam):
+        raise WeightError(f"{lam} is not dominant for {datum}")
+    return MappingProxyType(_freudenthal(datum, lam))
 
 
 def _freudenthal(datum: RootDatum, lam: Weight) -> dict:
@@ -453,51 +450,6 @@ def _freudenthal(datum: RootDatum, lam: Weight) -> dict:
             raise WeightError(f"Freudenthal division failed at {nu}")
         mult[nu] = q
     return mult
-
-
-def _levi_multiplicities(levi: LeviDatum, lam: Weight) -> tuple[np.ndarray, np.ndarray]:
-    """The Levi-dominant weights of the Levi irreducible of ``lam`` and their
-    multiplicities, as rows and counts.
-
-    The Levi irreducible is the outer tensor product of its factor blocks'
-    irreducibles, and Levi dominance holds block by block, so the dominant
-    weights are the products of the blocks' dominant weights and their
-    multiplicities the products of the blocks' multiplicities
-    (``_block_multiplicities``).  A lone gl coordinate stays constant.  A gl
-    block takes the shift that makes its last coordinate 0 off its top and
-    puts it back on every weight; a ``flip`` block negates its last
-    coordinate going in and coming out, as ``_Frame.dominant`` does.
-    """
-    rows = np.array([lam], dtype=np.int64)
-    mult = np.ones(1, dtype=np.int64)
-    for lo, hi, fam, flip in levi.blocks:
-        if fam == "GL" and hi - lo == 1:
-            continue
-        top = rows[0, lo:hi].copy()
-        if flip:
-            top[-1] *= -1
-        shift = top[-1] if fam == "GL" else 0
-        block_rows, block_mult = _block_multiplicities(fam, hi - lo, tuple((top - shift).tolist()))
-        block_rows = block_rows + shift
-        if flip:
-            block_rows[:, -1] *= -1
-        rows = np.repeat(rows, len(block_rows), axis=0)
-        rows[:, lo:hi] = np.tile(block_rows, (len(mult), 1))
-        _coefficient_guard(int(mult.max()) * int(block_mult.max()))
-        mult = np.outer(mult, block_mult).ravel()
-    return rows, mult
-
-
-@lru_cache(maxsize=None)
-def _block_multiplicities(family: str, width: int, top: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The dominant multiplicities of the irreducible of ``top`` (doubled
-    coordinates) of ``build_root_system(family, width)``, as read-only
-    rows and counts, shared by every Levi with such a block."""
-    mult = dominant_multiplicities(build_root_system(family, width), Weight(top))
-    rows = np.array(list(mult), dtype=np.int64).reshape(len(mult), width)
-    counts = np.fromiter(mult.values(), np.int64, len(mult))
-    rows.flags.writeable = counts.flags.writeable = False
-    return rows, counts
 
 
 def weyl_character(datum: RootDatum, lam: Weight) -> WeightPolynomial:
@@ -557,7 +509,7 @@ def _check_denominator(levi: LeviDatum, drops: np.ndarray, eps: np.ndarray) -> N
             "Weyl denominator identity")
 
 
-# -- highest-weight stripping ---------------------------------------------------
+# -- decomposition by Klimyk's formula ------------------------------------------
 
 def decompose_character(owner, poly: WeightPolynomial) -> dict:
     """Decompose a symmetric nonnegative weight multiset into irreducibles.
@@ -566,23 +518,24 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
     characters.  First the symmetry under the frame's Weyl group, from one
     batched ``dominant`` image of every term: each term must have the
     coefficient of its dominant image, and each dominant term nu exactly
-    |W_frame nu| terms in its orbit (``_Frame.orbit_sizes``).  A symmetric
-    multiset is the sum of its dominant terms' orbit sums, and so is a
-    character, so the stripping then reads the dominant terms alone.
+    |W_frame nu| terms in its orbit (``_Frame.orbit_sizes``).
 
-    It repeatedly extracts a maximal dominant weight (maximal for the frame
-    dominance order) and subtracts that many times its character's dominant
-    multiplicities (``dominant_multiplicities``), checked against the Weyl
-    dimension: sum mult(nu) |W_frame nu| = dim.  Every other weight of a
-    character lies strictly below its highest weight, so it has smaller
-    height against 2 rho of the frame; the dominant terms are therefore
-    visited once, by decreasing (height, weight).
+    A symmetric multiset sum c_x e^x is then, by Klimyk's formula (the
+    Racah-Speiser rule), the sum of eps(w) c_x chi(w(x + rho) - rho) over
+    its terms, with w the element that sorts x + rho into the dominant
+    chamber of the frame.  eps(w) is the sign of the product of the pairings
+    <x + rho, a> over the frame's positive roots a (l(w) counts the roots
+    a with w(a) negative, which pair negatively with x + rho), and a term
+    with x + rho on a wall pairs to 0 and drops out.  So one ``dominant``
+    image and one ``signed_bucket`` give every multiplicity, with no Weyl
+    element and no Levi character.  The result, by decreasing (height
+    against 2 rho of the frame, weight), is checked once against the Weyl
+    dimension formula: sum m(nu) dim(nu) is the multiset's total.
     """
     frame = _frame_for(owner)
     keys, rows, coeffs = poly._keys, poly._rows, poly._coeffs
-    out: dict[Weight, int] = {}
     if not len(coeffs):
-        return out
+        return {}
     image_keys = kernels.pack_rows(frame.dominant(rows))
     image = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
     if not ((keys[image] == image_keys) & (coeffs[image] == coeffs)).all():
@@ -593,28 +546,22 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
     if short.any():
         nu = Weight(rows[dominant[np.argmax(short)]].tolist())
         raise WeightError(f"orbit of {nu} has weights outside the remaining multiset")
-    keys, rows, remaining = keys[dominant], rows[dominant], coeffs[dominant].copy()
+    _coefficient_guard(poly._cmax() * len(coeffs))  # bounds each multiplicity's sum
+    rho = np.array(frame.rho, dtype=np.int64)
+    shifted = rows + rho
+    eps = np.sign(shifted @ frame.roots.T).prod(axis=1)
+    regular = eps != 0
+    nus, mult, nu_keys = signed_bucket(frame.dominant(shifted[regular]) - rho,
+                                       (eps * coeffs)[regular])
     # keys sort like the rows, so this is (height, weight), highest first
-    for i in np.lexsort((keys, rows @ frame.two_rho))[::-1].tolist():
-        m = int(remaining[i])
-        if m == 0:
-            continue
-        top = Weight(rows[i].tolist())
+    order = np.lexsort((nu_keys, nus @ frame.two_rho))[::-1]
+    order = order[mult[order] != 0]
+    out = dict(zip(map(Weight, nus[order].tolist()), mult[order].tolist()))
+    total = sum(m * frame.weyl_dim(nu) for nu, m in out.items())
+    if total != poly.dimension():
+        raise WeightError(f"the multiplicities give {total} weights by the dimension "
+                          f"formula, but the multiset has {poly.dimension()}")
+    for nu, m in out.items():
         if m < 0:
-            raise WeightError(f"negative multiplicity {m} at {top} while stripping")
-        mult = dominant_multiplicities(owner, top)
-        nu_keys = kernels.pack_rows(np.array(list(mult), dtype=np.int64))
-        at = np.minimum(np.searchsorted(keys, nu_keys), len(keys) - 1)
-        if not ((keys[at] == nu_keys) & (remaining[at] != 0)).all():
-            raise WeightError(
-                f"character of {top} has weights outside the remaining multiset")
-        counts = np.fromiter(mult.values(), np.int64, len(mult))
-        total, dim = int(counts @ sizes[at]), frame.weyl_dim(top)
-        if total != dim:
-            raise WeightError(f"character of {top} has size {total}, but the dimension "
-                              f"formula gives {dim}")
-        remaining[at] -= m * counts
-        out[top] = m
-    if remaining.any():
-        raise WeightError("multiset admits no dominant maximal weight")
+            raise WeightError(f"negative multiplicity {m} at {nu} while stripping")
     return out

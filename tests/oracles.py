@@ -17,11 +17,12 @@ partitions over the Levi positive roots: the oracles for the frames'
 batched dominant image and Levi cone test in ``levibranch.weightpoly``.
 ``levi_dominant_multiplicities`` runs Freudenthal's recursion in the Levi
 frame, on the dominant weights a breadth-first search finds below the top
-in the Levi cone: the reference route for ``dominant_multiplicities`` of a
-Levi, the product of its factor blocks' multiplicities.
+in the Levi cone: the one route to the dominant multiplicities of a Levi,
+which ``levibranch`` never needs.
 ``strip_full_character`` strips whole characters off the whole multiset:
 the reference route for ``decompose_character``, which checks the
-multiset's symmetry and then strips dominant terms alone.
+multiset's symmetry and then reads every multiplicity off one signed
+bucketing of its terms (Klimyk's formula).
 ``e_set`` builds the E-set of a Levi weight one element at a time, and
 ``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
 a chamber holding it: the reference route for ``branching.far_from_walls``
@@ -322,8 +323,10 @@ def _bucketed(orbits, coeffs) -> WeightPolynomial:
 
 def character_by_orbits(owner, lam: Weight) -> WeightPolynomial:
     """The character of ``lam``, of g or of a Levi, its dominant multiplicities
-    expanded one orbit at a time: the reference route for ``weyl_character``."""
-    mult = dominant_multiplicities(owner, lam)
+    expanded one orbit at a time: the reference route for ``weyl_character``.
+    A Levi's multiplicities come from ``levi_dominant_multiplicities``."""
+    mult = (levi_dominant_multiplicities(owner, lam) if isinstance(owner, LeviDatum)
+            else dominant_multiplicities(owner, lam))
     return _bucketed([orbit_rows(owner, nu) for nu in mult], list(mult.values()))
 
 

@@ -20,6 +20,10 @@ Each module-level constant (a name in capitals, with or without a leading
 underscore, bound by an assignment) must be read by name, in its own or
 another module of ``src`` or as a module attribute in ``perfbench/*.py``:
 a limit nothing reads limits nothing.
+
+Each module-level import of a module of ``src`` other than ``__init__.py``
+(which re-exports) must be read in that module, so a deletion leaves no
+import behind.
 """
 
 import ast
@@ -188,3 +192,20 @@ def test_every_constant_is_read_outside_the_tests():
     names = set().union(*(r.names for r in _references()))
     unread = sorted(constants() - names)
     assert not unread, f"constants nothing outside the tests reads: {unread}"
+
+
+def test_every_import_is_read_where_it_is_made():
+    unread = []
+    for name, tree in _modules(SRC):
+        if name == "__init__":
+            continue
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}: {b}" for b in sorted(bound - read)]
+    assert not unread, f"imports their module never reads: {unread}"

@@ -53,6 +53,13 @@ class TestBranchCommand:
                 "--mu", "1,0,0", "--box-k", "2")
         assert run(*args).stdout == run(*args).stdout
 
+    def test_row_checks_mu_when_the_box_is_empty(self):
+        # with --lam the same mu exits 2 as well
+        out = run("branch", "--system", "GL:3", "--levi", "1", "--mu", "0,1,5",
+                  "--box-k", "0")
+        assert out.returncode == 2 and out.stdout == ""
+        assert "is not dominant for the Levi" in out.stderr
+
     def test_cache_dir_refused(self, tmp_path):
         out = run("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
                   "--cache-dir", str(tmp_path))
@@ -277,10 +284,20 @@ class TestPinnedOutputs:
           "--box-k", "1"), "27376f1121c71a4fcaec2d2d32438dcd"),
         (("branch", "--system", "D:5", "--levi", "1,2,4,5", "--mu", "1,0,0,0,0",
           "--box-k", "2", "--format", "csv"), "e22ce7e47e063bf5e38ca01e13ee1f40"),
+        # whole rows against the restriction oracle, each lambda decomposed
+        (("branch", "--system", "D:4", "--levi", "1,2,4", "--mu", "1,0,0,0",
+          "--box-k", "2", "--oracle"), "12f876a3b83ca81219aadde7fb7cc5e2"),  # a flip block
+        (("branch", "--system", "D:5", "--levi", "1,2,4,5", "--mu", "1,0,0,0,0",
+          "--box-k", "2", "--oracle"), "0d5efa1d25f680f8113733b4243e4f36"),
+        (("branch", "--system", "C:4", "--levi", "1,2,4", "--mu", "1,0,0,1",
+          "--box-k", "2", "--oracle"), "bd0a60865b4fcc5effd0b805c1facdfc"),
+        (("branch", "--system", "B:3", "--levi", "1,3", "--mu", "1/2,1/2,1/2",
+          "--box-k", "2", "--oracle"), "ddd805379c716a049f8ec01a16145893"),  # spin
     ], ids=["mfun-GL6", "branch-oracle-B3", "autos-C6", "autos-D5", "autos-GL6",
             "u-full-D5", "compare-B3-counterexample", "compare-GL4-block-swap",
             "u-full-B4", "u-full-C4", "autos-D4-flip", "compare-C3-large",
-            "branch-row-C6", "branch-row-D5-csv"])
+            "branch-row-C6", "branch-row-D5-csv", "branch-oracle-row-D4-flip",
+            "branch-oracle-row-D5", "branch-oracle-row-C4", "branch-oracle-row-B3-spin"])
     def test_stdout(self, args, digest):
         out = subprocess.run(CLI + list(args), capture_output=True, env=ENV)
         assert out.returncode == 0

@@ -1,12 +1,13 @@
 """The restriction oracle against its reference routes (``oracles``).
 
-``branch_by_restriction`` expands the character of g once and strips Levi
-characters off its dominant terms, with each Levi character's dominant
-multiplicities a product over the Levi's factor blocks.  These tests hold
-the block product against Freudenthal's recursion in the Levi frame, the
-orbit sizes against orbits expanded one at a time, and the stripping
-against whole characters stripped off the whole multiset; they also pin
-the checks that guard the stripping and the shape of the route.
+``branch_by_restriction`` expands the character of g once and decomposes
+it on the Levi frame by Klimyk's formula: one signed sort of its terms,
+with no Levi character.  These tests hold the decomposition of Levi
+characters against Freudenthal's recursion in the Levi frame, the orbit
+sizes against orbits expanded one at a time, and the decomposition of
+restricted characters, single and summed, against whole characters
+stripped off the whole multiset; they also pin the checks that guard the
+decomposition and the shape of the route.
 """
 
 import itertools
@@ -19,13 +20,15 @@ import oracles
 from levibranch import (Weight, WeightPolynomial, branch_by_restriction, build_levi,
                         build_root_system, weyl_character)
 from levibranch import weightpoly
-from levibranch.rootsys import RootDatum, WeightError
+from levibranch.rootsys import WeightError
 from levibranch.weightpoly import _frame_for, decompose_character, dominant_multiplicities
 
 BLOCK_SYSTEMS = ([("GL", n) for n in range(2, 7)] + [("B", n) for n in range(2, 6)]
                  + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)])
 ORBIT_SYSTEMS = ([("GL", n) for n in range(1, 7)] + [("B", n) for n in range(1, 6)]
                  + [("C", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+SUM_SYSTEMS = ([("GL", n) for n in range(2, 5)] + [("B", n) for n in range(2, 4)]
+               + [("C", n) for n in range(2, 4)] + [("D", n) for n in range(3, 5)])
 STRIP_SYSTEMS = ([("GL", n) for n in range(2, 5)] + [("B", n) for n in range(1, 5)]
                  + [("C", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)])
 # the restriction oracle's tops in the benchmark's expand workload, doubled
@@ -56,10 +59,12 @@ def _dominant(owner, rows):
 
 
 class TestBlockProduct:
-    """A Levi's dominant multiplicities, the product of its factor blocks',
-    against Freudenthal's recursion on the Levi-cone search in the Levi
-    frame.  The box holds spin tops, negative last coordinates (which a
-    ``flip`` block negates) and the tops of D2 tails."""
+    """A Levi irreducible is the outer tensor product of its factor blocks'
+    irreducibles.  Its character, from Freudenthal's recursion in the Levi
+    frame (``oracles.character_by_orbits``), must decompose to itself alone
+    by Klimyk's formula on the Levi frame.  The box holds spin tops,
+    negative last coordinates (which a ``flip`` block negates) and the tops
+    of D2 tails."""
 
     @pytest.mark.parametrize("family,rank", BLOCK_SYSTEMS, ids=_ids(BLOCK_SYSTEMS))
     def test_matches_levi_frame_freudenthal(self, family, rank):
@@ -67,27 +72,17 @@ class TestBlockProduct:
         box = _box(family, rank, (-2, 0, 2), (-1, 1))
         for levi in _proper_levis(datum):
             for lam in _dominant(levi, box):
-                want = oracles.levi_dominant_multiplicities(levi, lam)
-                assert dict(dominant_multiplicities(levi, lam)) == want, (levi.sbar, lam)
+                char = oracles.character_by_orbits(levi, lam)
+                assert decompose_character(levi, char) == {lam: 1}, (levi.sbar, lam)
 
-    def test_gl_blocks_share_one_entry_per_central_shift(self):
-        # the gl2 block of each top is (2,0) up to a central shift, spin included
-        levi = build_levi(build_root_system("B", 3), (1,))
-        weightpoly._block_multiplicities.cache_clear()
-        for top in [(4, 2, 0), (2, 0, 2), (6, 4, -2), (3, 1, 1), (-1, -3, 1)]:
-            weightpoly._levi_multiplicities(levi, Weight(top))
-        assert weightpoly._block_multiplicities.cache_info().currsize == 1
+    def test_cached_entries_are_read_only(self, c3):
+        mult = dominant_multiplicities(c3, Weight.of(2, 1, 0))
+        with pytest.raises(TypeError):
+            mult[Weight.of(2, 1, 0)] = 2
 
-    def test_cached_entries_are_read_only(self, c3, levi_c3_gl3):
-        for owner in (c3, levi_c3_gl3):
-            mult = dominant_multiplicities(owner, Weight.of(2, 1, 0))
-            with pytest.raises(TypeError):
-                mult[Weight.of(2, 1, 0)] = 2
-        rows, counts = weightpoly._block_multiplicities("GL", 3, (4, 2, 0))
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0
-        with pytest.raises(ValueError):
-            counts[0] = 0
+    def test_levi_has_no_multiplicities(self, levi_c3_gl3):
+        with pytest.raises(TypeError, match="under W only"):
+            dominant_multiplicities(levi_c3_gl3, Weight.of(2, 1, 0))
 
 
 class TestOrbitSizes:
@@ -154,24 +149,62 @@ class TestStripping:
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_dimension_check(self, levi_c3_gl3, monkeypatch):
-        """Multiplicities that miss a weight fail the Weyl dimension check."""
-        exact = weightpoly.dominant_multiplicities
-
-        def short(owner, lam):
-            mult = dict(exact(owner, lam))
-            if owner is levi_c3_gl3 and len(mult) > 1:
-                del mult[min(mult)]
-            return mult
-
-        monkeypatch.setattr(weightpoly, "dominant_multiplicities", short)
+        """One wrong Klimyk sign, or one wrong dimension, fails the global
+        check against the Weyl dimension formula."""
         char = weyl_character(levi_c3_gl3.parent, Weight.of(2, 1, 0))
+        bucket = weightpoly.signed_bucket
+
+        def one_sign_flipped(rows, coeffs):
+            coeffs = np.array(coeffs)
+            coeffs[0] *= -1
+            return bucket(rows, coeffs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(weightpoly, "signed_bucket", one_sign_flipped)
+            with pytest.raises(WeightError, match="dimension formula"):
+                decompose_character(levi_c3_gl3, char)
+        top = max(decompose_character(levi_c3_gl3, char))
+        exact = weightpoly._Frame.weyl_dim
+        monkeypatch.setattr(weightpoly._Frame, "weyl_dim",
+                            lambda frame, mu: exact(frame, mu) + (mu == top))
         with pytest.raises(WeightError, match="dimension formula"):
             decompose_character(levi_c3_gl3, char)
 
 
+class TestMultisets:
+    """Multisets other than one restricted character: sums of two, and a
+    difference that is no character."""
+
+    @pytest.mark.parametrize("family,rank", SUM_SYSTEMS, ids=_ids(SUM_SYSTEMS))
+    def test_sums_match_full_stripping(self, family, rank):
+        datum = build_root_system(family, rank)
+        lams = _dominant(datum, _box(family, rank, (0, 2), (-1, 1)))
+        pairs = list(zip(lams, lams[1:] + lams[:1]))
+        chars = [weyl_character(datum, a) + weyl_character(datum, b) for a, b in pairs]
+        for levi in _proper_levis(datum):
+            for (a, b), char in zip(pairs, chars):
+                want = oracles.strip_full_character(levi, char)
+                got = decompose_character(levi, char)
+                assert got == want and list(got) == list(want), (levi.sbar, a, b)
+
+    def test_difference_of_characters(self, c3):
+        """chi_(2,0,0) - chi_(1,1,0) is symmetric and nonnegative, and its
+        coefficient at (1,1,0) is 0: only a sum over every term finds the -1
+        there, on g and on gl3.  On gl1+gl1+sp2 it is a character."""
+        poly = weyl_character(c3, Weight.of(2, 0, 0)) - weyl_character(c3, Weight.of(1, 1, 0))
+        assert (poly._coeffs > 0).all() and Weight.of(1, 1, 0) not in poly
+        for owner in (c3, build_levi(c3, (1, 2))):
+            with pytest.raises(WeightError, match=r"negative multiplicity -1 at \(1,1,0\)"):
+                decompose_character(owner, poly)
+        levi = build_levi(c3, (3,))
+        got = decompose_character(levi, poly)
+        assert sorted(got.values()) == [1] * 5 and got == oracles.strip_full_character(levi, poly)
+
+
 def test_restriction_expands_g_once_and_recurses_on_root_systems(monkeypatch):
     """One ``_Frame.orbits`` call, for the character of g; Freudenthal's
-    search (``dominants_below``) only on root systems, never on a Levi."""
+    search (``dominants_below``) only for that character, never for a Levi
+    or a factor block."""
     expanded, searched = [], []
     orbits, below = weightpoly._Frame.orbits, weightpoly.dominants_below
 
@@ -186,8 +219,7 @@ def test_restriction_expands_g_once_and_recurses_on_root_systems(monkeypatch):
     monkeypatch.setattr(weightpoly._Frame, "orbits", counted_orbits)
     monkeypatch.setattr(weightpoly, "dominants_below", counted_below)
     weightpoly.dominant_multiplicities.cache_clear()
-    weightpoly._block_multiplicities.cache_clear()
     levi = build_levi(build_root_system("D", 5), (1, 2, 4, 5))
     assert branch_by_restriction(levi, Weight.of(2, 1, 1, 0, 0))
     assert expanded == [levi.parent]
-    assert searched and all(isinstance(owner, RootDatum) for owner in searched)
+    assert searched == [levi.parent]
