@@ -6,8 +6,7 @@ pairs, and scans bounded weight boxes for counterexamples.
 """
 
 from .branching import (BranchingRow, MFunction, branch_by_restriction,
-                        branch_multiplicity, branch_row, build_m,
-                        far_from_walls, leading_term)
+                        branch_multiplicity, branch_row, build_m, leading_term)
 from .equivalence import (PairVerdict, classify_pair, dominant_box,
                           induced_equal, relating_automorphism, search_box)
 from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
@@ -26,7 +25,7 @@ __all__ = [
     "WeightPolynomial", "WeylElement", "branch_by_restriction",
     "branch_multiplicity", "branch_row", "build_levi", "build_m",
     "build_root_system", "classify_pair", "diagram_automorphisms",
-    "dominant_box", "dominant_representative", "far_from_walls",
+    "dominant_box", "dominant_representative",
     "induced_equal", "leading_term", "lr_coefficient", "multi_lr",
     "polarisation_branch", "relating_automorphism", "search_box",
     "split_signed", "transversal", "weyl_character", "weyl_group",

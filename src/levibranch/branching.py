@@ -9,10 +9,10 @@ weight lambda.  Two independent routes are implemented:
   on the Levi frame by Klimyk's formula.
 
 The Weyl sum never enumerates W.  Only the w with w(lam + rho) - (mu + rho)
-in the positive cone contribute (the Weyl alternation set), and a pruned
-search over signed permutations finds them for a whole batch of lambdas
-(``_alternation_set``); one partition table then counts the arguments of
-the batch.  A row is one batch, a single multiplicity a batch of one.
+in the positive cone contribute (the Weyl alternation set), and
+``weylgrp.signed_search``, cut by the prefix sums of ``_alternation_set``,
+finds them for a whole batch of lambdas; one partition table counts their
+arguments.  A row is one batch, a single multiplicity a batch of one.
 
 On the torus Levi (no retained simple roots) the Weyl sum is Kostant's
 weight-multiplicity formula, the independent check of the Freudenthal
@@ -43,29 +43,12 @@ from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
 from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
                          _rho_drops, decompose_character, levi_table, signed_bucket,
                          weyl_character)
-from .weylgrp import (GroupSizeError, check_group_guard, dominant_representative,
-                      levi_group)
+from .weylgrp import (GroupSizeError, dominant_representative, levi_group,
+                      signed_search)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # E-set rows per batch of M-function builds
 M_BATCH_ROWS = 1 << 15
-
-
-def far_from_walls(levi: LeviDatum, mus) -> np.ndarray:
-    """Is the whole E-set of each weight of ``mus`` in one closed Weyl chamber?
-    One bool per weight: ``_far_flags`` on E-set images, ``M_BATCH_ROWS`` rows at a time."""
-    for mu in mus:
-        levi.require_dominant(mu)
-    datum = levi.parent
-    drops, _ = _rho_drops(levi)
-    mus = np.array(mus, dtype=np.int64).reshape(len(mus), datum.rank)
-    far = np.empty(len(mus), dtype=bool)
-    per = max(1, M_BATCH_ROWS // len(drops))
-    for lo in range(0, len(mus), per):
-        part = mus[lo:lo + per]
-        dom = _frame_for(datum).dominant((part[:, None, :] + drops).reshape(-1, datum.rank))
-        far[lo:lo + per] = _far_flags(levi, part, dom)
-    return far
 
 
 def _far_flags(levi: LeviDatum, mus: np.ndarray, dom: np.ndarray) -> np.ndarray:
@@ -146,47 +129,23 @@ def _weyl_batch(levi: LeviDatum, lams, mu: Weight) -> list:
 
 def _alternation_set(datum: RootDatum, vs: np.ndarray, target: np.ndarray):
     """The w in W with w(v) - target in the positive cone, for each row v of
-    ``vs``: (row id, argument w(v) - target, eps(w)) per such w, by a
-    search that never enumerates W.
+    ``vs``: (row id, argument w(v) - target, eps(w)) per such w (``signed_search``).
 
-    Each w is a signed permutation, grown one image position i at a time
-    over every row at once: position i takes sign * v[j] for an unused j.
     A partial element is cut as soon as a prefix sum t_i of w(v) - target
     is negative or odd.  Every row in the cone has all its t_i nonnegative
     and even (``_scaled_coordinates``): t_i = 2 c_i, save that in GL t_n is
     0, in C t_n = 4 c_n, and in D t_(n-1) = 2 (c_(n-1) + c_n) and t_n = 4 c_n.
-    eps(w) is the permutation's parity, which grows by the number of unused
-    indices below j, times the signs.  In D only even sign changes are in W;
-    where v has a 0 both signs give one image, and exactly one of them is
-    kept.  The leaves go through ``chamber_cone_mask``.  The guard counts
-    the partial elements each position extends.
+    The leaves go through ``chamber_cone_mask``.
     """
-    fam, n = datum.family, datum.rank
-    signs = np.array([1] if fam == "GL" else [1, -1], dtype=np.int64)
-    who = np.arange(len(vs))
-    img = np.zeros((len(vs), n), dtype=np.int64)
-    used = np.zeros((len(vs), n), dtype=bool)
-    t = np.zeros(len(vs), dtype=np.int64)
-    parity = np.ones(len(vs), dtype=np.int64)
-    sign = np.ones(len(vs), dtype=np.int64)
-    for i in range(n):
-        check_group_guard(f"Weyl-sum search in W({datum.describe()}), position {i + 1}",
-                          len(who))
-        free = ~used
-        x = vs[who][:, :, None] * signs  # (row, j, sign)
-        step = t[:, None, None] + x - target[i]
-        r, j, s = np.nonzero(free[:, :, None] & (step >= 0) & ((step & 1) == 0))
-        below = np.cumsum(free, axis=1)[r, j] - 1  # unused indices below j
-        who, t, img, used = who[r], step[r, j, s], img[r], used[r]
-        img[:, i] = x[r, j, s]
-        used[np.arange(len(r)), j] = True
-        parity = parity[r] * (1 - 2 * (below & 1))
-        sign = sign[r] * signs[s]
+    def admit(i, img, x):
+        step = (img.sum(axis=1) - target[:i + 1].sum())[:, None, None] + x
+        return (step >= 0) & ((step & 1) == 0)
+
+    who, img, eps = signed_search(datum.family, vs, admit,
+                                  f"Weyl-sum search in W({datum.describe()})")
     args = img - target
-    keep = chamber_cone_mask(fam, args)
-    if fam == "D":
-        keep &= sign == 1  # W(D) changes an even number of signs
-    return who[keep], args[keep], (parity * sign)[keep]
+    keep = chamber_cone_mask(datum.family, args)
+    return who[keep], args[keep], eps[keep]
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .branching import build_m, far_from_walls, leading_term, m_terms
+from .branching import build_m, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
 from .weylgrp import (WeylElement, diagram_automorphisms, dominant_representative,
@@ -148,7 +148,7 @@ def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight) -> PairVerdict:
         mu, nu, induced_equal(levi, mu, nu),
         relating_automorphism(levi, mu, nu), _levi_cases(levi),
         same_chamber=same_closed_chamber(levi, mu, nu),
-        far=bool(far_from_walls(levi, [mu, nu]).all()),
+        far=all(m_terms(levi, [w], [leading_term(levi, w)[0]])[0][2] for w in (mu, nu)),
         two_rho_dominant=(datum.is_dominant(mu + two_rho)
                           or datum.is_dominant(nu + two_rho)))
 

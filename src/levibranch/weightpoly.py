@@ -538,14 +538,16 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
         return {}
     image_keys = kernels.pack_rows(frame.dominant(rows))
     image = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
-    if not ((keys[image] == image_keys) & (coeffs[image] == coeffs)).all():
-        raise WeightError("multiset admits no dominant maximal weight")
+    same = (keys[image] == image_keys) & (coeffs[image] == coeffs)
+    if not same.all():
+        raise WeightError("multiset is not symmetric: the coefficient at "
+                          f"{Weight(rows[np.argmin(same)].tolist())} is not its dominant image's")
     dominant = np.flatnonzero(image == np.arange(len(keys)))
     sizes = frame.orbit_sizes(rows[dominant])
     short = np.bincount(image, minlength=len(keys))[dominant] != sizes
     if short.any():
         nu = Weight(rows[dominant[np.argmax(short)]].tolist())
-        raise WeightError(f"orbit of {nu} has weights outside the remaining multiset")
+        raise WeightError(f"multiset is not symmetric: it lacks weights of the orbit of {nu}")
     _coefficient_guard(poly._cmax() * len(coeffs))  # bounds each multiplicity's sum
     rho = np.array(frame.rho, dtype=np.int64)
     shifted = rows + rho
@@ -563,5 +565,5 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
                           f"formula, but the multiset has {poly.dimension()}")
     for nu, m in out.items():
         if m < 0:
-            raise WeightError(f"negative multiplicity {m} at {nu} while stripping")
+            raise WeightError(f"negative multiplicity {m} at {nu}")
     return out

@@ -8,11 +8,12 @@ W, the Levi Weyl groups and the stabilisers are products over factor
 blocks (``LeviDatum.blocks``, one block for W) of classical groups: every
 permutation of a block's coordinates against every admissible sign vector,
 built in element order, each under the constant ``DEFAULT_GROUP_GUARD``.
-The transversal is read off the W-orbit of rho - rho_bar with two sorts
-per point; the diagram automorphisms filter a conjugate of a stabiliser
-block group with the Levi cone test and never enumerate W.  One
-``np.lexsort`` puts each in element order.  No group is iterated element
-by element.  A ``WeylElement`` is one element: the one
+``signed_search`` grows signed permutations position by position under a
+caller's test (the Weyl alternation sets, the transversal); the diagram
+automorphisms filter a conjugate of a stabiliser block group with the
+Levi cone test.  Neither enumerates W; one ``np.lexsort`` puts the
+transversal and the automorphisms in element order.  No group is iterated
+element by element.  A ``WeylElement`` is one element: the one
 ``kernels.dominant_elements`` gives for a weight
 (``dominant_representative``) or the one a verdict carries
 (``WeylGroup.element``).
@@ -214,32 +215,70 @@ def levi_group(levi: LeviDatum) -> WeylGroup:
     return _block_group(levi.parent.rank, levi.blocks)
 
 
+# -- signed-permutation search --------------------------------------------
+
+def signed_search(family: str, vs: np.ndarray, admit, label: str):
+    """The w in W with ``admit`` true at every position of w(v), for each row
+    v of ``vs``: (row id, image w(v), eps(w)) per such w, by a search that
+    never enumerates W.
+
+    Each w is a signed permutation, grown one image position i at a time
+    over every row at once: position i takes sign * v[j] for an unused j.
+    ``admit(i, img, x)`` gets the images so far (columns i and on are 0) and
+    the candidates x[r, j, s] = signs[s] * v[j] of each partial element r,
+    and returns which may take position i; the others are cut.  eps(w) is
+    the permutation's parity, which grows by the number of unused indices
+    below j, times the signs.  In D only even sign changes are in W; where v
+    has a 0 both signs give one image, and exactly one of them is kept.  The
+    guard counts the partial elements each position extends.
+    """
+    n = vs.shape[1]
+    signs = np.array([1] if family == "GL" else [1, -1], dtype=np.int64)
+    who = np.arange(len(vs))
+    img = np.zeros((len(vs), n), dtype=np.int64)
+    used = np.zeros((len(vs), n), dtype=bool)
+    parity = sign = np.ones(len(vs), dtype=np.int64)  # both are rebound, never written
+    for i in range(n):
+        check_group_guard(f"{label}, position {i + 1}", len(who))
+        free = ~used
+        x = vs[who][:, :, None] * signs  # (row, j, sign)
+        r, j, s = np.nonzero(free[:, :, None] & admit(i, img, x))
+        below = np.cumsum(free, axis=1)[r, j] - 1  # unused indices below j
+        who, img, used = who[r], img[r], used[r]
+        img[:, i] = x[r, j, s]
+        used[np.arange(len(r)), j] = True
+        parity = parity[r] * (1 - 2 * (below & 1))
+        sign = sign[r] * signs[s]
+    keep = (sign == 1) | (family != "D")  # W(D) changes an even number of signs
+    return who[keep], img[keep], (parity * sign)[keep]
+
+
 @lru_cache(maxsize=None)
 def transversal(levi: LeviDatum) -> WeylGroup:
     """Minimal-length coset representatives of W over Wbar, in element order.
 
-    Read off the W-orbit of x = rho - rho_bar: w = ``dominant_elements(y)``
-    sorts an orbit point y to x, z is the Levi-dominant image of w(rho), and
-    u, the element that sorts z to rho, is the representative with u(x) = y.
-    Proof: u(alpha) > 0 for alpha in Sbar exactly when <u^-1 rho, alpha> > 0,
-    so u is a representative exactly when u^-1(rho) is Levi-dominant.  x is
-    dominant with stabiliser Wbar (Chevalley), so w u fixes x and
-    w = wbar u^-1 with wbar in Wbar: the Levi-dominant point of the
-    Wbar-orbit of w(rho) is z = u^-1(rho).  rho is regular, so u is the one
-    element that sorts z to rho, in D as in every family.
+    u(alpha) > 0 for alpha in Sbar exactly when <u^-1 rho, alpha> > 0, so u
+    is a representative exactly when u^-1(rho) is Levi-dominant, and rho is
+    regular, so u is the one element that sorts u^-1(rho) to rho, in D as in
+    every family.  ``signed_search`` lists the Levi-dominant points z of W rho
+    with one test in every family, D's ``flip`` block included: each alpha
+    of Sbar at the last coordinate i it touches, <prefix, alpha> + z_i
+    alpha_i > 0.  The guard counts |W| / |Wbar| before the search.
     """
-    # weightpoly imports this module, so its frames are imported on use
-    from .weightpoly import _frame_for
-
     datum = levi.parent
-    code = kernels.FAMILY_CODE[datum.family]
-    rho = np.array(datum.rho, dtype=np.int64)
-    x = rho - np.array(levi.rho_bar, dtype=np.int64)
-    _, points, _ = _frame_for(datum).orbits(x[None, :])
-    w_perm, w_sign = kernels.dominant_elements(points, code)
-    z = _frame_for(levi).dominant(rho[w_perm] * w_sign)
-    perm, sign = _in_element_order(*kernels.dominant_elements(z, code))
     expected = datum.weyl_order() // levi.weylbar_order()
+    check_group_guard(f"W/Wbar of {levi.describe()}", expected)
+    roots = np.array(levi.sbar_roots, dtype=np.int64).reshape(-1, datum.rank)
+    last = datum.rank - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)  # last coordinate touched
+
+    def admit(i, img, x):
+        a = roots[last == i]
+        return ((img @ a.T)[:, None, None, :] + x[..., None] * a[:, i] > 0).all(axis=-1)
+
+    _, z, _ = signed_search(datum.family, np.array([datum.rho], dtype=np.int64), admit,
+                            f"coset search in W({datum.describe()})")
+    perm, sign = _in_element_order(*kernels.dominant_elements(
+        z, kernels.FAMILY_CODE[datum.family]))
     if len(perm) != expected:
         raise RootSystemError(
             f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")

@@ -25,9 +25,9 @@ multiset's symmetry and then reads every multiplicity off one signed
 bucketing of its terms (Klimyk's formula).
 ``e_set`` builds the E-set of a Levi weight one element at a time, and
 ``far_from_walls_by_cosets`` searches the whole stabiliser coset of w1 for
-a chamber holding it: the reference route for ``branching.far_from_walls``
-and the flags of ``branching.m_terms``, which sum the deviations of the
-E-set's dominant images from the dominant image of its mean.
+a chamber holding it: the reference route for the flags of
+``branching.m_terms``, which sum the deviations of the E-set's dominant
+images from the dominant image of its mean.
 ``dual_m_construction`` builds an M-function from the |Wbar|^2 products of
 two Levi alternants: the reference route for ``branching.m_terms``.  ``orbit_rows`` expands one orbit at a time, and
 ``character_by_orbits`` and ``poly_by_orbits`` bucket those orbits with
@@ -46,7 +46,8 @@ supports: the reference route for ``equivalence.dominant_box``, which
 takes the product of the factor blocks' chambers.
 ``transversal_by_filter`` filters all of W, chunk by chunk, for the
 elements keeping Sbar positive: the reference route for
-``weylgrp.transversal``, which reads them off the orbit of rho - rho_bar.
+``weylgrp.transversal``, which lists the Levi-dominant points of the orbit
+of rho by ``weylgrp.signed_search`` and sorts each back to rho.
 ``automorphisms_by_transversal`` filters that transversal for the elements
 sending Sbar into the packed Rbar+: the reference route for
 ``weylgrp.diagram_automorphisms``, which filters a conjugate of the
@@ -640,9 +641,10 @@ def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
 def transversal_by_filter(levi: LeviDatum) -> WeylGroup:
     """The w in W that keep every Levi simple root positive, filtered chunk
     by chunk (``_blocks``) against the packed positive roots: the reference
-    route for ``weylgrp.transversal``, which reads the transversal off the
-    orbit of rho - rho_bar.  W is listed in element order, so the survivors
-    are too; B6, C6 and D6 take several chunks, the last one ragged."""
+    route for ``weylgrp.transversal``, which sorts the Levi-dominant points
+    of the orbit of rho, found by ``weylgrp.signed_search``, back to rho.
+    W is listed in element order, so the survivors are too; B6, C6 and D6
+    take several chunks, the last one ragged."""
     datum = levi.parent
     kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
             for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
@@ -656,8 +658,8 @@ def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     Every such w of W keeps Sbar positive, so it is in the transversal; the
     transversal is in element order, so the identity comes first.  The
     transversal is ``transversal_by_filter``'s and the test is membership in
-    the packed Rbar+ (``_maps_into``): no Levi cone test and no orbit of
-    rho - rho_bar.
+    the packed Rbar+ (``_maps_into``): no Levi cone test and no signed
+    search.
     """
     trans = transversal_by_filter(levi)
     return elements(WeylGroup(*_maps_into(trans.perm, trans.sign, levi.sbar_roots,

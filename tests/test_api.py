@@ -23,7 +23,8 @@ a limit nothing reads limits nothing.
 
 Each module-level import of a module of ``src`` other than ``__init__.py``
 (which re-exports) must be read in that module, so a deletion leaves no
-import behind.
+import behind.  Every import in ``src`` is at module level, so an import
+cycle cannot hide inside a function.
 """
 
 import ast
@@ -209,3 +210,10 @@ def test_every_import_is_read_where_it_is_made():
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread += [f"{name}: {b}" for b in sorted(bound - read)]
     assert not unread, f"imports their module never reads: {unread}"
+
+
+def test_every_import_is_at_module_level():
+    nested = [f"{name}.py:{node.lineno}" for name, tree in _modules(SRC)
+              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              and not any(node is top for top in tree.body)]
+    assert not nested, f"imports inside a definition or a block: {nested}"

@@ -8,8 +8,7 @@ import oracles
 
 from levibranch import (Weight, branch_by_restriction, branch_multiplicity,
                         branch_row, build_levi, build_root_system, build_m,
-                        dominant_box, dominant_representative, far_from_walls,
-                        leading_term)
+                        dominant_box, dominant_representative, leading_term)
 from levibranch import branching, equivalence, kernels, weightpoly, weylgrp
 from levibranch.branching import default_lambda_box, m_terms
 from levibranch.equivalence import search_box
@@ -357,6 +356,11 @@ def _terms_coeffs(terms):
     return [tuple(zip(map(Weight, rows.tolist()), sums.tolist())) for rows, sums, _ in terms]
 
 
+def _far(levi, mus):
+    """The FAR_FROM_WALLS flags ``m_terms`` hands out with the terms of ``mus``."""
+    return [far for _, _, far in m_terms(levi, mus, [leading_term(levi, mu)[0] for mu in mus])]
+
+
 class TestMAgainstDualOracle:
     """``build_m`` and the batched builds against the |Wbar|^2 dual construction."""
 
@@ -377,8 +381,9 @@ class TestMAgainstDualOracle:
                                          + np.array(levi.two_rho_bar, dtype=np.int64), code)
             terms = m_terms(levi, box, tops)
             assert _terms_coeffs(terms) == want, levi.describe()
-            # the FAR_FROM_WALLS flags the scan reads off the same images
-            assert [far for _, _, far in terms] == far_from_walls(levi, box).tolist()
+            # the FAR_FROM_WALLS flags the scan reads off the same images,
+            # as one batch and one weight at a time (``classify_pair``)
+            assert [far for _, _, far in terms] == [_far(levi, [mu])[0] for mu in box]
             batches = []
             monkeypatch.setattr(equivalence, "m_terms", lambda levi, mus, tops: batches.append(
                 (mus, m_terms(levi, mus, tops))) or batches[-1][1])
@@ -553,7 +558,7 @@ class TestLeadingTerm:
 
 
 def _e_set(levi, mu):
-    """The E-set from the signed rows ``build_m`` and ``far_from_walls`` read."""
+    """The E-set from the signed rows ``m_terms`` reads."""
     drops, _ = _rho_drops(levi)
     return [Weight(row) for row in (np.array(mu, dtype=np.int64) + drops).tolist()]
 
@@ -563,7 +568,7 @@ class TestESets:
         levi = build_levi(gl3, [])
         mu = Weight.of(3, 1, 0)
         assert _e_set(levi, mu) == [mu]
-        assert far_from_walls(levi, [mu]).tolist() == [True]
+        assert _far(levi, [mu]) == [True]
 
     def test_cardinality_always_group_order(self, levi_c3_gl3, rng):
         for _ in range(8):
@@ -578,7 +583,7 @@ class TestESets:
         mu = Weight.of(5, 1, 0)
         assert set(_e_set(levi_gl3_21, mu)) == {Weight.of(5, 1, 0),
                                                 Weight.of(6, 0, 0)}
-        assert far_from_walls(levi_gl3_21, [mu]).tolist() == [True]
+        assert _far(levi_gl3_21, [mu]) == [True]
 
     def test_far_from_walls_matches_exhaustive(self, levi_c2_gl2, levi_gl4_22,
                                                levi_b3_gl2_so3, levi_c3_gl3,
@@ -591,7 +596,7 @@ class TestESets:
             datum = levi.parent
             group = list(elements(weyl_group(datum)))
             box = dominant_box(levi, bound)  # spin weights on B and D
-            for mu, far in zip(box, far_from_walls(levi, box).tolist()):
+            for mu, far in zip(box, _far(levi, box)):
                 members = oracles.e_set(levi, mu)
                 oracle = any(all(datum.is_dominant(w.act(g)) for g in members)
                              for w in group)
@@ -611,17 +616,17 @@ class TestESets:
             if len(levi.sbar) == len(datum.simple_roots):
                 continue
             box = dominant_box(levi, 1)
-            assert far_from_walls(levi, box).tolist() == [
+            assert _far(levi, box) == [
                 oracles.far_from_walls_by_cosets(levi, mu) for mu in box], levi.describe()
 
     def test_far_from_walls_in_small_batches(self, monkeypatch, levi_c3_gl3):
         # many batches, some of one weight and the last one ragged
         box = dominant_box(levi_c3_gl3, 2)
-        whole = far_from_walls(levi_c3_gl3, box)
-        assert whole.any() and not whole.all()
+        whole = _far(levi_c3_gl3, box)
+        assert any(whole) and not all(whole)
         for rows in (6, 6 * 5 + 1):
             monkeypatch.setattr(branching, "M_BATCH_ROWS", rows)
-            assert (far_from_walls(levi_c3_gl3, box) == whole).all()
+            assert _far(levi_c3_gl3, box) == whole
 
 
 @pytest.mark.parametrize("family,ranks", [

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import signal
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+
+from levibranch import Weight, build_levi, build_root_system
 
 CLI = [sys.executable, "-m", "levibranch.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -196,6 +199,35 @@ class TestOtherCommands:
         assert rows["C:8"] == [(lam + [0, 0], m) for lam, m in rows["C:6"]]
         assert rows["C:8"] == [([1, 1, 0, 0, 0, 0, 0, 0], 1), ([1, 1, 1, 1, 0, 0, 0, 0], 1),
                                ([2, 0, 0, 0, 0, 0, 0, 0], 1)]
+
+    @pytest.mark.parametrize("family", ["C", "B", "D"])
+    def test_transversal_at_rank_8(self, family):
+        # W/Wbar of gl3 + a rank-5 tail has 448 elements, where |W| passes
+        # the guard; each u is read back as the point z = u^-1(rho)
+        out = run("u", "--system", f"{family}:8", "--levi", "1,2,4,5,6,7,8", "--full")
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert payload["count"] == len(payload["elements"]) == 448
+        datum = build_root_system(family, 8)
+        rho = list(datum.rho)
+        points = set()
+        for u in payload["elements"]:
+            z = [0] * 8
+            for i, (p, s) in enumerate(zip(u["perm"], u["signs"])):
+                z[p - 1] = s * rho[i]
+            points.add(tuple(z))
+        assert len(points) == 448
+        if family == "D":
+            levi = build_levi(datum, (1, 2, 4, 5, 6, 7, 8))
+            assert all(levi.is_dominant(Weight(z)) for z in points)
+        else:
+            # shuffles: three signed values of rho, sorted, for the gl3
+            # block, and the other five positive and sorted
+            want = {tuple(sorted((s * x for s, x in zip(signs, head)), reverse=True))
+                    + tuple(x for x in rho if x not in head)
+                    for head in itertools.combinations(rho, 3)
+                    for signs in itertools.product((1, -1), repeat=3)}
+            assert points == want
 
     @pytest.mark.parametrize("system,summary", [
         ("C:8", (60, 9, 216, 24, 24, 0)), ("D:8", (78, 12, 287, 34, 34, 0))])
@@ -445,18 +477,20 @@ class TestConfigAndErrors:
         assert out.returncode == 2 and "unknown config fields: ['guard']" in out.stderr
 
     def test_guard_exit(self):
-        out = run("u", "--system", "C:8", "--levi", "1,2")
+        # |W/Wbar| = 10321920 / 2 is refused before the coset search starts
+        out = run("u", "--system", "C:8", "--levi", "8")
         assert out.returncode == 3
         assert "guard" in out.stderr
 
-    @pytest.mark.parametrize("args,label", [
-        (("u", "--system", "C:8", "--levi", "1,2"), "W(C8)"),
+    @pytest.mark.parametrize("args,label,size", [
+        (("u", "--system", "C:8", "--levi", "8"),
+         "W/Wbar of C8>" + "+".join(["gl1"] * 7) + "+sp2", 5160960),
         (("autos", "--system", "C:8", "--levi", ""),
-         "Stab_W(rho_bar) of C8>" + "+".join(["gl1"] * 8))])
-    def test_guard_message(self, args, label):
+         "Stab_W(rho_bar) of C8>" + "+".join(["gl1"] * 8), 10321920)], ids=["u", "autos"])
+    def test_guard_message(self, args, label, size):
         out = run(*args)
         assert out.returncode == 3
-        assert out.stderr == f"guard: |{label}| = 10321920 exceeds the guard 2000000\n"
+        assert out.stderr == f"guard: |{label}| = {size} exceeds the guard 2000000\n"
 
     def test_weyl_sum_search_guard_exit(self, monkeypatch, capsys):
         # the search counts its partial elements position by position, not

@@ -131,13 +131,15 @@ class TestStripping:
     def test_missing_orbit_point(self, levi_c3_gl3):
         terms, off = _restricted(levi_c3_gl3)
         del terms[off]
-        with pytest.raises(WeightError, match="outside the remaining multiset"):
+        with pytest.raises(WeightError,
+                           match=r"not symmetric: it lacks weights of the orbit of \(0,-1,-1\)"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_wrong_coefficient_off_the_dominant_chamber(self, levi_c3_gl3):
         terms, off = _restricted(levi_c3_gl3)
         terms[off] += 1
-        with pytest.raises(WeightError, match="no dominant maximal weight"):
+        with pytest.raises(WeightError,
+                           match=r"not symmetric: the coefficient at \(-1,-1,0\) is not"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_extra_term(self, levi_c3_gl3):
@@ -145,7 +147,8 @@ class TestStripping:
         extra = Weight.of(0, 0, 3)
         assert extra not in terms and not levi_c3_gl3.is_dominant(extra)
         terms[extra] = 1
-        with pytest.raises(WeightError, match="no dominant maximal weight"):
+        with pytest.raises(WeightError,
+                           match=r"not symmetric: the coefficient at \(0,0,3\) is not"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_dimension_check(self, levi_c3_gl3, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from levibranch import (Weight, build_levi, build_root_system,
                         diagram_automorphisms, dominant_representative,
-                        transversal, weyl_group, weylgrp)
+                        kernels, transversal, weightpoly, weyl_group, weylgrp)
 from levibranch.equivalence import dominant_box
 from levibranch.weylgrp import GroupSizeError, levi_group, stabilizer_subgroup
 from oracles import (compose, coset_decompose, element_sign, elements, identity,
@@ -375,12 +375,32 @@ class TestAgainstObjectOracles:
     @pytest.mark.parametrize("family,ranks", oracles.GROUP_SYSTEMS,
                              ids=[f for f, _ in oracles.GROUP_SYSTEMS])
     def test_transversal_matches_the_filter(self, family, ranks):
-        # the orbit of rho - rho_bar against a filter of all of W: perm, sign,
-        # eps, dtype and row order
+        # the coset search against a filter of all of W: perm, sign, eps,
+        # dtype and row order
         for levi in _all_levis(family, ranks):
             got, ref = transversal(levi), oracles.transversal_by_filter(levi)
             for a, b in zip(got.arrays, ref.arrays):
                 assert a.dtype == b.dtype and np.array_equal(a, b), levi.sbar
+
+    def test_transversal_never_enumerates_w(self, monkeypatch):
+        """The coset search builds no Weyl group of g and no orbit images:
+        D's ``flip`` block (D4 {1,2,4}), a D tail, a B spin tail and C6."""
+        cases = []
+        for family, rank, sbar in (("D", 4, (1, 2, 4)), ("D", 5, (1, 2, 4, 5)),
+                                   ("B", 3, (1, 3)), ("C", 6, (1, 2, 4, 5, 6))):
+            levi = build_levi(build_root_system(family, rank), sbar)
+            cases.append((levi, oracles.transversal_by_filter(levi)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated a Weyl group orbit")
+
+        for module in (weylgrp, weightpoly):
+            monkeypatch.setattr(module, "weyl_group", refuse)
+        monkeypatch.setattr(kernels, "orbit_images", refuse)
+        for levi, ref in cases:
+            got = transversal.__wrapped__(levi)  # past the cache
+            for a, b in zip(got.arrays, ref.arrays):
+                assert np.array_equal(a, b), levi.describe()
 
     @pytest.mark.parametrize("family,ranks", oracles.GROUP_SYSTEMS,
                              ids=[f for f, _ in oracles.GROUP_SYSTEMS])
