@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -28,8 +29,8 @@ from . import kernels
 from .branching import build_m, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
-from .weylgrp import (WeylElement, diagram_automorphisms, dominant_representative,
-                      levi_group)
+from .weylgrp import (WeylElement, check_group_guard, diagram_automorphisms,
+                      dominant_representative, levi_group)
 
 SAME_CHAMBER = "SAME_CHAMBER"
 FAR_FROM_WALLS = "FAR_FROM_WALLS"
@@ -92,21 +93,12 @@ def relating_automorphism(levi: LeviDatum, mu: Weight, nu: Weight) -> WeylElemen
 def same_closed_chamber(levi: LeviDatum, mu: Weight, nu: Weight) -> bool:
     """Do ``mu`` and ``nu`` lie in a common closed Weyl chamber of the parent?
 
-    Exactly when <mu, nu> = <dom mu, dom nu>.  If w maps both into the
-    dominant chamber, w preserves the inner product.  Conversely, pick w1
-    with w1(mu) = dom mu =: lam and put x = w1(nu).  Every Weyl image y of
-    nu satisfies <lam, y> <= <lam, dom nu>, since dom nu - y is a sum of
-    positive roots and lam is dominant.  Move x by the stabiliser of lam
-    (generated by the simple reflections orthogonal to lam) to a y dominant
-    for those reflections; <lam, y> = <lam, x> = <lam, dom nu>.  A simple
-    root alpha with <y, alpha> < 0 would have <lam, alpha> > 0, and the
-    reflection s_alpha(y) = y + c alpha (c > 0) would exceed the bound.  So
-    y is dominant and sigma w1 puts mu and nu in the dominant chamber.
+    Exactly when dom(mu) + dom(nu) = dom(mu + nu): the criterion that
+    ``branching._far_flags`` proves for any finite set, here {mu, nu}.
     """
-    datum = levi.parent
-    lam = dominant_representative(datum, mu)[1]
-    kappa = dominant_representative(datum, nu)[1]
-    return mu.dot4(nu) == lam.dot4(kappa)
+    rows = np.array([mu, nu, mu + nu], dtype=np.int64)
+    dom = _frame_for(levi.parent).dominant(rows)
+    return bool((dom[0] + dom[1] == dom[2]).all())
 
 
 def _levi_cases(levi: LeviDatum) -> frozenset:
@@ -191,10 +183,21 @@ def dominant_box(levi: LeviDatum, bound: int) -> list[Weight]:
     the integral class and, in B and D, the half-integral one: a gl block's
     weakly decreasing tuples, a B or C tail's nonnegative ones, a D tail's
     those and their negations in the last coordinate (x_(n-1) >= |x_n|),
-    and a ``flip`` block's gl tuples with the last coordinate negated.
+    and a ``flip`` block's gl tuples with the last coordinate negated.  It
+    is counted first, under the group guard: w-tuples that weakly decrease
+    through v values number C(v + w - 1, w).
     """
+    parities = (0,) if levi.parent.family in ("GL", "C") else (0, 1)
+    # at parity p there are 2 bound + 1 - p values: bound + 1 - p nonnegative
+    # ones and bound positive ones
+    size = sum(math.prod(
+        math.comb(2 * bound - p + w, w) if family == "GL"
+        else math.comb(bound - p + w, w) + (family == "D") * math.comb(bound - 1 + w, w)
+        for w, family in ((hi - lo, family) for lo, hi, family, _ in levi.blocks))
+        for p in parities)
+    check_group_guard(f"weight box of {levi.describe()} at bound {bound}", size)
     out: list[Weight] = []
-    for parity in ((0,) if levi.parent.family in ("GL", "C") else (0, 1)):
+    for parity in parities:
         values = range(-2 * bound + parity, 2 * bound - parity + 1, 2)
         chambers = []
         for lo, hi, family, flip in levi.blocks:
@@ -234,8 +237,9 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
       automorphism giving it, the one a verdict carries;
     * the pairs are walked in ``itertools.combinations`` order and a verdict
       is made for every pair inside one class.  Both weights of a pair have
-      the dominant image ``key``, so ``same_closed_chamber`` reduces to
-      <mu, nu> = <key, key>, which holds only for mu = nu: never in a pair.
+      the dominant image ``key``, so in a common closed chamber one w maps
+      both to ``key`` and mu = nu: ``same_closed_chamber`` never holds in a
+      pair.
 
     ``sink`` receives one JSON line per verdict plus one group-completion
     marker per group, written as soon as that group is done, so interrupted

@@ -103,9 +103,7 @@ class Weight(tuple):
         return [c // 2 if c % 2 == 0 else c / 2 for c in self]
 
     def __str__(self) -> str:
-        if self.is_integral():
-            return "(" + ",".join(str(c // 2) for c in self) + ")"
-        return "(" + ",".join(f"{c}/2" for c in self) + ")"
+        return "(" + ",".join(str(c // 2) if c % 2 == 0 else f"{c}/2" for c in self) + ")"
 
     def __repr__(self) -> str:
         return f"Weight{str(self)}"

@@ -9,13 +9,13 @@ roots), which is Kostant's weight-multiplicity formula.
 
 g and every Levi share one frame (``_Frame``): one batched dominant image,
 a ``kernels.dominant_rows`` sort on each factor block of coordinates, and
-the orbit sizes read off the same blocks.  Only g's frame expands orbits
-(``orbits``): a block of dominant weights at once under W, straight into
-the canonical arrays of a ``WeightPolynomial``.  Freudenthal's
-recursion (``dominant_multiplicities``) runs on root data only.
-``decompose_character`` checks that a multiset is symmetric under the
-frame's Weyl group and decomposes it by Klimyk's formula: one signed sort
-of its terms, so no Levi character is ever made.
+the simple roots whose reflections generate its Weyl group.  Only g's
+frame expands orbits (``orbits``): a block of dominant weights at once
+under W, straight into the canonical arrays of a ``WeightPolynomial``.
+Freudenthal's recursion (``dominant_multiplicities``) runs on root data only.
+``decompose_character`` checks that a multiset is symmetric under each
+simple reflection of the frame and decomposes it by Klimyk's formula: one
+signed sort of its terms, so no Levi character is ever made.
 """
 
 from __future__ import annotations
@@ -254,12 +254,11 @@ def levi_table(levi: LeviDatum) -> PartitionTable:
 class _Frame:
     """Positive roots and Weyl vector of either g or the Levi.
 
-    ``dominant`` is the frame's one batched dominant image and
-    ``orbit_sizes`` the sizes of the orbits of dominant rows.  Rows are int64
-    doubled coordinates.  ``blocks`` are the factor blocks both read
+    ``dominant`` is the frame's one batched dominant image.  Rows are int64
+    doubled coordinates.  ``blocks`` are the factor blocks it reads
     (``LeviDatum.blocks``, one block for g) with their
     ``kernels.FAMILY_CODE``, less the lone gl coordinates, whose groups are
-    trivial.
+    trivial.  ``simple_roots`` are Sbar for a Levi and S for g.
     """
 
     def __init__(self, owner):
@@ -267,16 +266,17 @@ class _Frame:
         if isinstance(owner, LeviDatum):
             self.datum = owner.parent
             self.rho = owner.rho_bar
-            positive_roots, blocks = owner.rbar_plus, owner.blocks
+            positive_roots, simple_roots, blocks = owner.rbar_plus, owner.sbar_roots, owner.blocks
         else:
             self.datum = owner
             self.rho = owner.rho
-            positive_roots = owner.positive_roots
+            positive_roots, simple_roots = owner.positive_roots, owner.simple_roots
             blocks = [(0, owner.rank, owner.family, False)]  # the Levi on all of S
         self.n = self.datum.rank
         self.blocks = [(lo, hi, kernels.FAMILY_CODE[fam], flip)
                        for lo, hi, fam, flip in blocks if hi - lo > 1 or fam != "GL"]
         self.roots = np.array(positive_roots, dtype=np.int64).reshape(-1, self.n)
+        self.simple_roots = np.array(simple_roots, dtype=np.int64).reshape(-1, self.n)
         self.two_rho = self.roots.sum(axis=0)  # doubled coords of 2*rho_frame
 
     def dominant(self, rows: np.ndarray) -> np.ndarray:
@@ -297,35 +297,6 @@ class _Frame:
             if flip:
                 block[:, -1] *= -1
         return out
-
-    def orbit_sizes(self, doms: np.ndarray) -> np.ndarray:
-        """|W_frame . nu| of every frame-dominant row nu.
-
-        The orbit is the product of the blocks' orbits.  A dominant block is
-        sorted (by |value| in B, C and D; a ``flip`` block with its last
-        coordinate negated, as ``dominant`` sorts it), so its distinct
-        permutations number w! / prod(run lengths)!, where the runs are
-        those of equal adjacent entries (of equal |value| in B, C and D).
-        B, C and D multiply by 2^(nonzero entries), the sign choices, and
-        D halves that when no entry is zero: its sign changes are even.
-        """
-        doms = np.asarray(doms, dtype=np.int64).reshape(-1, self.n)
-        sizes = np.ones(len(doms), dtype=np.int64)
-        for lo, hi, code, flip in self.blocks:
-            block = np.abs(doms[:, lo:hi]) if code else doms[:, lo:hi].copy()
-            if flip:
-                block[:, -1] *= -1
-            # run[:, j]: position of entry j in its run of equal entries, from 1
-            run = np.ones(block.shape, dtype=np.int64)
-            for j in range(1, hi - lo):
-                run[:, j] = np.where(block[:, j] == block[:, j - 1], run[:, j - 1] + 1, 1)
-            sizes *= math.factorial(hi - lo) // run.prod(axis=1)  # the runs' factorials
-            if code:
-                nonzero = np.count_nonzero(block, axis=1)
-                sizes <<= nonzero
-                if code == kernels.FAMILY_CODE["D"]:
-                    sizes[nonzero == hi - lo] >>= 1
-        return sizes
 
     def orbits(self, doms: np.ndarray, limit: float = math.inf):
         """The disjoint orbits of the distinct frame-dominant rows ``doms``:
@@ -515,10 +486,11 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
     """Decompose a symmetric nonnegative weight multiset into irreducibles.
 
     Exact: raises if the multiset is not a nonnegative combination of
-    characters.  First the symmetry under the frame's Weyl group, from one
-    batched ``dominant`` image of every term: each term must have the
-    coefficient of its dominant image, and each dominant term nu exactly
-    |W_frame nu| terms in its orbit (``_Frame.orbit_sizes``).
+    characters.  First the symmetry under the frame's Weyl group, which its
+    simple reflections generate: each simple reflection s_a, the integer
+    matrix 1 - 2 a a^T / <a, a> (a signed permutation for every classical
+    simple root, so exact and inside the packing range), must map every
+    term to a term with the same coefficient.
 
     A symmetric multiset sum c_x e^x is then, by Klimyk's formula (the
     Racah-Speiser rule), the sum of eps(w) c_x chi(w(x + rho) - rho) over
@@ -536,18 +508,18 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
     keys, rows, coeffs = poly._keys, poly._rows, poly._coeffs
     if not len(coeffs):
         return {}
-    image_keys = kernels.pack_rows(frame.dominant(rows))
-    image = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
-    same = (keys[image] == image_keys) & (coeffs[image] == coeffs)
-    if not same.all():
-        raise WeightError("multiset is not symmetric: the coefficient at "
-                          f"{Weight(rows[np.argmin(same)].tolist())} is not its dominant image's")
-    dominant = np.flatnonzero(image == np.arange(len(keys)))
-    sizes = frame.orbit_sizes(rows[dominant])
-    short = np.bincount(image, minlength=len(keys))[dominant] != sizes
-    if short.any():
-        nu = Weight(rows[dominant[np.argmax(short)]].tolist())
-        raise WeightError(f"multiset is not symmetric: it lacks weights of the orbit of {nu}")
+    for a in frame.simple_roots:
+        reflection = np.eye(frame.n, dtype=np.int64) - np.outer(2 * a, a) // (a @ a)
+        image_keys = kernels.pack_rows(rows @ reflection)
+        image = np.minimum(np.searchsorted(keys, image_keys), len(keys) - 1)
+        same = (keys[image] == image_keys) & (coeffs[image] == coeffs)
+        if not same.all():
+            x = np.argmin(same)
+            y = Weight((rows[x] @ reflection).tolist())
+            raise WeightError(
+                f"multiset is not symmetric: the reflection in {Weight(a.tolist())} maps "
+                f"the term {coeffs[x]}*e^{Weight(rows[x].tolist())} to {y}, whose "
+                f"coefficient is {poly.coefficient(y)}")
     _coefficient_guard(poly._cmax() * len(coeffs))  # bounds each multiplicity's sum
     rho = np.array(frame.rho, dtype=np.int64)
     shifted = rows + rho

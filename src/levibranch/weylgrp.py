@@ -31,7 +31,8 @@ from . import kernels
 from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
                       build_levi, chamber_cone_mask)
 
-# the largest group that is ever enumerated
+# the most group elements, partial elements at a search position or box
+# weights that are ever enumerated
 DEFAULT_GROUP_GUARD = 2_000_000
 
 
@@ -228,9 +229,10 @@ def signed_search(family: str, vs: np.ndarray, admit, label: str):
     the candidates x[r, j, s] = signs[s] * v[j] of each partial element r,
     and returns which may take position i; the others are cut.  eps(w) is
     the permutation's parity, which grows by the number of unused indices
-    below j, times the signs.  In D only even sign changes are in W; where v
-    has a 0 both signs give one image, and exactly one of them is kept.  The
-    guard counts the partial elements each position extends.
+    below j, times the signs.  In D only even sign changes are in W, so the
+    last position keeps the candidates that make the sign product 1; where v
+    has a 0 both signs give one image, and the even one is kept.  The guard
+    counts the partial elements a position makes before any is built.
     """
     n = vs.shape[1]
     signs = np.array([1] if family == "GL" else [1, -1], dtype=np.int64)
@@ -239,18 +241,20 @@ def signed_search(family: str, vs: np.ndarray, admit, label: str):
     used = np.zeros((len(vs), n), dtype=bool)
     parity = sign = np.ones(len(vs), dtype=np.int64)  # both are rebound, never written
     for i in range(n):
-        check_group_guard(f"{label}, position {i + 1}", len(who))
         free = ~used
         x = vs[who][:, :, None] * signs  # (row, j, sign)
-        r, j, s = np.nonzero(free[:, :, None] & admit(i, img, x))
+        mask = free[:, :, None] & admit(i, img, x)
+        if family == "D" and i == n - 1:
+            mask &= (sign[:, None] * signs == 1)[:, None, :]
+        check_group_guard(f"{label}, position {i + 1}", np.count_nonzero(mask))
+        r, j, s = np.nonzero(mask)
         below = np.cumsum(free, axis=1)[r, j] - 1  # unused indices below j
         who, img, used = who[r], img[r], used[r]
         img[:, i] = x[r, j, s]
         used[np.arange(len(r)), j] = True
         parity = parity[r] * (1 - 2 * (below & 1))
         sign = sign[r] * signs[s]
-    keep = (sign == 1) | (family != "D")  # W(D) changes an even number of signs
-    return who[keep], img[keep], (parity * sign)[keep]
+    return who, img, parity * sign
 
 
 @lru_cache(maxsize=None)

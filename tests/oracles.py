@@ -28,6 +28,10 @@ bucketing of its terms (Klimyk's formula).
 a chamber holding it: the reference route for the flags of
 ``branching.m_terms``, which sum the deviations of the E-set's dominant
 images from the dominant image of its mean.
+``same_chamber_by_inner_products`` compares <mu, nu> with the pairing of
+the dominant images: the reference route for
+``equivalence.same_closed_chamber``, which compares dominant images of
+mu, nu and mu + nu.
 ``dual_m_construction`` builds an M-function from the |Wbar|^2 products of
 two Levi alternants: the reference route for ``branching.m_terms``.  ``orbit_rows`` expands one orbit at a time, and
 ``character_by_orbits`` and ``poly_by_orbits`` bucket those orbits with
@@ -940,6 +944,27 @@ def far_from_walls_by_cosets(levi: LeviDatum, mu: Weight) -> bool:
     code = kernels.FAMILY_CODE[datum.family]
     dominant = (kernels.dominant_rows(images, code) == images).all(axis=1)
     return bool(dominant.reshape(len(rows), len(stab_perm)).all(axis=0).any())
+
+
+def same_chamber_by_inner_products(datum: RootDatum, mu: Weight, nu: Weight) -> bool:
+    """Do ``mu`` and ``nu`` lie in a common closed Weyl chamber of ``datum``?
+
+    Exactly when <mu, nu> = <dom mu, dom nu>: the reference route for
+    ``equivalence.same_closed_chamber``, which compares dom(mu) + dom(nu)
+    with dom(mu + nu).  If w maps both into the dominant chamber, w
+    preserves the inner product.  Conversely, pick w1 with w1(mu) = dom mu
+    =: lam and put x = w1(nu).  Every Weyl image y of nu satisfies
+    <lam, y> <= <lam, dom nu>, since dom nu - y is a sum of positive roots
+    and lam is dominant.  Move x by the stabiliser of lam (generated by the
+    simple reflections orthogonal to lam) to a y dominant for those
+    reflections; <lam, y> = <lam, x> = <lam, dom nu>.  A simple root alpha
+    with <y, alpha> < 0 would have <lam, alpha> > 0, and the reflection
+    s_alpha(y) = y + c alpha (c > 0) would exceed the bound.  So y is
+    dominant and sigma w1 puts mu and nu in the dominant chamber.
+    """
+    lam = dominant_representative(datum, mu)[1]
+    kappa = dominant_representative(datum, nu)[1]
+    return mu.dot4(nu) == lam.dot4(kappa)
 
 
 def dual_m_construction(levi: LeviDatum, mu: Weight, chunk_rows: int = 2_000_000):

@@ -206,15 +206,16 @@ class TestWeylSumSearch:
                 assert branch_multiplicity(levi, lam, mu) == m
 
     def test_row_over_the_guard_searches_lambda_by_lambda(self, monkeypatch):
-        # the C3 row's four lambdas enter the search together, and each has
-        # at most 2 partial elements at a position
+        # the C3 row's four lambdas enter the search together, and each
+        # makes at most 3 partial elements at a position
         levi = build_levi(build_root_system("C", 3), (1, 2))
         mu = Weight.of(1, 0, 0)
         want = branch_row(levi, mu, 1).entries
-        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 2)
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 3)
         assert branch_row(levi, mu, 1).entries == want
-        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 1)
-        with pytest.raises(weylgrp.GroupSizeError, match="Weyl-sum search"):
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 2)
+        with pytest.raises(weylgrp.GroupSizeError,
+                           match=r"Weyl-sum search in W\(C3\), position 3\| = 3 exceeds"):
             branch_row(levi, mu, 1)
 
     def test_row_over_the_table_limit_counts_lambda_by_lambda(self, monkeypatch):

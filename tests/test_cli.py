@@ -486,22 +486,25 @@ class TestConfigAndErrors:
         (("u", "--system", "C:8", "--levi", "8"),
          "W/Wbar of C8>" + "+".join(["gl1"] * 7) + "+sp2", 5160960),
         (("autos", "--system", "C:8", "--levi", ""),
-         "Stab_W(rho_bar) of C8>" + "+".join(["gl1"] * 8), 10321920)], ids=["u", "autos"])
+         "Stab_W(rho_bar) of C8>" + "+".join(["gl1"] * 8), 10321920),
+        # C(2001 + 3, 4) weakly decreasing 4-tuples, counted before any is made
+        (("search", "--system", "GL:4", "--levi", "1,2,3", "--bound", "1000"),
+         "weight box of GL4>gl4 at bound 1000", 670005837501)], ids=["u", "autos", "search"])
     def test_guard_message(self, args, label, size):
         out = run(*args)
         assert out.returncode == 3
         assert out.stderr == f"guard: |{label}| = {size} exceeds the guard 2000000\n"
 
     def test_weyl_sum_search_guard_exit(self, monkeypatch, capsys):
-        # the search counts its partial elements position by position, not
-        # |W|: here at most 2 for each lambda of the row
+        # the search counts the partial elements each position makes, not
+        # |W|: here at most 3 for each lambda of the row
         from levibranch import cli, weylgrp
         monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 1)
         code = cli.main(["branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
                          "--box-k", "1"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "guard: |Weyl-sum search in W(C3), position 3| = 2 exceeds the guard 1\n")
+            "guard: |Weyl-sum search in W(C3), position 2| = 2 exceeds the guard 1\n")
 
     def test_pack_range_exit(self):
         out = run("mfun", "--system", "GL:6", "--levi", "1",

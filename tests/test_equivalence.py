@@ -15,7 +15,7 @@ from levibranch import (Weight, branch_by_restriction,
                         build_root_system, classify_pair, diagram_automorphisms,
                         dominant_box, dominant_representative, equivalence,
                         induced_equal, leading_term, relating_automorphism,
-                        search_box)
+                        search_box, weyl_group)
 from levibranch.equivalence import (MU_2RHO_DOMINANT, POLARISATION, SAME_CHAMBER,
                                     TYPE_A, ClassificationBugError,
                                     replay_resume_state, same_closed_chamber)
@@ -239,6 +239,25 @@ def test_box_matches_the_prefix_root_recursion(family, ranks):
                         == oracles.dominant_box_by_prefix_roots(levi, bound)), (levi.sbar, bound)
 
 
+@pytest.mark.parametrize("family,ranks", [("GL", range(1, 6)), ("B", range(1, 5)),
+                                          ("C", range(1, 5)), ("D", range(2, 6))],
+                         ids=["GL", "B", "C", "D"])
+def test_box_is_counted_before_it_is_made(family, ranks, monkeypatch):
+    """The guard sees the box's exact size: at a guard of that size the box
+    is made, one below it the count is refused."""
+    for rank in ranks:
+        for levi in oracles.every_levi(build_root_system(family, rank)):
+            for bound in range(4):
+                size = len(dominant_box(levi, bound))
+                monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", size)
+                assert len(dominant_box(levi, bound)) == size
+                monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", size - 1)
+                with pytest.raises(weylgrp.GroupSizeError) as info:
+                    dominant_box(levi, bound)
+                assert info.value.size == size, (levi.sbar, bound)
+                monkeypatch.undo()
+
+
 def test_scan_and_compare_never_enumerate_w(monkeypatch):
     """Scans and pair verdicts enumerate Levi-sized groups only, never W."""
     def refuse(*args, **kwargs):
@@ -414,3 +433,27 @@ class TestEasyDirectionProperties:
         assert set(row) <= set(box)
         for mu in box:
             assert branch_multiplicity(_C3_GL3, lam, mu) == row.get(mu, 0), mu
+
+
+_CHAMBER_SYSTEMS = [build_root_system(f, n) for f, n in
+                    (("GL", 3), ("GL", 5), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+                     ("D", 4), ("D", 5))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CHAMBER_SYSTEMS), st.data())
+def test_same_closed_chamber_matches_inner_products(datum, data):
+    """dom(mu) + dom(nu) = dom(mu + nu) against <mu, nu> = <dom mu, dom nu>,
+    on random pairs (spin rows on B and D), and on pairs moved into one
+    chamber by one random signed permutation of their dominant images."""
+    n = datum.rank
+    parities = st.sampled_from((0, 1) if datum.family in ("B", "D") else (0,))
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    mu, nu = (Weight(2 * c + p for c in data.draw(coords)) for p in data.draw(
+        st.tuples(parities, parities)))
+    if data.draw(st.booleans()):
+        w = weyl_group(datum).element(data.draw(st.integers(0, datum.weyl_order() - 1)))
+        mu, nu = (w.act(dominant_representative(datum, x)[1]) for x in (mu, nu))
+    levi = build_levi(datum, ())
+    assert (same_closed_chamber(levi, mu, nu)
+            == oracles.same_chamber_by_inner_products(datum, mu, nu)), (mu, nu)

@@ -3,14 +3,15 @@
 ``branch_by_restriction`` expands the character of g once and decomposes
 it on the Levi frame by Klimyk's formula: one signed sort of its terms,
 with no Levi character.  These tests hold the decomposition of Levi
-characters against Freudenthal's recursion in the Levi frame, the orbit
-sizes against orbits expanded one at a time, and the decomposition of
+characters against Freudenthal's recursion in the Levi frame, the
+symmetry check against orbits expanded one at a time, and the decomposition of
 restricted characters, single and summed, against whole characters
 stripped off the whole multiset; they also pin the checks that guard the
 decomposition and the shape of the route.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -85,19 +86,51 @@ class TestBlockProduct:
             dominant_multiplicities(levi_c3_gl3, Weight.of(2, 1, 0))
 
 
-class TestOrbitSizes:
+class TestReflectionSymmetry:
+    """``decompose_character`` checks symmetry under each simple reflection
+    of the frame.  Sums of full orbits (``oracles.orbit_rows``) with random
+    coefficients pass; one point dropped, one coefficient changed or one
+    foreign point added fails, naming a simple root of the frame.  g and
+    every Levi, so ``flip`` blocks, zeros and spin rows are included.  An
+    orbit sum need not be a sum of characters, so the one error it may meet
+    is the last check, a negative multiplicity; a sum of two characters
+    (``oracles.character_by_orbits``) decomposes to its coefficients."""
+
     @pytest.mark.parametrize("family,rank", ORBIT_SYSTEMS, ids=_ids(ORBIT_SYSTEMS))
-    def test_match_expanded_orbits(self, family, rank):
-        """Ties, zeros, odd entries, and in D rows with and without a zero."""
+    def test_orbit_sums_pass_and_broken_sums_fail(self, family, rank):
         datum = build_root_system(family, rank)
         rng = np.random.default_rng(300 + rank)
         for owner in [datum, *oracles.every_levi(datum)]:
             frame = _frame_for(owner)
-            rows = np.concatenate([2 * rng.integers(-2, 3, size=(20, rank)),
-                                   2 * rng.integers(-2, 2, size=(8, rank)) + 1])
+            simple = set(map(Weight, frame.simple_roots.tolist()))
+            rows = 2 * rng.integers(-2, 3, size=(8, rank))
+            if family in ("B", "D"):  # spin rows
+                rows = np.concatenate([rows, 2 * rng.integers(-2, 2, size=(4, rank)) + 1])
             doms = np.unique(frame.dominant(rows), axis=0)
-            assert frame.orbit_sizes(doms).tolist() == \
-                [len(oracles.orbit_rows(owner, Weight(nu))) for nu in doms.tolist()], owner
+            orbits = [oracles.orbit_rows(owner, Weight(nu)) for nu in doms.tolist()]
+            terms = {Weight(x): c for orbit, c in zip(orbits, rng.integers(1, 4, len(orbits)))
+                     for x in orbit.tolist()}
+            try:
+                decompose_character(owner, WeightPolynomial(terms))
+            except WeightError as e:
+                assert str(e).startswith("negative multiplicity"), owner
+            tops = {Weight(nu): int(c) for nu, c in zip(doms[-2:].tolist(), rng.integers(1, 4, 2))}
+            chars = [oracles.character_by_orbits(owner, nu) * c for nu, c in tops.items()]
+            assert decompose_character(owner, sum(chars, WeightPolynomial())) == tops, owner
+            moved = [x for orbit in orbits if len(orbit) > 1 for x in map(Weight, orbit.tolist())]
+            foreign = [x for x in map(Weight, (2 * rng.integers(-3, 4, size=(8, rank))).tolist())
+                       if x not in terms and len(oracles.orbit_rows(owner, x)) > 1]
+            broken = []
+            if moved:
+                x = moved[rng.integers(len(moved))]
+                broken += [{w: c for w, c in terms.items() if w != x}, {**terms, x: terms[x] + 1}]
+            if foreign:
+                broken.append({**terms, foreign[0]: 1})
+            for case in broken:
+                with pytest.raises(WeightError, match="not symmetric") as info:
+                    decompose_character(owner, WeightPolynomial(case))
+                root = re.search(r"reflection in \((\S+)\) maps", str(info.value)).group(1)
+                assert Weight.parse(root) in simple, (owner, str(info.value))
 
 
 def _restricted(levi_c3_gl3):
@@ -132,14 +165,16 @@ class TestStripping:
         terms, off = _restricted(levi_c3_gl3)
         del terms[off]
         with pytest.raises(WeightError,
-                           match=r"not symmetric: it lacks weights of the orbit of \(0,-1,-1\)"):
+                           match=r"not symmetric: the reflection in \(0,1,-1\) maps the term "
+                                 r"1\*e\^\(-1,0,-1\) to \(-1,-1,0\), whose coefficient is 0$"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_wrong_coefficient_off_the_dominant_chamber(self, levi_c3_gl3):
         terms, off = _restricted(levi_c3_gl3)
         terms[off] += 1
         with pytest.raises(WeightError,
-                           match=r"not symmetric: the coefficient at \(-1,-1,0\) is not"):
+                           match=r"not symmetric: the reflection in \(0,1,-1\) maps the term "
+                                 r"2\*e\^\(-1,-1,0\) to \(-1,0,-1\), whose coefficient is 1$"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_extra_term(self, levi_c3_gl3):
@@ -148,7 +183,8 @@ class TestStripping:
         assert extra not in terms and not levi_c3_gl3.is_dominant(extra)
         terms[extra] = 1
         with pytest.raises(WeightError,
-                           match=r"not symmetric: the coefficient at \(0,0,3\) is not"):
+                           match=r"not symmetric: the reflection in \(0,1,-1\) maps the term "
+                                 r"1\*e\^\(0,0,3\) to \(0,3,0\), whose coefficient is 0$"):
             decompose_character(levi_c3_gl3, WeightPolynomial(terms))
 
     def test_dimension_check(self, levi_c3_gl3, monkeypatch):

@@ -97,6 +97,15 @@ class TestWeight:
         with pytest.raises(WeightError):
             Weight.parse("1/3")
 
+    def test_str_formats_each_coordinate(self, b2):
+        # as to_json does: mixed parity vectors keep their integer coordinates
+        assert str(Weight((2, 0, 1))) == "(1,0,1/2)"
+        assert str(Weight((5, 1, -3))) == "(5/2,1/2,-3/2)"
+        assert str(Weight.of(3, 0, -1)) == "(3,0,-1)"
+        assert repr(Weight((-1, 4))) == "Weight(-1/2,2)"
+        with pytest.raises(WeightError, match=r"^\(1/2,0\) is not an integral weight of B2$"):
+            b2.require_weight(Weight((1, 0)))
+
     def test_lattice_membership_per_family(self, gl3, c3, b3, d4):
         spin3 = Weight((1, 1, 1))
         assert not gl3.is_lattice_weight(spin3)
