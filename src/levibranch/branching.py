@@ -252,7 +252,7 @@ class MFunction:
                                                      limit=DEFAULT_EXPAND_BUDGET)
         a = np.array([a for _, a in self.coeffs], np.int64)
         stab = datum.weyl_order() // np.bincount(orbit, minlength=len(a))  # |W| / |W lam|
-        return WeightPolynomial._canonical(keys, rows, (a * stab)[orbit])
+        return WeightPolynomial(keys, rows, (a * stab)[orbit])
 
     def to_json(self) -> dict:
         return {

@@ -8,7 +8,8 @@ primary output to a file instead of stdout, for every subcommand.
 Exit codes: 0 success, 2 validation error (also for an option the command
 would ignore), 3 group/size guard exceeded (also a coordinate or a count
 beyond exact int64 arithmetic), 4 I/O failure.  No command exits 1.  The
-group guard is a constant: no option or config key sets it.
+group guard is a constant and a scan runs on one thread: no option or
+config key sets either.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-_CONFIG_FIELDS = {"family", "rank", "levi", "threads"}
+_CONFIG_FIELDS = {"family", "rank", "levi"}
 
 
 @dataclass
 class JobConfig:
     datum: RootDatum
     levi: LeviDatum | None
-    threads: int = 1
 
     def require_levi(self) -> LeviDatum:
         if self.levi is None:
@@ -78,10 +78,7 @@ def _load_config(args) -> JobConfig:
     datum = build_root_system(str(data["family"]).upper(),
                               _integer(data["rank"], "config field rank"))
     levi = build_levi(datum, data["levi"]) if "levi" in data else None
-    if _integer(data.get("threads") or 0, "config field threads") < 0:
-        raise ValueError(f"config key threads must be >= 0, got {data['threads']}")
-    threads = int(getattr(args, "threads", 0) or data.get("threads", 1) or 1)
-    return JobConfig(datum, levi, threads)
+    return JobConfig(datum, levi)
 
 
 def _integer(value, name: str) -> int:
@@ -120,6 +117,11 @@ def cmd_branch(args) -> int:
     if args.format == "csv" and given:
         raise ValueError(f"--format csv writes a row only; it cannot go with "
                          f"{' or '.join(given)}")
+    if args.lam and args.box_k is not None:
+        raise ValueError("--box-k sizes a row only; it cannot go with --lam")
+    if args.lam and args.format == "json" and not args.oracle:
+        raise ValueError("--format json writes a row or an oracle report; "
+                         "it cannot go with --lam alone")
     cfg = _load_config(args)
     levi = cfg.require_levi()
     mu = Weight.parse(args.mu)
@@ -137,7 +139,7 @@ def cmd_branch(args) -> int:
         else:
             _emit(f"{value}\n", args.out)
     else:
-        row = branch_row(levi, mu, args.box_k)
+        row = branch_row(levi, mu, 2 if args.box_k is None else args.box_k)
         if args.oracle:
             diffs = []
             for lam in row.box:
@@ -179,8 +181,7 @@ def cmd_search(args) -> int:
     # line-buffered, so every finished group is on disk before the next starts
     sink = open(args.certificates, "a", buffering=1) if args.certificates else None
     try:
-        summary = search_box(levi, args.bound, sink=sink, threads=cfg.threads,
-                             resume_keys=resume)
+        summary = search_box(levi, args.bound, sink=sink, resume_keys=resume)
     finally:
         if sink:
             sink.close()
@@ -250,9 +251,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="Levi highest weight")
     p.add_argument("--oracle", action="store_true",
                    help="also run the restriction oracle and report diffs")
-    p.add_argument("--box-k", type=_count_arg, default=2,
-                   help="row box: lambda <= mu + k * highest root")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--box-k", type=_count_arg,
+                   help="row box: lambda <= mu + k * highest root (default 2)")
+    p.add_argument("--format", choices=("json", "csv"),
+                   help="row output (default json)")
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("compare", help="decide equality of two induced characters")
@@ -264,7 +266,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan a dominant box for equal pairs")
     common(p)
     p.add_argument("--bound", type=_count_arg, required=True)
-    p.add_argument("--threads", type=_count_arg, default=0)
     p.add_argument("--certificates", help="append JSONL verdicts to this file")
     p.add_argument("--resume", action="store_true",
                    help="skip groups already completed in the certificate file")

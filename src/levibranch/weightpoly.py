@@ -5,7 +5,11 @@ of weights with nonzero integer coefficients, partition functions are
 counted in one dense integer table per batch, and characters come from the
 Freudenthal recursion.  Their independent cross-check is the Weyl sum of
 ``branching.branch_multiplicity`` on the torus Levi (no retained simple
-roots), which is Kostant's weight-multiplicity formula.
+roots), which is Kostant's weight-multiplicity formula.  A polynomial is
+made once, by bucketing rows (``WeightPolynomial.from_rows``) or from
+arrays already canonical, and then only read: it has no arithmetic.  The
+one product made here, the Weyl denominator of ``_check_denominator``, is
+bucketed on arrays factor by factor.
 
 g and every Levi share one frame (``_Frame``): one batched dominant image,
 a ``kernels.dominant_rows`` sort on each factor block of coordinates, and
@@ -42,27 +46,17 @@ class WeightPolynomial:
     Stored as three parallel int64 arrays: the ``kernels.pack_rows`` keys in
     increasing order, the rows of doubled coordinates they encode (so the
     terms are in lexicographic order) and the coefficients, none of them
-    zero.  The form is canonical, so equality is array equality.  ``Weight``
+    zero.  The form is canonical, so equality is array equality.  A
+    polynomial is read, never computed with: ``from_rows`` is the one
+    constructor that buckets, and there is no arithmetic.  ``Weight``
     objects are made only where terms are read out one at a time.
     """
 
     __slots__ = ("_keys", "_rows", "_coeffs")
 
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
-        pairs = [(tuple(w), int(c)) for w, c in items]
-        if pairs:
-            self._bucket(np.array([w for w, _ in pairs], dtype=np.int64),
-                         np.array([c for _, c in pairs], dtype=np.int64))
-        else:
-            self._assign(_NO_KEYS, _NO_ROWS, _NO_KEYS)
-
-    def _bucket(self, rows: np.ndarray, coeffs: np.ndarray) -> None:
-        urows, sums, keys = signed_bucket(rows, coeffs)
-        keep = sums != 0
-        self._assign(keys[keep], urows[keep], sums[keep])
-
-    def _assign(self, keys, rows, coeffs) -> None:
+    def __init__(self, keys: np.ndarray, rows: np.ndarray, coeffs: np.ndarray):
+        """From arrays already canonical, which is not checked: increasing
+        ``pack_rows`` keys, the rows they encode and nonzero coefficients."""
         if not len(coeffs):
             keys, rows, coeffs = _NO_KEYS, _NO_ROWS, _NO_KEYS
         for arr in (keys, rows, coeffs):
@@ -70,105 +64,37 @@ class WeightPolynomial:
         self._keys, self._rows, self._coeffs = keys, rows, coeffs
 
     @classmethod
-    def _of(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
-        poly = cls.__new__(cls)
-        poly._bucket(rows, coeffs)
-        return poly
-
-    @classmethod
-    def _canonical(cls, keys, rows, coeffs) -> "WeightPolynomial":
-        """From distinct rows in increasing key order, with nonzero coefficients."""
-        poly = cls.__new__(cls)
-        poly._assign(keys, rows, coeffs)
-        return poly
-
-    def _scaled(self, k: int) -> "WeightPolynomial":
-        _coefficient_guard(self._cmax() * abs(k))
-        return WeightPolynomial._canonical(self._keys, self._rows, self._coeffs * k)
+    def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
+        """The sum of c e^row over the rows, repeats summed and zeros dropped."""
+        urows, sums, keys = signed_bucket(rows, coeffs)
+        keep = sums != 0
+        return cls(keys[keep], urows[keep], sums[keep])
 
     def _cmax(self) -> int:
         return int(np.abs(self._coeffs).max()) if len(self._coeffs) else 0
 
-    @classmethod
-    def monomial(cls, w: Weight) -> "WeightPolynomial":
-        return cls({w: 1})
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
-        return cls._of(rows, coeffs)
-
-    # -- container protocol ------------------------------------------------
+    # -- read side -----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(len(self._coeffs))
 
     def __iter__(self):
         return zip(map(Weight, self._rows.tolist()), self._coeffs.tolist())
 
-    def _index(self, w) -> int:
-        """Position of the term at ``w``, or -1."""
+    def coefficient(self, w: Weight) -> int:
         if not self or len(w) != self._rows.shape[1]:
-            return -1
+            return 0
         try:
             key = kernels.pack_rows(np.array([w], dtype=np.int64))[0]
         except kernels.PackRangeError:
-            return -1  # outside the packing range, so no stored term
+            return 0  # outside the packing range, so no stored term
         i = int(np.searchsorted(self._keys, key))
-        return i if i < len(self._keys) and self._keys[i] == key else -1
-
-    def __contains__(self, w) -> bool:
-        return self._index(w) >= 0
-
-    def coefficient(self, w: Weight) -> int:
-        i = self._index(w)
-        return int(self._coeffs[i]) if i >= 0 else 0
+        return int(self._coeffs[i]) if i < len(self._keys) and self._keys[i] == key else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightPolynomial):
             return NotImplemented
         return (np.array_equal(self._rows, other._rows)
                 and np.array_equal(self._coeffs, other._coeffs))
-
-    def __hash__(self):
-        return hash((self._rows.shape, self._rows.tobytes(), self._coeffs.tobytes()))
-
-    # -- ring operations -----------------------------------------------------
-    def _combine(self, other: "WeightPolynomial", sign: int) -> "WeightPolynomial":
-        if not isinstance(other, WeightPolynomial):
-            return NotImplemented
-        if not other:
-            return self
-        if not self:
-            return other._scaled(sign)
-        _coefficient_guard(self._cmax() + other._cmax())
-        return WeightPolynomial._of(np.concatenate((self._rows, other._rows)),
-                                    np.concatenate((self._coeffs, sign * other._coeffs)))
-
-    def __add__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "WeightPolynomial") -> "WeightPolynomial":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "WeightPolynomial":
-        return self._scaled(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other) if other else WeightPolynomial()
-        if not isinstance(other, WeightPolynomial):
-            return NotImplemented
-        if not self or not other:
-            return WeightPolynomial()
-        # each product weight collects at most one term per factor term
-        _coefficient_guard(self._cmax() * other._cmax() * min(len(self), len(other)))
-        n = self._rows.shape[1]
-        rows = (self._rows[:, None, :] + other._rows[None, :, :]).reshape(-1, n)
-        return WeightPolynomial._of(rows, np.outer(self._coeffs, other._coeffs).ravel())
-
-    __rmul__ = __mul__
 
     def dimension(self) -> int:
         """Sum of all coefficients (the dimension when this is a character)."""
@@ -443,7 +369,7 @@ def weyl_character(datum: RootDatum, lam: Weight) -> WeightPolynomial:
     if total != dim:
         raise WeightError(
             f"character size {total} disagrees with the dimension formula {dim}")
-    return WeightPolynomial._canonical(keys, rows, m[orbit])
+    return WeightPolynomial(keys, rows, m[orbit])
 
 
 # -- the Weyl denominator ------------------------------------------------------
@@ -467,13 +393,22 @@ def _check_denominator(levi: LeviDatum, drops: np.ndarray, eps: np.ndarray) -> N
 
     As a polynomial, sum eps(w) e^(rho_bar - w(rho_bar)) must equal the
     product of (1 - e^alpha) over the Levi positive roots, which reads the
-    roots alone.  The terms rho_bar - w(rho_bar) are distinct, so a wrong
-    sign, a missing or a foreign group element, or a wrong row shows.
+    roots alone.  The product starts from e^0 and takes one factor at a
+    time: its rows with the rows + alpha, its coefficients with their
+    negatives, bucketed by ``WeightPolynomial.from_rows`` after each factor,
+    so zero terms drop at once.  A factor at most doubles the largest
+    coefficient, and the 2^62 exactness guard checks that before each one.
+    The terms rho_bar - w(rho_bar) are distinct, so a wrong sign, a missing
+    or a foreign group element, or a wrong row shows.
     """
-    one = WeightPolynomial.monomial(Weight.zero(levi.parent.rank))
-    product = one
-    for a in levi.rbar_plus:
-        product = product * (one - WeightPolynomial.monomial(a))
+    n = levi.parent.rank
+    product = WeightPolynomial.from_rows(np.zeros((1, n), dtype=np.int64),
+                                         np.ones(1, dtype=np.int64))
+    for a in np.array(levi.rbar_plus, dtype=np.int64).reshape(-1, n):
+        _coefficient_guard(2 * product._cmax())
+        rows, coeffs = product._rows, product._coeffs
+        product = WeightPolynomial.from_rows(np.concatenate((rows, rows + a)),
+                                             np.concatenate((coeffs, -coeffs)))
     if product != WeightPolynomial.from_rows(drops, eps):
         raise WeightError(
             f"the signed Levi Weyl group rows of {levi.describe()} break the "

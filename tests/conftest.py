@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from levibranch import Weight, build_levi, build_root_system
+from levibranch.weightpoly import _rho_drops
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +36,14 @@ def _cone_closure(family: str, rank: int, hmax: int) -> frozenset:
 @pytest.fixture(scope="session")
 def cone_closure():
     return _cone_closure
+
+
+@pytest.fixture
+def fresh_drops():
+    """Signed Levi rows made anew under a fault, and again after it."""
+    _rho_drops.cache_clear()
+    yield
+    _rho_drops.cache_clear()
 
 
 @pytest.fixture

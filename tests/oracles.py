@@ -78,8 +78,10 @@ The rest are definitions that only tests call, kept apart from the
 package: the sign, identity test and order of a ``WeylElement``, coset
 decomposition by stripping descents, straightening of character labels,
 orbit sums over W, the Weyl denominator, single weight multiplicities,
-Kostka numbers and their inverse matrix, and the type-A helpers the
-Littlewood-Richardson comparisons use.
+polynomials from terms and their sums and products (``poly_of``,
+``poly_op``: ``WeightPolynomial`` has no arithmetic), Kostka numbers and
+their inverse matrix, and the type-A helpers the Littlewood-Richardson
+comparisons use.
 """
 
 from __future__ import annotations
@@ -265,6 +267,35 @@ def coset_decompose(levi: LeviDatum, w: WeylElement) -> tuple[WeylElement, WeylE
 
 
 # -- weight polynomials -------------------------------------------------------------
+
+def poly_of(terms) -> WeightPolynomial:
+    """A polynomial from terms, a dict {weight: c} or (weight, c) pairs,
+    through ``from_rows``: repeats summed, zero coefficients dropped."""
+    items = list(terms.items() if isinstance(terms, dict) else terms)
+    rows = np.array([tuple(w) for w, _ in items], dtype=np.int64).reshape(len(items), -1) \
+        if items else np.zeros((0, 0), dtype=np.int64)
+    return WeightPolynomial.from_rows(rows, np.array([c for _, c in items], dtype=np.int64))
+
+
+def poly_op(p: WeightPolynomial, op: str, q) -> WeightPolynomial:
+    """``p + q``, ``p - q`` or ``p * q`` through ``from_rows``: of the
+    concatenated rows for a sum, of the outer-summed rows for a product; an
+    int ``q`` scales ``p``."""
+    if isinstance(q, int):
+        return WeightPolynomial.from_rows(p._rows, q * p._coeffs)
+    if op == "*":
+        if not p or not q:
+            return poly_of({})
+        rows = p._rows[:, None, :] + q._rows[None, :, :]
+        return WeightPolynomial.from_rows(rows.reshape(-1, p._rows.shape[1]),
+                                          np.outer(p._coeffs, q._coeffs).ravel())
+    sign = {"+": 1, "-": -1}[op]
+    parts = [(x._rows, s * x._coeffs) for x, s in ((p, 1), (q, sign)) if x]
+    if not parts:
+        return poly_of({})
+    rows, coeffs = zip(*parts)
+    return WeightPolynomial.from_rows(np.concatenate(rows), np.concatenate(coeffs))
+
 
 def support(poly: WeightPolynomial) -> tuple[Weight, ...]:
     """The weights of the terms, in term order."""

@@ -15,7 +15,7 @@ from levibranch.equivalence import search_box
 from levibranch.rootsys import WeightError, chamber_cone_mask
 from levibranch.weightpoly import _rho_drops, dominants_below
 from levibranch.weylgrp import levi_group
-from oracles import element_sign, elements, is_identity, symmetrize
+from oracles import element_sign, elements, is_identity, poly_op, symmetrize
 
 
 class TestBranchMultiplicity:
@@ -316,8 +316,8 @@ class TestMFunction:
         total = None
         for wbar in elements(levi_group(levi_c3_gl3)):
             gamma = mu + levi_c3_gl3.rho_bar - wbar.act(levi_c3_gl3.rho_bar)
-            piece = element_sign(wbar) * symmetrize(datum, gamma)
-            total = piece if total is None else total + piece
+            piece = poly_op(symmetrize(datum, gamma), "*", element_sign(wbar))
+            total = piece if total is None else poly_op(total, "+", piece)
         assert fn.poly() == total
 
     def test_poly_budget_counts_distinct_orbit_points(self, levi_c3_gl3, monkeypatch):
@@ -410,14 +410,6 @@ class TestMAgainstDualOracle:
             rows, sums = oracles.dual_m_construction(levi_b3_gl2_so3, mu)
             small = oracles.dual_m_construction(levi_b3_gl2_so3, mu, chunk_rows=5)
             assert np.array_equal(small[0], rows) and np.array_equal(small[1], sums)
-
-
-@pytest.fixture
-def fresh_drops():
-    """Signed Levi rows made anew under a fault, and again after it."""
-    _rho_drops.cache_clear()
-    yield
-    _rho_drops.cache_clear()
 
 
 def _group_with(levi, keep=None, flip=None):

@@ -157,14 +157,6 @@ class TestSearchCommand:
         assert json.loads(out.stdout)["skipped_groups"] >= 1
         assert killed.read_bytes() == full.read_bytes()
 
-    def test_threaded_output_identical(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run("search", "--system", "GL:4", "--levi", "1,3", "--bound", "2",
-            "--certificates", str(a))
-        run("search", "--system", "GL:4", "--levi", "1,3", "--bound", "2",
-            "--certificates", str(b), "--threads", "4")
-        assert a.read_text() == b.read_text()
-
 
 class TestOtherCommands:
     def test_autos(self):
@@ -451,7 +443,21 @@ class TestConfigAndErrors:
             assert out.returncode == 2, extra
             assert out.stderr == ("error: --format csv writes a row only; it cannot "
                                   f"go with {named}\n"), extra
+        for extra, message in (
+                (("--box-k", "3"), "--box-k sizes a row only; it cannot go with --lam"),
+                (("--box-k", "3", "--oracle"),
+                 "--box-k sizes a row only; it cannot go with --lam"),
+                (("--format", "json"), "--format json writes a row or an oracle report; "
+                                       "it cannot go with --lam alone")):
+            out = run("branch", *c2, "--mu", "1,0", "--lam", "1,0", *extra,
+                      "--out", str(tmp_path / "f"))
+            assert out.returncode == 2 and out.stderr == f"error: {message}\n", extra
         assert not list(tmp_path.iterdir())
+        # the same options are honoured where they act
+        assert json.loads(run("branch", *c2, "--mu", "1,0", "--lam", "1,0", "--oracle",
+                              "--format", "json").stdout)["oracle_diff"] == []
+        assert run("branch", *c2, "--mu", "1,0", "--box-k", "3", "--format",
+                   "json").returncode == 0
 
     def test_validation_exit(self, tmp_path):
         assert run("branch", "--system", "X:9", "--mu", "0").returncode == 2
@@ -460,15 +466,16 @@ class TestConfigAndErrors:
         # negative limits name their option; 0 keeps meaning the default
         c3 = ("--system", "C:3", "--levi", "1,2")
         for args, name in ((("search", *c3, "--bound", "-1"), "--bound"),
-                           (("branch", *c3, "--mu", "1,0,0", "--box-k", "-1"), "--box-k"),
-                           (("search", *c3, "--bound", "1", "--threads", "-4"), "--threads")):
+                           (("branch", *c3, "--mu", "1,0,0", "--box-k", "-1"), "--box-k")):
             out = run(*args)
             assert out.returncode == 2 and f"argument {name}: must be >= 0" in out.stderr
+        # a scan runs on one thread: no option and no config key sets more
+        out = run("search", *c3, "--bound", "1", "--threads", "2")
+        assert out.returncode == 2 and "unrecognized arguments: --threads 2" in out.stderr
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], "threads": -4}))
+        cfg.write_text(json.dumps({"family": "C", "rank": 3, "levi": [1, 2], "threads": 2}))
         out = run("search", "--config", str(cfg), "--bound", "1")
-        assert out.returncode == 2 and "config key threads must be >= 0" in out.stderr
-        assert run("search", *c3, "--bound", "1", "--threads", "0").returncode == 0
+        assert out.returncode == 2 and "unknown config fields: ['threads']" in out.stderr
         # the group guard is a constant: no option and no config key sets it
         out = run("u", *c3, "--guard", "5")
         assert out.returncode == 2 and "unrecognized arguments: --guard 5" in out.stderr

@@ -11,7 +11,7 @@ from levibranch.typea_lr import (Partition, SignedSplit, lr_expand_pair,
 from levibranch.weightpoly import decompose_character
 from oracles import (as_weight, delta_shift_check, in_littlewood_stable_range,
                      join_signed, kostka_matrix, kostka_matrix_identity,
-                     kostka_multiplicity, kostka_number, standard_gl_blocks)
+                     kostka_multiplicity, kostka_number, poly_op, standard_gl_blocks)
 
 P = Partition
 
@@ -64,8 +64,8 @@ class TestLRCoefficient:
         for mu, nu in cases:
             n = mu.size + nu.size
             datum = build_root_system("GL", n)
-            prod = weyl_character(datum, as_weight(mu, n)) * \
-                weyl_character(datum, as_weight(nu, n))
+            prod = poly_op(weyl_character(datum, as_weight(mu, n)), "*",
+                           weyl_character(datum, as_weight(nu, n)))
             decomp = decompose_character(datum, prod)
             for lam, c in decomp.items():
                 lam_parts = P(tuple(x // 2 for x in lam))
