@@ -47,8 +47,9 @@ from .weylgrp import (GroupSizeError, dominant_representative, levi_group,
                       signed_search)
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
-# E-set rows per batch of M-function builds
-M_BATCH_ROWS = 1 << 15
+# E-set rows per batch of M-function builds, and per run of groups that a
+# box scan builds in one ``m_terms`` call
+M_BATCH_ROWS = 1 << 12
 
 
 def _far_flags(levi: LeviDatum, mus: np.ndarray, dom: np.ndarray) -> np.ndarray:
@@ -298,7 +299,9 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     term.  Returns one (rows, sums, far) triple per weight: the distinct
     dominant images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero
     signed count, in lexicographic order, those counts and ``_far_flags`` of
-    the images.  Up to ``M_BATCH_ROWS`` rows share one frame ``dominant``
+    the images.  ``build_m`` passes one weight, ``equivalence.search_box``
+    the built weights of a run of groups.  Up to ``M_BATCH_ROWS`` rows
+    (|Wbar| per weight, at least one weight) share one frame ``dominant``
     and one ``signed_bucket`` call, and a member-id column keeps the
     weights' buckets apart; rows with no room for it go one weight a batch.
 

@@ -20,13 +20,12 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import kernels
 from .branching import (branch_by_restriction, branch_multiplicity, branch_row,
                         build_m)
 from .equivalence import classify_pair, replay_resume_state, search_box
-from .rootsys import (LeviDatum, RootDatum, RootSystemError, Weight,
+from .rootsys import (LeviDatum, RootSystemError, Weight,
                       WeightError, build_levi, build_root_system)
 from .typea_lr import Partition, lr_coefficient, multi_lr, polarisation_branch
 from .weightpoly import BudgetError
@@ -40,18 +39,9 @@ EXIT_IO = 4
 _CONFIG_FIELDS = {"family", "rank", "levi"}
 
 
-@dataclass
-class JobConfig:
-    datum: RootDatum
-    levi: LeviDatum | None
-
-    def require_levi(self) -> LeviDatum:
-        if self.levi is None:
-            raise RootSystemError("this command needs --levi (or a levi config entry)")
-        return self.levi
-
-
-def _load_config(args) -> JobConfig:
+def _load_config(args) -> LeviDatum:
+    """The Levi that ``--system``/``--levi`` and ``--config`` describe; the
+    options override the config's entries."""
     data = {}
     if args.config:
         with open(args.config) as fh:
@@ -77,8 +67,9 @@ def _load_config(args) -> JobConfig:
         raise RootSystemError("no root system given; use --system FAMILY:RANK or --config")
     datum = build_root_system(str(data["family"]).upper(),
                               _integer(data["rank"], "config field rank"))
-    levi = build_levi(datum, data["levi"]) if "levi" in data else None
-    return JobConfig(datum, levi)
+    if "levi" not in data:
+        raise RootSystemError("this command needs --levi (or a levi config entry)")
+    return build_levi(datum, data["levi"])
 
 
 def _integer(value, name: str) -> int:
@@ -122,8 +113,7 @@ def cmd_branch(args) -> int:
     if args.lam and args.format == "json" and not args.oracle:
         raise ValueError("--format json writes a row or an oracle report; "
                          "it cannot go with --lam alone")
-    cfg = _load_config(args)
-    levi = cfg.require_levi()
+    levi = _load_config(args)
     mu = Weight.parse(args.mu)
     if args.lam:
         lam = Weight.parse(args.lam)
@@ -158,8 +148,7 @@ def cmd_branch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    levi = cfg.require_levi()
+    levi = _load_config(args)
     mu = Weight.parse(args.mu)
     nu = Weight.parse(args.nu)
     verdict = classify_pair(levi, mu, nu)
@@ -170,8 +159,7 @@ def cmd_compare(args) -> int:
 def cmd_search(args) -> int:
     if args.resume and not args.certificates:
         raise ValueError("--resume needs --certificates, the file to resume from")
-    cfg = _load_config(args)
-    levi = cfg.require_levi()
+    levi = _load_config(args)
     resume = set()
     if args.resume:
         resume, offset = replay_resume_state(args.certificates)
@@ -191,8 +179,7 @@ def cmd_search(args) -> int:
 
 def cmd_group(args) -> int:
     """``autos`` and ``u``: the order of the group, and its elements if ``full``."""
-    cfg = _load_config(args)
-    group = args.group(cfg.require_levi())
+    group = args.group(_load_config(args))
     payload = {"count": len(group)}
     if args.full:
         payload["elements"] = group.to_json()
@@ -201,8 +188,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_mfun(args) -> int:
-    cfg = _load_config(args)
-    levi = cfg.require_levi()
+    levi = _load_config(args)
     mu = Weight.parse(args.mu)
     fn = build_m(levi, mu)
     lam, sign = fn.leading()

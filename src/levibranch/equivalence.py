@@ -9,7 +9,9 @@ counterexample to the conjecture that one always exists.
 ``classify_pair`` decides one pair.  ``search_box`` decides a whole box by
 equality class: within one Weyl orbit it computes every weight's leading
 term, M-function, automorphism images and covering flags once, and derives
-the verdicts of its pairs from those.  Both routes make their verdicts in
+the verdicts of its pairs from those.  The M-functions of runs of
+consecutive orbits are built in one batch, and each orbit's verdicts are
+still written as soon as it is done.  Both routes make their verdicts in
 the same helper, so they agree on the covering cases and on the guard.
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import branching, kernels
 from .branching import build_m, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
@@ -227,10 +229,15 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
 
     * the leading terms of all weights come from one batched dominant image;
     * the M-functions of the weights that share their leading term with
-      another member are built together, with every check of ``build_m``
-      (``branching.m_terms``, one batch per group unless the group exceeds
-      ``M_BATCH_ROWS`` rows), each with its FAR_FROM_WALLS flag, and the
-      built weights are partitioned by their M-function coefficients;
+      another member are built, with every check of ``build_m``, each with
+      its FAR_FROM_WALLS flag, and the built weights are partitioned by
+      their M-function coefficients.  One ``branching.m_terms`` call builds
+      a run of consecutive groups: the first group alone, then runs of up
+      to twice as many groups as the run before, each cut before its built
+      weights pass ``M_BATCH_ROWS`` E-set rows (|Wbar| per weight).  A
+      larger group is a run of its own, which ``m_terms`` splits.  A run's
+      groups are then processed and written one at a time, and no later
+      group is looked at before the first group's lines are written;
     * the weights in a class of two or more each get, once, their distinct
       packed automorphism images (``orbit_images`` and ``pack_rows`` on at
       most ``ORBIT_CHUNK_ROWS`` rows per call), each with the first
@@ -244,12 +251,13 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     ``sink`` receives one JSON line per verdict plus one group-completion
     marker per group, written as soon as that group is done, so interrupted
     scans can be resumed by replaying the markers.  ``sink`` needs only
-    ``write``; the caller chooses its buffering.
+    ``write``; the caller chooses its buffering.  With ``threads`` > 1 a
+    pool builds and processes whole runs, and they are written in order.
     """
     t0 = time.monotonic()
     datum = levi.parent
     dominant = _frame_for(datum).dominant
-    levi_group(levi)  # enforce the guard before any build
+    wbar = len(levi_group(levi))  # enforce the guard before any build
     box = dominant_box(levi, coord_bound)
     rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
     groups: dict[Weight, list[int]] = {}
@@ -265,16 +273,30 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     levi_cases = _levi_cases(levi)
     summary = SearchSummary(levi.describe(), coord_bound,
                             box_size=len(box), groups=len(keys))
-    resume_keys = resume_keys or set()
+    todo = [k for k in keys if k not in (resume_keys or set())]
+    summary.skipped_groups = len(keys) - len(todo)
 
-    def process(key: Weight):
-        idx = groups[key]  # box order, which is sorted order
+    def runs():
+        """The runs of (key, idx, built) groups described above, made lazily."""
+        run, filled, limit = [], 0, 1
+        for key in todo:
+            idx = groups[key]  # box order, which is sorted order
+            shared_top = Counter(tops[i] for i in idx)
+            built = [j for j, i in enumerate(idx) if shared_top[tops[i]] > 1]
+            if run and filled + len(built) * wbar > branching.M_BATCH_ROWS:
+                yield run
+                run, filled, limit = [], 0, 2 * len(run)
+            run.append((key, idx, built))
+            filled += len(built) * wbar
+            if len(run) == limit:
+                yield run
+                run, filled, limit = [], 0, 2 * limit
+        if run:
+            yield run
+
+    def process(key: Weight, idx: list, built: list, terms: list):
         members = [box[i] for i in idx]
         tested = len(idx) * (len(idx) - 1) // 2
-        shared_top = Counter(tops[i] for i in idx)
-        built = [j for j, i in enumerate(idx) if shared_top[tops[i]] > 1]
-        terms = m_terms(levi, [members[j] for j in built],
-                        top_rows[[idx[j] for j in built]])
         classes: dict = {}
         cls: list = [None] * len(idx)
         far: list = [False] * len(idx)
@@ -309,6 +331,14 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
             if cls[a] is not None and cls[a] == cls[b]]
         return key, tested, verdicts
 
+    def results(run):
+        """Build every weight of ``run`` in one ``m_terms`` call, then process
+        its groups one at a time, in order."""
+        picks = [idx[j] for _, idx, built in run for j in built]
+        terms = iter(m_terms(levi, [box[i] for i in picks], top_rows[picks]))
+        for group in run:
+            yield process(*group, list(itertools.islice(terms, len(group[2]))))
+
     def record(key: Weight, tested: int, verdicts: list):
         summary.pairs_tested += tested
         for v in verdicts:
@@ -324,15 +354,16 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
             sink.write(json.dumps(
                 {"group_done": key.to_json(), "pairs": tested}, sort_keys=True) + "\n")
 
-    todo = [k for k in keys if k not in resume_keys]
-    summary.skipped_groups = len(keys) - len(todo)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(process, todo):  # in order, as each finishes
-                record(*result)
+            # whole runs, recorded in order as each finishes
+            for done in pool.map(lambda run: list(results(run)), runs()):
+                for result in done:
+                    record(*result)
     else:
-        for key in todo:
-            record(*process(key))
+        for run in runs():
+            for result in results(run):
+                record(*result)
     summary.wall_clock_s = time.monotonic() - t0
     return summary
 

@@ -232,7 +232,10 @@ def signed_search(family: str, vs: np.ndarray, admit, label: str):
     below j, times the signs.  In D only even sign changes are in W, so the
     last position keeps the candidates that make the sign product 1; where v
     has a 0 both signs give one image, and the even one is kept.  The guard
-    counts the partial elements a position makes before any is built.
+    counts the partial elements a position admits before they are gathered,
+    but only after the candidates ``x`` and ``admit``'s own arrays are made:
+    those scale with the previous position's partial elements times n and
+    the signs, so memory can pass what the guard allows before it trips.
     """
     n = vs.shape[1]
     signs = np.array([1] if family == "GL" else [1, -1], dtype=np.int64)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from levibranch import kernels, weightpoly, weylgrp
+from levibranch import branching, kernels, weightpoly, weylgrp
 from levibranch import (Weight, branch_by_restriction,
                         branch_multiplicity, build_levi, build_m,
                         build_root_system, classify_pair, diagram_automorphisms,
@@ -306,6 +307,99 @@ def test_warm_scan_sorts_no_weyl_elements(monkeypatch):
     summary = search_box(levi, 2)
     assert calls == []
     assert summary.verdicts == want.verdicts and summary.counterexamples > 0
+
+
+# -- M-functions built for runs of groups -------------------------------------------
+
+def _built_by_group(levi, bound):
+    """The box's groups in scan order, each as the weights whose M-functions
+    the scan builds: those sharing their leading term with another member."""
+    groups: dict = {}
+    for mu in dominant_box(levi, bound):
+        groups.setdefault(dominant_representative(levi.parent, mu)[1], []).append(mu)
+    out = []
+    for key in sorted(groups):
+        tops = [leading_term(levi, mu)[0] for mu in groups[key]]
+        shared = Counter(tops)
+        out.append([mu for mu, top in zip(groups[key], tops) if shared[top] > 1])
+    return out
+
+
+def _scan_runs(levi, bound, monkeypatch):
+    """Each ``m_terms`` call of a scan, as its weights and the groups of its
+    run: (weights, index of the run's first group, number of groups)."""
+    calls, sink = [], io.StringIO()
+    real = equivalence.m_terms
+
+    def spy(levi, mus, tops):
+        calls.append((list(mus), sink.getvalue().count("group_done")))
+        return real(levi, mus, tops)
+
+    monkeypatch.setattr(equivalence, "m_terms", spy)
+    search_box(levi, bound, sink=sink)
+    done = [n for _, n in calls] + [sink.getvalue().count("group_done")]
+    return [(mus, n, end - n) for (mus, n), end in zip(calls, done[1:])]
+
+
+def test_scan_builds_runs_of_groups(levi_c3_gl3, monkeypatch):
+    """The first ``m_terms`` call builds the first group alone, before any
+    line is written; each later call builds every weight of the next run of
+    groups, at most twice as many groups as the run before."""
+    built = _built_by_group(levi_c3_gl3, 3)
+    runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
+    assert runs[0] == (built[0], 0, 1)
+    assert sum(size for _, _, size in runs) == len(built)
+    for (_, _, before), (_, _, size) in zip(runs, runs[1:]):
+        assert 1 <= size <= 2 * before
+    for mus, first, size in runs:
+        assert mus == [mu for group in built[first:first + size] for mu in group]
+    # a later run builds the weights of more than one group in one call
+    assert any(sum(1 for group in built[first:first + size] if group) > 1
+               for _, first, size in runs[1:])
+
+
+@pytest.mark.parametrize("weights", [None, 1, 3], ids=["default", "cap1", "cap3"])
+def test_scan_runs_stay_under_the_row_cap(levi_c3_gl3, weights, monkeypatch):
+    """A run passes ``M_BATCH_ROWS`` E-set rows, |Wbar| per built weight, only
+    when it is one group; the certificate stays the same."""
+    wbar = len(weylgrp.levi_group(levi_c3_gl3))
+    buf = io.StringIO()
+    search_box(levi_c3_gl3, 3, sink=buf)
+    if weights is not None:
+        monkeypatch.setattr(branching, "M_BATCH_ROWS", weights * wbar)
+    runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
+    assert all(len(mus) * wbar <= branching.M_BATCH_ROWS or size == 1
+               for mus, _, size in runs)
+    if weights is not None:  # some group alone passes the cap
+        assert any(len(mus) > weights for mus, _, _ in runs)
+    again = io.StringIO()
+    search_box(levi_c3_gl3, 3, sink=again)
+    assert again.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("family,rank,sbar,bound", [
+    ("C", 3, (1, 2), 3), ("B", 3, (1, 3), 3), ("D", 5, (1, 2, 4, 5), 2)],
+    ids=["C3-12-b3", "B3-13-b3", "D5-1245-b2"])
+def test_scan_certificates_do_not_depend_on_batching(family, rank, sbar, bound,
+                                                     monkeypatch):
+    """One weight per M-function batch, or runs of groups at the default cap,
+    with one thread or two: the same certificate bytes."""
+    levi = build_levi(build_root_system(family, rank), sbar)
+
+    def certificate(threads):
+        buf = io.StringIO()
+        search_box(levi, bound, sink=buf, threads=threads)
+        return buf.getvalue()
+
+    want = certificate(1)
+    assert certificate(2) == want
+    sizes = []
+    real = branching._m_batch
+    monkeypatch.setattr(branching, "_m_batch",
+                        lambda levi, mus, *rest: sizes.append(len(mus)) or real(levi, mus, *rest))
+    monkeypatch.setattr(branching, "M_BATCH_ROWS", len(weylgrp.levi_group(levi)))
+    assert certificate(1) == want and certificate(2) == want
+    assert set(sizes) == {1}
 
 
 # -- the automorphism of a verdict against the object loop -------------------------
