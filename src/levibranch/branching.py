@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,13 +188,12 @@ def default_lambda_box(levi: LeviDatum, mu: Weight, k: int = 2) -> tuple[Weight,
     top = np.array(mu + k * datum.highest_root, dtype=np.int64)
     t, scale = _scaled_coordinates(datum.family, [k * datum.highest_root])
     d = (t[0] // scale)[:len(datum.simple_roots)].tolist()
-    steps = np.indices([max(c + 1, 0) for c in d]).reshape(len(d), -1).T
+    sizes = [max(c + 1, 0) for c in d]
+    steps = np.indices(sizes).reshape(len(d), math.prod(sizes)).T
     simple = np.array(datum.simple_roots, dtype=np.int64).reshape(len(d), datum.rank)
     rows = top - steps @ simple
     rows = rows[(rows @ simple.T >= 0).all(axis=1)]
-    keep = (chamber_cone_mask(datum.family, rows - np.array(mu, dtype=np.int64))
-            & chamber_cone_mask(datum.family, top - rows))
-    return tuple(sorted(map(Weight, rows[keep].tolist())))
+    return tuple(sorted(map(Weight, rows.tolist())))
 
 
 def branch_row(levi: LeviDatum, mu: Weight, k: int = 2) -> BranchingRow:

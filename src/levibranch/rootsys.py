@@ -127,7 +127,9 @@ class RootDatum:
 
     @property
     def highest_root(self) -> Weight:
-        return max(self.positive_roots, key=lambda a: (a.dot4(self.rho), a))
+        """The highest root; 0 when there are no roots (GL1)."""
+        return max(self.positive_roots, key=lambda a: (a.dot4(self.rho), a),
+                   default=Weight.zero(self.rank))
 
     # -- lattice and chamber tests ----------------------------------------
     def is_lattice_weight(self, beta: Weight) -> bool:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -291,24 +290,11 @@ def dominants_below(datum: RootDatum, top: Weight) -> tuple[Weight, ...]:
     return tuple(sorted(map(Weight, seen)))
 
 
-@lru_cache(maxsize=None)
-def dominant_multiplicities(datum: RootDatum, lam: Weight) -> MappingProxyType:
+def dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict:
     """Weight multiplicities of the irreducible of g with highest weight
-    ``lam``, recorded on dominant representatives by Freudenthal's recursion
-    (``_freudenthal``): a read-only mapping, shared by every caller through
-    the cache, so its entries are root-data entries only.  A Levi raises
-    ``TypeError``: ``decompose_character`` needs no Levi character.
-    """
-    if isinstance(datum, LeviDatum):
-        raise TypeError(f"dominant multiplicities are made under W only, "
-                        f"not under {datum.describe()}")
-    if not datum.is_dominant(lam):
-        raise WeightError(f"{lam} is not dominant for {datum}")
-    return MappingProxyType(_freudenthal(datum, lam))
-
-
-def _freudenthal(datum: RootDatum, lam: Weight) -> dict:
-    """Freudenthal's recursion on the dominant weights below ``lam``, exact.
+    ``lam``, recorded on dominant representatives by Freudenthal's recursion,
+    exact.  A Levi raises ``TypeError``: ``decompose_character`` needs no
+    Levi character.
 
     For each nu the xi = nu + k a, over the positive roots a and
     1 <= k <= <lam - nu, 2 rho> / <a, 2 rho> (higher xi are not weights),
@@ -317,6 +303,11 @@ def _freudenthal(datum: RootDatum, lam: Weight) -> dict:
     That is the sum that stops each a-string at its first miss, because
     a-strings through weights are unbroken.
     """
+    if isinstance(datum, LeviDatum):
+        raise TypeError(f"dominant multiplicities are made under W only, "
+                        f"not under {datum.describe()}")
+    if not datum.is_dominant(lam):
+        raise WeightError(f"{lam} is not dominant for {datum}")
     frame = _frame_for(datum)
     doms = dominants_below(datum, lam)
     lam_row = np.array(lam, dtype=np.int64)

@@ -260,7 +260,6 @@ def signed_search(family: str, vs: np.ndarray, admit, label: str):
     return who, img, parity * sign
 
 
-@lru_cache(maxsize=None)
 def transversal(levi: LeviDatum) -> WeylGroup:
     """Minimal-length coset representatives of W over Wbar, in element order.
 

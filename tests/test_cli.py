@@ -63,6 +63,17 @@ class TestBranchCommand:
         assert out.returncode == 2 and out.stdout == ""
         assert "is not dominant for the Levi" in out.stderr
 
+    def test_rank_one_row(self):
+        # GL1 has no roots, so the box of mu is {mu}
+        base = ("branch", "--system", "GL:1", "--levi=", "--mu", "0")
+        for extra in ((), ("--box-k", "0")):
+            out = run(*base, *extra)
+            assert out.returncode == 0, out.stderr
+            assert json.loads(out.stdout) == {"entries": [{"lam": [0], "m": 1}], "mu": [0]}
+        out = run(*base, "--format", "csv")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "lam1,multiplicity\n0,1\n"
+
     def test_cache_dir_refused(self, tmp_path):
         out = run("branch", "--system", "C:3", "--levi", "1,2", "--mu", "1,0,0",
                   "--cache-dir", str(tmp_path))
