@@ -49,7 +49,7 @@ from .weylgrp import (GroupSizeError, dominant_representative, levi_group,
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
 # E-set rows per batch of M-function builds, and per run of groups that a
-# box scan builds in one ``m_terms`` call
+# box scan builds in one ``m_terms`` call: the one bound on either size
 M_BATCH_ROWS = 1 << 12
 
 
@@ -302,8 +302,8 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     the images.  ``build_m`` passes one weight, ``equivalence.search_box``
     the built weights of a run of groups.  Up to ``M_BATCH_ROWS`` rows
     (|Wbar| per weight, at least one weight) share one frame ``dominant``
-    and one ``signed_bucket`` call, and a member-id column keeps the
-    weights' buckets apart; rows with no room for it go one weight a batch.
+    and one ``signed_bucket`` call, whose member ids, one per row, keep the
+    weights' buckets apart.
 
     The signed rows were checked once per Levi against the Weyl denominator
     identity (``weightpoly._rho_drops``).  With ``self_check``, each
@@ -316,16 +316,9 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     """
     if not len(mus):
         return []
-    _, eps = _rho_drops(levi)
-    try:  # member ids stay below the packing offset of one more column
-        ids = kernels.pack_spec(levi.parent.rank + 1)[1]
-    except kernels.PackRangeError:  # no room for the column
-        ids = 1
-    per = min(ids, max(1, M_BATCH_ROWS // len(eps)))
-    out = []
-    for lo in range(0, len(mus), per):
-        out += _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)
-    return out
+    per = max(1, M_BATCH_ROWS // len(_rho_drops(levi)[1]))
+    return [t for lo in range(0, len(mus), per)
+            for t in _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)]
 
 
 @lru_cache(maxsize=None)
@@ -372,13 +365,7 @@ def _m_batch(levi: LeviDatum, mus, tops, self_check: bool) -> list:
         if not ok.all():
             raise WeightError(f"dominant images of the E-set of {mus[int(np.argmin(ok)) // k]} "
                               "change under W or lose the W-invariants of their rows")
-    if m > 1:
-        tagged, sums, _ = signed_bucket(np.column_stack((np.repeat(np.arange(m), k), dom)),
-                                        np.tile(eps, m))
-        member, urows = tagged[:, 0], tagged[:, 1:]
-    else:  # one weight keeps the packing range of its own rank
-        urows, sums, _ = signed_bucket(dom, eps)
-        member = np.zeros(len(urows), dtype=np.int64)
+    urows, sums, _, member = signed_bucket(dom, np.tile(eps, m), np.repeat(np.arange(m), k))
     keep = sums != 0
     urows, sums, member = urows[keep], sums[keep], member[keep]
     if self_check:

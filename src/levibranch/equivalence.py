@@ -10,9 +10,10 @@ counterexample to the conjecture that one always exists.
 equality class: within one Weyl orbit it computes every weight's leading
 term, M-function, automorphism images and covering flags once, and derives
 the verdicts of its pairs from those.  The M-functions of runs of
-consecutive orbits are built in one batch, and each orbit's verdicts are
-still written as soon as it is done.  Both routes make their verdicts in
-the same helper, so they agree on the covering cases and on the guard.
+consecutive orbits are built in one batch, sized by the one row bound
+``branching.M_BATCH_ROWS``, and each orbit's verdicts are still written as
+soon as it is done.  Both routes make their verdicts in the same helper,
+so they agree on the covering cases and on the guard.
 """
 
 from __future__ import annotations
@@ -232,12 +233,12 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
       another member are built, with every check of ``build_m``, each with
       its FAR_FROM_WALLS flag, and the built weights are partitioned by
       their M-function coefficients.  One ``branching.m_terms`` call builds
-      a run of consecutive groups: the first group alone, then runs of up
-      to twice as many groups as the run before, each cut before its built
-      weights pass ``M_BATCH_ROWS`` E-set rows (|Wbar| per weight).  A
-      larger group is a run of its own, which ``m_terms`` splits.  A run's
-      groups are then processed and written one at a time, and no later
-      group is looked at before the first group's lines are written;
+      a run of consecutive groups: the first group alone, then each run as
+      long as it can be, cut only where the next group's built weights
+      would take it past ``M_BATCH_ROWS`` E-set rows (|Wbar| per weight).
+      A larger group is a run of its own, which ``m_terms`` splits.  A
+      run's groups are then processed and written one at a time, and no
+      later group is looked at before the first group's lines are written;
     * the weights in a class of two or more each get, once, their distinct
       packed automorphism images (``orbit_images`` and ``pack_rows`` on at
       most ``ORBIT_CHUNK_ROWS`` rows per call), each with the first
@@ -278,19 +279,19 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
 
     def runs():
         """The runs of (key, idx, built) groups described above, made lazily."""
-        run, filled, limit = [], 0, 1
-        for key in todo:
+        run, filled = [], 0
+        for count, key in enumerate(todo):
             idx = groups[key]  # box order, which is sorted order
             shared_top = Counter(tops[i] for i in idx)
             built = [j for j, i in enumerate(idx) if shared_top[tops[i]] > 1]
             if run and filled + len(built) * wbar > branching.M_BATCH_ROWS:
                 yield run
-                run, filled, limit = [], 0, 2 * len(run)
+                run, filled = [], 0
             run.append((key, idx, built))
             filled += len(built) * wbar
-            if len(run) == limit:
+            if not count:  # the first group at once, on its own
                 yield run
-                run, filled, limit = [], 0, 2 * limit
+                run, filled = [], 0
         if run:
             yield run
 

@@ -39,25 +39,20 @@ class BudgetError(RuntimeError):
     """A character, expansion or table would exceed the configured size budget."""
 
 
-def pack_spec(n: int) -> tuple[int, int]:
-    """Bits per coordinate and offset for packing rows of width ``n``."""
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Encode integer rows into distinct nonnegative int64 keys (exact).
+
+    Coordinate 0 is the most significant field of 63 // n bits, so sorting
+    the keys sorts the rows lexicographically.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
     if n < 1:
         raise PackRangeError("empty rows cannot be packed")
     bits = 63 // n
     if bits < 4:
         raise PackRangeError(f"rank {n} too large for int64 packing")
-    return bits, 1 << (bits - 1)
-
-
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Encode integer rows into distinct nonnegative int64 keys (exact).
-
-    Coordinate 0 is the most significant field, so sorting the keys sorts
-    the rows lexicographically.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[1]
-    bits, offset = pack_spec(n)
+    offset = 1 << (bits - 1)
     if rows.size and int(np.abs(rows).max()) >= offset:
         raise PackRangeError(
             f"|coordinate| >= {offset} cannot be packed at rank {n}")

@@ -65,7 +65,7 @@ class WeightPolynomial:
     @classmethod
     def from_rows(cls, rows: np.ndarray, coeffs: np.ndarray) -> "WeightPolynomial":
         """The sum of c e^row over the rows, repeats summed and zeros dropped."""
-        urows, sums, keys = signed_bucket(rows, coeffs)
+        urows, sums, keys, _ = signed_bucket(rows, coeffs)
         keep = sums != 0
         return cls(keys[keep], urows[keep], sums[keep])
 
@@ -122,23 +122,26 @@ def _coefficient_guard(bound: int) -> None:
             f"coefficients up to {bound} exceed the 2^62 exactness guard")
 
 
-def signed_bucket(rows: np.ndarray, coeffs: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def signed_bucket(rows: np.ndarray, coeffs: np.ndarray, ids: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate rows, summing integer coefficients exactly.
 
-    Returns the distinct rows, their coefficient sums and their
-    ``kernels.pack_rows`` keys, in increasing key order, which is
-    lexicographic row order.
+    ``ids`` gives each row a member id (all 0 when omitted), and rows of
+    different ids stay apart.  Returns the distinct (id, row) buckets as
+    their rows, coefficient sums, ``kernels.pack_rows`` keys and ids, in
+    increasing (id, key) order; key order is lexicographic row order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if rows.shape[0] == 0:
-        return rows, coeffs, _NO_KEYS
-    uniq, first, inverse = np.unique(kernels.pack_rows(rows), return_index=True,
-                                     return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inverse, coeffs)
-    return rows[first], sums, uniq
+        return rows, coeffs, _NO_KEYS, _NO_KEYS
+    keys = kernels.pack_rows(rows)
+    order = np.argsort(keys, kind="stable") if ids is None else np.lexsort((keys, ids))
+    keys = keys[order]
+    ids = np.zeros(len(keys), dtype=np.int64) if ids is None else np.asarray(ids)[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]) | (ids[1:] != ids[:-1])])
+    sums = np.add.reduceat(coeffs[order], starts)
+    return rows[order[starts]], sums, keys[starts], ids[starts]
 
 
 # -- partition tables ---------------------------------------------------------
@@ -451,8 +454,8 @@ def decompose_character(owner, poly: WeightPolynomial) -> dict:
     shifted = rows + rho
     eps = np.sign(shifted @ frame.roots.T).prod(axis=1)
     regular = eps != 0
-    nus, mult, nu_keys = signed_bucket(frame.dominant(shifted[regular]) - rho,
-                                       (eps * coeffs)[regular])
+    nus, mult, nu_keys, _ = signed_bucket(frame.dominant(shifted[regular]) - rho,
+                                          (eps * coeffs)[regular])
     # keys sort like the rows, so this is (height, weight), highest first
     order = np.lexsort((nu_keys, nus @ frame.two_rho))[::-1]
     order = order[mult[order] != 0]

@@ -269,20 +269,27 @@ def transversal(levi: LeviDatum) -> WeylGroup:
     every family.  ``signed_search`` lists the Levi-dominant points z of W rho
     with one test in every family, D's ``flip`` block included: each alpha
     of Sbar at the last coordinate i it touches, <prefix, alpha> + z_i
-    alpha_i > 0.  The guard counts |W| / |Wbar| before the search.
+    alpha_i > 0.  A D tail (alpha_(n-1), alpha_n in Sbar) is cut a position
+    early: z_(n-1) > |z_n|, the one |value| of rho left.  The guard counts
+    |W| / |Wbar| first, then each position, but only after the position's
+    candidate arrays are made (``signed_search``), so memory can pass it.
     """
     datum = levi.parent
     expected = datum.weyl_order() // levi.weylbar_order()
     check_group_guard(f"W/Wbar of {levi.describe()}", expected)
+    rho = np.array([datum.rho], dtype=np.int64)
     roots = np.array(levi.sbar_roots, dtype=np.int64).reshape(-1, datum.rank)
     last = datum.rank - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)  # last coordinate touched
+    tail = datum.rank - 2 if levi.blocks[-1][2] == "D" else -1
 
     def admit(i, img, x):
         a = roots[last == i]
-        return ((img @ a.T)[:, None, None, :] + x[..., None] * a[:, i] > 0).all(axis=-1)
+        ok = ((img @ a.T)[:, None, None, :] + x[..., None] * a[:, i] > 0).all(axis=-1)
+        if i == tail:  # |z_n| is sum |rho_i| less the placed |values| and |x|
+            ok &= x > np.abs(rho).sum() - np.abs(img).sum(axis=1)[:, None, None] - np.abs(x)
+        return ok
 
-    _, z, _ = signed_search(datum.family, np.array([datum.rho], dtype=np.int64), admit,
-                            f"coset search in W({datum.describe()})")
+    _, z, _ = signed_search(datum.family, rho, admit, f"coset search in W({datum.describe()})")
     perm, sign = _in_element_order(*kernels.dominant_elements(
         z, kernels.FAMILY_CODE[datum.family]))
     if len(perm) != expected:

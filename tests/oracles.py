@@ -1022,7 +1022,7 @@ def dual_m_construction(levi: LeviDatum, mu: Weight, chunk_rows: int = 2_000_000
         block = (a_rows[start:stop, None, :] + b_rows[None, :, :]).reshape((stop - start) * k, -1)
         block_eps = (eps[start:stop, None] * eps[None, :]).reshape((stop - start) * k)
         parts.append(signed_bucket(kernels.dominant_rows(block, code), block_eps))
-    rows, acc, _ = parts[0] if len(parts) == 1 else signed_bucket(
+    rows, acc, *_ = parts[0] if len(parts) == 1 else signed_bucket(
         np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
     keep = acc != 0
     w0sign = -1 if len(levi.rbar_plus) % 2 else 1

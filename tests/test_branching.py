@@ -407,6 +407,15 @@ class TestMAgainstDualOracle:
         monkeypatch.setattr(branching, "M_BATCH_ROWS", 2 * 288)
         assert _terms_coeffs(m_terms(levi_sp12, mus, tops)) == want
 
+    def test_rank_7_batch(self):
+        # a batch's rows pack at rank 7, as a single build's do: doubled
+        # coordinates up to 80 lie past the rank-8 range of 64
+        levi = build_levi(build_root_system("GL", 7), (1, 2, 3))
+        mus = [Weight.of(40, 35, 30, 20, 10, 5, 0), Weight.of(40, 35, 30, 20, 10, 0, 5)]
+        tops = [leading_term(levi, mu)[0] for mu in mus]
+        assert _terms_coeffs(m_terms(levi, mus, tops)) == [build_m(levi, mu).coeffs
+                                                            for mu in mus]
+
     def test_product_terms_accumulate_across_chunks(self, levi_b3_gl2_so3):
         for mu in (Weight.of(2, 0, 1), Weight((3, -1, 1))):
             rows, sums = oracles.dual_m_construction(levi_b3_gl2_so3, mu)
@@ -489,7 +498,7 @@ class TestChecksCatchFaults:
     def test_signed_bucket_dropping_a_row(self, monkeypatch):
         real = branching.signed_bucket
         monkeypatch.setattr(branching, "signed_bucket",
-                            lambda rows, coeffs: real(rows[1:], coeffs[1:]))
+                            lambda rows, coeffs, ids: real(rows[1:], coeffs[1:], ids[1:]))
         for mu in (self.MU, Weight((3, -1, 1))):
             with pytest.raises(WeightError, match="disagree"):
                 build_m(self.B3, mu)

@@ -344,18 +344,27 @@ def _scan_runs(levi, bound, monkeypatch):
 def test_scan_builds_runs_of_groups(levi_c3_gl3, monkeypatch):
     """The first ``m_terms`` call builds the first group alone, before any
     line is written; each later call builds every weight of the next run of
-    groups, at most twice as many groups as the run before."""
+    groups, and a run stops only where the next group's built weights would
+    take it past ``M_BATCH_ROWS`` E-set rows.  At the default cap the whole
+    box after the first group is one run; a cap of 10 weights cuts it."""
+    wbar = len(weylgrp.levi_group(levi_c3_gl3))
     built = _built_by_group(levi_c3_gl3, 3)
-    runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
-    assert runs[0] == (built[0], 0, 1)
-    assert sum(size for _, _, size in runs) == len(built)
-    for (_, _, before), (_, _, size) in zip(runs, runs[1:]):
-        assert 1 <= size <= 2 * before
-    for mus, first, size in runs:
-        assert mus == [mu for group in built[first:first + size] for mu in group]
-    # a later run builds the weights of more than one group in one call
-    assert any(sum(1 for group in built[first:first + size] if group) > 1
-               for _, first, size in runs[1:])
+    for weights in (None, 10):
+        monkeypatch.undo()
+        if weights is not None:
+            monkeypatch.setattr(branching, "M_BATCH_ROWS", weights * wbar)
+        runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
+        assert runs[0] == (built[0], 0, 1)
+        assert sum(size for _, _, size in runs) == len(built)
+        for mus, first, size in runs[1:-1]:
+            assert size >= 1
+            assert (len(mus) + len(built[first + size])) * wbar > branching.M_BATCH_ROWS
+        assert len(runs) == (2 if weights is None else 10)
+        for mus, first, size in runs:
+            assert mus == [mu for group in built[first:first + size] for mu in group]
+        # a later run builds the weights of more than one group in one call
+        assert any(sum(1 for group in built[first:first + size] if group) > 1
+                   for _, first, size in runs[1:])
 
 
 @pytest.mark.parametrize("weights", [None, 1, 3], ids=["default", "cap1", "cap3"])

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,6 +124,29 @@ class TestWeightPolynomialProperties:
         assert polys[0] == polys[1] == polys[2]
         assert _as_dict(polys[0]) == _ref_clean(want)
         assert [w for w, _ in polys[0]] == sorted(_ref_clean(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), _weight, st.integers(-3, 3)), max_size=12),
+           st.integers(0, 3))
+    @example(terms=[], same=0)
+    def test_signed_bucket_with_ids_buckets_like_a_counter(self, terms, same):
+        ids = np.array([i for i, _, _ in terms], dtype=np.int64)
+        rows = np.array([w for _, w, _ in terms], dtype=np.int64).reshape(-1, RANK)
+        coeffs = np.array([c for _, _, c in terms], dtype=np.int64)
+        want = Counter()
+        for i, w, c in terms:
+            want[i, w] += c
+        urows, sums, keys, got_ids = weightpoly.signed_bucket(rows, coeffs, ids)
+        got = list(zip(got_ids.tolist(), map(tuple, urows.tolist())))
+        # key order is row order, so (id, key) order is (id, row) order
+        assert got == sorted(want)
+        assert sums.tolist() == [want[t] for t in got]
+        assert np.array_equal(keys, kernels.pack_rows(urows))
+        # one id for every row buckets as no ids do
+        plain = weightpoly.signed_bucket(rows, coeffs)
+        alike = weightpoly.signed_bucket(rows, coeffs, np.full(len(rows), same))
+        assert all(np.array_equal(a, b) for a, b in zip(plain[:3], alike[:3]))
+        assert not plain[3].any() and (alike[3] == same).all()
 
     @settings(max_examples=100, deadline=None)
     @given(_dict_poly, st.randoms(use_true_random=False))

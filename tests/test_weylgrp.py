@@ -201,6 +201,15 @@ class TestCosets:
         assert len(transversal(levi_gl3_21)) == 3
         assert len(transversal(levi_sp12)) == 160
 
+    def test_d_tail_is_cut_one_position_early(self, monkeypatch):
+        # D4 {3,4}: z_3 > |z_4| is tested at position 3, so no position
+        # holds more than |W(D4)| / |Wbar| = 48 partial elements
+        levi = build_levi(build_root_system("D", 4), (3, 4))
+        want = oracles.transversal_by_filter(levi)
+        monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 48)
+        got = transversal(levi)
+        assert np.array_equal(got.perm, want.perm) and np.array_equal(got.sign, want.sign)
+
     def test_transversal_definition(self, levi_b3_gl2_so3, b3):
         pos = set(b3.positive_roots)
         for u in elements(transversal(levi_b3_gl2_so3)):
