@@ -7,13 +7,13 @@ maps one weight to the other; an equal pair with no such element would be a
 counterexample to the conjecture that one always exists.
 
 ``classify_pair`` decides one pair.  ``search_box`` decides a whole box by
-equality class: within one Weyl orbit it computes every weight's leading
-term, M-function, automorphism images and covering flags once, and derives
-the verdicts of its pairs from those.  The M-functions of runs of
-consecutive orbits are built in one batch, sized by the one row bound
-``branching.M_BATCH_ROWS``, and each orbit's verdicts are still written as
-soon as it is done.  Both routes make their verdicts in the same helper,
-so they agree on the covering cases and on the guard.
+equality class: within one Weyl orbit of two or more weights it computes
+every weight's M-function, automorphism images and covering flags once,
+and derives the verdicts of its pairs from those.  The M-functions of
+runs of consecutive orbits are built in one batch, sized by the one row
+bound ``branching.M_BATCH_ROWS``, and each orbit's verdicts are still
+written as soon as it is done.  Both routes make their verdicts in the
+same helper, so they agree on the covering cases and on the guard.
 """
 
 from __future__ import annotations
@@ -228,11 +228,12 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     order and every equal pair is emitted as one verdict.  Within a group the
     walk goes by equality class, not by pair:
 
-    * the leading terms of all weights come from one batched dominant image;
-    * the M-functions of the weights that share their leading term with
-      another member are built, with every check of ``build_m``, each with
-      its FAR_FROM_WALLS flag, and the built weights are partitioned by
-      their M-function coefficients.  One ``branching.m_terms`` call builds
+    * the leading terms of all weights come from one batched dominant image,
+      for ``m_terms``'s checks and the MU_2RHO_DOMINANT case;
+    * the M-functions of every member of a group of two or more are built,
+      with every check of ``build_m``, each with its FAR_FROM_WALLS flag,
+      and the members are partitioned by their M-function coefficients; a
+      group of one builds nothing.  One ``branching.m_terms`` call builds
       a run of consecutive groups: the first group alone, then each run as
       long as it can be, cut only where the next group's built weights
       would take it past ``M_BATCH_ROWS`` E-set rows (|Wbar| per weight).
@@ -269,7 +270,6 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     # mu + 2 rho_bar, and whether mu + 2 rho_bar is already dominant
     shifted = rows + np.array(levi.two_rho_bar, dtype=np.int64)
     top_rows = dominant(shifted)
-    tops = list(map(tuple, top_rows.tolist()))
     two_rho_dominant = (top_rows == shifted).all(axis=1).tolist()
     levi_cases = _levi_cases(levi)
     summary = SearchSummary(levi.describe(), coord_bound,
@@ -278,12 +278,12 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     summary.skipped_groups = len(keys) - len(todo)
 
     def runs():
-        """The runs of (key, idx, built) groups described above, made lazily."""
+        """The runs of (key, idx, built) groups described above, made lazily:
+        ``built`` is ``idx`` for a group of two or more, else empty."""
         run, filled = [], 0
         for count, key in enumerate(todo):
             idx = groups[key]  # box order, which is sorted order
-            shared_top = Counter(tops[i] for i in idx)
-            built = [j for j, i in enumerate(idx) if shared_top[tops[i]] > 1]
+            built = idx if len(idx) > 1 else []
             if run and filled + len(built) * wbar > branching.M_BATCH_ROWS:
                 yield run
                 run, filled = [], 0
@@ -295,17 +295,15 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
         if run:
             yield run
 
-    def process(key: Weight, idx: list, built: list, terms: list):
+    def process(key: Weight, idx: list, terms: list):
         members = [box[i] for i in idx]
         tested = len(idx) * (len(idx) - 1) // 2
         classes: dict = {}
-        cls: list = [None] * len(idx)
-        far: list = [False] * len(idx)
-        for j, (urows, sums, flag) in zip(built, terms):
-            cls[j] = classes.setdefault((urows.tobytes(), sums.tobytes()), idx[j])
-            far[j] = flag
-        sizes = Counter(c for c in cls if c is not None)
-        paired = [j for j, c in enumerate(cls) if c is not None and sizes[c] > 1]
+        cls = [classes.setdefault((urows.tobytes(), sums.tobytes()), j)
+               for j, (urows, sums, _) in enumerate(terms)]
+        far = [flag for _, _, flag in terms]
+        sizes = Counter(cls)
+        paired = [j for j, c in enumerate(cls) if sizes[c] > 1]
         if not paired:
             return key, tested, []
         autos = diagram_automorphisms(levi)
@@ -329,16 +327,16 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
                      two_rho_dominant=(two_rho_dominant[idx[a]]
                                        or two_rho_dominant[idx[b]]))
             for (a, mu), (b, nu) in itertools.combinations(enumerate(members), 2)
-            if cls[a] is not None and cls[a] == cls[b]]
+            if cls[a] == cls[b]]
         return key, tested, verdicts
 
     def results(run):
         """Build every weight of ``run`` in one ``m_terms`` call, then process
         its groups one at a time, in order."""
-        picks = [idx[j] for _, idx, built in run for j in built]
+        picks = [i for _, _, built in run for i in built]
         terms = iter(m_terms(levi, [box[i] for i in picks], top_rows[picks]))
-        for group in run:
-            yield process(*group, list(itertools.islice(terms, len(group[2]))))
+        for key, idx, built in run:
+            yield process(key, idx, list(itertools.islice(terms, len(built))))
 
     def record(key: Weight, tested: int, verdicts: list):
         summary.pairs_tested += tested

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 
 import numpy as np
@@ -125,7 +125,7 @@ class RootDatum:
     def weyl_order(self) -> int:
         return _weyl_order(self.family, self.rank)
 
-    @property
+    @cached_property
     def highest_root(self) -> Weight:
         """The highest root; 0 when there are no roots (GL1)."""
         return max(self.positive_roots, key=lambda a: (a.dot4(self.rho), a),

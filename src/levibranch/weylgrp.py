@@ -269,7 +269,8 @@ def transversal(levi: LeviDatum) -> WeylGroup:
     every family.  ``signed_search`` lists the Levi-dominant points z of W rho
     with one test in every family, D's ``flip`` block included: each alpha
     of Sbar at the last coordinate i it touches, <prefix, alpha> + z_i
-    alpha_i > 0.  A D tail (alpha_(n-1), alpha_n in Sbar) is cut a position
+    alpha_i > 0, one root at a time.  A B, C or D tail of width >= 2
+    (alpha_(n-1), alpha_n in Sbar, so z_n > 0 in B and C) is cut a position
     early: z_(n-1) > |z_n|, the one |value| of rho left.  The guard counts
     |W| / |Wbar| first, then each position, but only after the position's
     candidate arrays are made (``signed_search``), so memory can pass it.
@@ -280,11 +281,12 @@ def transversal(levi: LeviDatum) -> WeylGroup:
     rho = np.array([datum.rho], dtype=np.int64)
     roots = np.array(levi.sbar_roots, dtype=np.int64).reshape(-1, datum.rank)
     last = datum.rank - 1 - np.argmax(roots[:, ::-1] != 0, axis=1)  # last coordinate touched
-    tail = datum.rank - 2 if levi.blocks[-1][2] == "D" else -1
+    tail = datum.rank - 2 if {datum.rank - 1, datum.rank} <= set(levi.sbar) else -1
 
     def admit(i, img, x):
-        a = roots[last == i]
-        ok = ((img @ a.T)[:, None, None, :] + x[..., None] * a[:, i] > 0).all(axis=-1)
+        ok = np.ones(x.shape, dtype=bool)
+        for a in roots[last == i]:
+            ok &= (img @ a)[:, None, None] + x * a[i] > 0
         if i == tail:  # |z_n| is sum |rho_i| less the placed |values| and |x|
             ok &= x > np.abs(rho).sum() - np.abs(img).sum(axis=1)[:, None, None] - np.abs(x)
         return ok

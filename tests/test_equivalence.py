@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -51,6 +50,31 @@ class TestInducedEqual:
                     dominant_representative(datum, nu)[1]
                 assert leading_term(levi_c2_gl2, mu)[0] == \
                     leading_term(levi_c2_gl2, nu)[0]
+
+
+@pytest.mark.parametrize("family,rank", oracles.LEVI_SYSTEMS,
+                         ids=[f"{f}{n}" for f, n in oracles.LEVI_SYSTEMS])
+def test_equal_m_functions_never_cross_orbits(family, rank):
+    """The scan compares weights only within one W-orbit.  Over the whole box
+    of every proper Levi (bound 2, bound 1 at rank 5), one ``m_terms`` call
+    builds every M-function; each class of equal M-functions lies in one
+    orbit, and some class has two or more weights."""
+    datum = build_root_system(family, rank)
+    dominant = weightpoly._frame_for(datum).dominant
+    shared = 0
+    for levi in oracles.every_levi(datum):
+        if len(levi.sbar) == rank:
+            continue
+        box = dominant_box(levi, 2 if rank < 5 else 1)
+        rows = np.array(box, dtype=np.int64)
+        tops = dominant(rows + np.array(levi.two_rho_bar, dtype=np.int64))
+        orbits: dict = {}
+        for (urows, sums, _), key in zip(branching.m_terms(levi, box, tops),
+                                         map(tuple, dominant(rows).tolist())):
+            orbits.setdefault((urows.tobytes(), sums.tobytes()), []).append(key)
+        assert all(len(set(keys)) == 1 for keys in orbits.values()), levi.sbar
+        shared += len(box) - len(orbits)
+    assert shared > 0
 
 
 class TestRelatingAutomorphism:
@@ -313,16 +337,11 @@ def test_warm_scan_sorts_no_weyl_elements(monkeypatch):
 
 def _built_by_group(levi, bound):
     """The box's groups in scan order, each as the weights whose M-functions
-    the scan builds: those sharing their leading term with another member."""
+    the scan builds: every member of a group of two or more."""
     groups: dict = {}
     for mu in dominant_box(levi, bound):
         groups.setdefault(dominant_representative(levi.parent, mu)[1], []).append(mu)
-    out = []
-    for key in sorted(groups):
-        tops = [leading_term(levi, mu)[0] for mu in groups[key]]
-        shared = Counter(tops)
-        out.append([mu for mu, top in zip(groups[key], tops) if shared[top] > 1])
-    return out
+    return [groups[key] if len(groups[key]) > 1 else [] for key in sorted(groups)]
 
 
 def _scan_runs(levi, bound, monkeypatch):
@@ -359,7 +378,7 @@ def test_scan_builds_runs_of_groups(levi_c3_gl3, monkeypatch):
         for mus, first, size in runs[1:-1]:
             assert size >= 1
             assert (len(mus) + len(built[first + size])) * wbar > branching.M_BATCH_ROWS
-        assert len(runs) == (2 if weights is None else 10)
+        assert len(runs) == (2 if weights is None else 11)
         for mus, first, size in runs:
             assert mus == [mu for group in built[first:first + size] for mu in group]
         # a later run builds the weights of more than one group in one call

@@ -201,10 +201,11 @@ class TestCosets:
         assert len(transversal(levi_gl3_21)) == 3
         assert len(transversal(levi_sp12)) == 160
 
-    def test_d_tail_is_cut_one_position_early(self, monkeypatch):
-        # D4 {3,4}: z_3 > |z_4| is tested at position 3, so no position
-        # holds more than |W(D4)| / |Wbar| = 48 partial elements
-        levi = build_levi(build_root_system("D", 4), (3, 4))
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_tail_is_cut_one_position_early(self, family, monkeypatch):
+        # {3,4} of rank 4: z_3 > |z_4| is tested at position 3, so no
+        # position holds more than |W| / |Wbar| = 48 partial elements
+        levi = build_levi(build_root_system(family, 4), (3, 4))
         want = oracles.transversal_by_filter(levi)
         monkeypatch.setattr(weylgrp, "DEFAULT_GROUP_GUARD", 48)
         got = transversal(levi)
