@@ -44,12 +44,10 @@ from .rootsys import (LeviDatum, RootDatum, Weight, WeightError,
 from .weightpoly import (WeightPolynomial, _coefficient_guard, _frame_for,
                          _rho_drops, decompose_character, levi_table, signed_bucket,
                          weyl_character)
-from .weylgrp import (GroupSizeError, dominant_representative, levi_group,
-                      signed_search)
+from .weylgrp import GroupSizeError, dominant_representative, signed_search
 
 DEFAULT_EXPAND_BUDGET = 5_000_000
-# E-set rows per batch of M-function builds, and per run of groups that a
-# box scan builds in one ``m_terms`` call: the one bound on either size
+# E-set rows per batch of M-function builds: the one bound on a batch's size
 M_BATCH_ROWS = 1 << 12
 
 
@@ -286,24 +284,26 @@ def build_m(levi: LeviDatum, mu: Weight, *, self_check: bool = True) -> MFunctio
     cone assertions always run.
     """
     levi.require_dominant(mu)
-    levi_group(levi)  # enforce the guard before any heavy work
     lam_top, _ = leading_term(levi, mu)
     (urows, sums, _), = m_terms(levi, [mu], [lam_top], self_check=self_check)
     return MFunction(levi, mu, tuple(zip(map(Weight, urows.tolist()), sums.tolist())))
 
 
-def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
+def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True):
     """The M-functions of the Levi-dominant weights ``mus``, as arrays.
 
     ``tops[i]`` is the dominant image of mus[i] + 2 rho_bar, the leading
-    term.  Returns one (rows, sums, far) triple per weight: the distinct
+    term.  Yields one (rows, sums, far) triple per weight: the distinct
     dominant images of the rows mus[i] + rho_bar - w(rho_bar) with a nonzero
     signed count, in lexicographic order, those counts and ``_far_flags`` of
-    the images.  ``build_m`` passes one weight, ``equivalence.search_box``
-    the built weights of a run of groups.  Up to ``M_BATCH_ROWS`` rows
-    (|Wbar| per weight, at least one weight) share one frame ``dominant``
-    and one ``signed_bucket`` call, whose member ids, one per row, keep the
-    weights' buckets apart.
+    the images.  ``build_m`` passes one weight, ``classify_pair`` two and
+    ``equivalence.search_box`` every weight it builds.  The stream is lazy:
+    a batch of up to ``M_BATCH_ROWS`` rows (|Wbar| per weight, at least one
+    weight) is built only when its first triple is read, and it shares one
+    frame ``dominant`` and one ``signed_bucket`` call, whose member ids, one
+    per row, keep the weights' buckets apart.  With no weights nothing is
+    computed, and the group guard (``_rho_drops``) runs before the first
+    row is made.
 
     The signed rows were checked once per Levi against the Weyl denominator
     identity (``weightpoly._rho_drops``).  With ``self_check``, each
@@ -315,10 +315,10 @@ def m_terms(levi: LeviDatum, mus, tops, *, self_check: bool = True) -> list:
     leading-term and cone assertions of ``_check_leading`` always run.
     """
     if not len(mus):
-        return []
+        return
     per = max(1, M_BATCH_ROWS // len(_rho_drops(levi)[1]))
-    return [t for lo in range(0, len(mus), per)
-            for t in _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)]
+    for lo in range(0, len(mus), per):
+        yield from _m_batch(levi, mus[lo:lo + per], tops[lo:lo + per], self_check)
 
 
 @lru_cache(maxsize=None)

@@ -9,11 +9,11 @@ counterexample to the conjecture that one always exists.
 ``classify_pair`` decides one pair.  ``search_box`` decides a whole box by
 equality class: within one Weyl orbit of two or more weights it computes
 every weight's M-function, automorphism images and covering flags once,
-and derives the verdicts of its pairs from those.  The M-functions of
-runs of consecutive orbits are built in one batch, sized by the one row
-bound ``branching.M_BATCH_ROWS``, and each orbit's verdicts are still
-written as soon as it is done.  Both routes make their verdicts in the
-same helper, so they agree on the covering cases and on the guard.
+and derives the verdicts of its pairs from those.  It reads the
+M-functions of the whole box from one lazy ``branching.m_terms`` stream,
+which alone sizes its batches, and each orbit's verdicts are written as
+soon as it is done.  Both routes make their verdicts in the same helper,
+so they agree on the covering cases and on the guard.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import branching, kernels
+from . import kernels
 from .branching import build_m, leading_term, m_terms
 from .rootsys import LeviDatum, Weight
 from .weightpoly import ORBIT_CHUNK_ROWS, _frame_for
 from .weylgrp import (WeylElement, check_group_guard, diagram_automorphisms,
-                      dominant_representative, levi_group)
+                      dominant_representative)
 
 SAME_CHAMBER = "SAME_CHAMBER"
 FAR_FROM_WALLS = "FAR_FROM_WALLS"
@@ -143,7 +143,8 @@ def classify_pair(levi: LeviDatum, mu: Weight, nu: Weight) -> PairVerdict:
         mu, nu, induced_equal(levi, mu, nu),
         relating_automorphism(levi, mu, nu), _levi_cases(levi),
         same_chamber=same_closed_chamber(levi, mu, nu),
-        far=all(m_terms(levi, [w], [leading_term(levi, w)[0]])[0][2] for w in (mu, nu)),
+        far=all(far for _, _, far in m_terms(
+            levi, [mu, nu], [leading_term(levi, w)[0] for w in (mu, nu)])),
         two_rho_dominant=(datum.is_dominant(mu + two_rho)
                           or datum.is_dominant(nu + two_rho)))
 
@@ -233,13 +234,11 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     * the M-functions of every member of a group of two or more are built,
       with every check of ``build_m``, each with its FAR_FROM_WALLS flag,
       and the members are partitioned by their M-function coefficients; a
-      group of one builds nothing.  One ``branching.m_terms`` call builds
-      a run of consecutive groups: the first group alone, then each run as
-      long as it can be, cut only where the next group's built weights
-      would take it past ``M_BATCH_ROWS`` E-set rows (|Wbar| per weight).
-      A larger group is a run of its own, which ``m_terms`` splits.  A
-      run's groups are then processed and written one at a time, and no
-      later group is looked at before the first group's lines are written;
+      group of one builds nothing.  One ``m_terms`` call covers every
+      built weight, in scan order, and each group reads its members'
+      triples off that lazy stream, so a batch is built only when a group
+      needs it, and every line of a group is written before the stream
+      builds past the batch that holds its last weight;
     * the weights in a class of two or more each get, once, their distinct
       packed automorphism images (``orbit_images`` and ``pack_rows`` on at
       most ``ORBIT_CHUNK_ROWS`` rows per call), each with the first
@@ -253,13 +252,13 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     ``sink`` receives one JSON line per verdict plus one group-completion
     marker per group, written as soon as that group is done, so interrupted
     scans can be resumed by replaying the markers.  ``sink`` needs only
-    ``write``; the caller chooses its buffering.  With ``threads`` > 1 a
-    pool builds and processes whole runs, and they are written in order.
+    ``write``; the caller chooses its buffering.  With ``threads`` > 1 the
+    stream is read in full first, a pool processes the groups, and they are
+    written in order.
     """
     t0 = time.monotonic()
     datum = levi.parent
     dominant = _frame_for(datum).dominant
-    wbar = len(levi_group(levi))  # enforce the guard before any build
     box = dominant_box(levi, coord_bound)
     rows = np.array(box, dtype=np.int64).reshape(len(box), datum.rank)
     groups: dict[Weight, list[int]] = {}
@@ -277,23 +276,13 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
     todo = [k for k in keys if k not in (resume_keys or set())]
     summary.skipped_groups = len(keys) - len(todo)
 
-    def runs():
-        """The runs of (key, idx, built) groups described above, made lazily:
-        ``built`` is ``idx`` for a group of two or more, else empty."""
-        run, filled = [], 0
-        for count, key in enumerate(todo):
-            idx = groups[key]  # box order, which is sorted order
-            built = idx if len(idx) > 1 else []
-            if run and filled + len(built) * wbar > branching.M_BATCH_ROWS:
-                yield run
-                run, filled = [], 0
-            run.append((key, idx, built))
-            filled += len(built) * wbar
-            if not count:  # the first group at once, on its own
-                yield run
-                run, filled = [], 0
-        if run:
-            yield run
+    built = [i for key in todo for i in groups[key] if len(groups[key]) > 1]
+    stream = m_terms(levi, [box[i] for i in built], top_rows[built])
+
+    def take(key: Weight):
+        """The group of ``key`` and its members' triples, read off ``stream``."""
+        idx = groups[key]  # box order, which is sorted order
+        return key, idx, list(itertools.islice(stream, len(idx) if len(idx) > 1 else 0))
 
     def process(key: Weight, idx: list, terms: list):
         members = [box[i] for i in idx]
@@ -330,14 +319,6 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
             if cls[a] == cls[b]]
         return key, tested, verdicts
 
-    def results(run):
-        """Build every weight of ``run`` in one ``m_terms`` call, then process
-        its groups one at a time, in order."""
-        picks = [i for _, _, built in run for i in built]
-        terms = iter(m_terms(levi, [box[i] for i in picks], top_rows[picks]))
-        for key, idx, built in run:
-            yield process(key, idx, list(itertools.islice(terms, len(built))))
-
     def record(key: Weight, tested: int, verdicts: list):
         summary.pairs_tested += tested
         for v in verdicts:
@@ -355,14 +336,11 @@ def search_box(levi: LeviDatum, coord_bound: int, sink=None,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            # whole runs, recorded in order as each finishes
-            for done in pool.map(lambda run: list(results(run)), runs()):
-                for result in done:
-                    record(*result)
-    else:
-        for run in runs():
-            for result in results(run):
+            for result in pool.map(lambda group: process(*group), map(take, todo)):
                 record(*result)
+    else:
+        for key in todo:
+            record(*process(*take(key)))
     summary.wall_clock_s = time.monotonic() - t0
     return summary
 

@@ -213,9 +213,9 @@ class TestSearch:
 
     def test_groups_stream_to_a_write_only_sink(self, levi_b3_gl2_so3, monkeypatch):
         tested = []  # one entry per M-function the scan builds
-        real = equivalence.m_terms
-        monkeypatch.setattr(equivalence, "m_terms",
-                            lambda levi, mus, tops: tested.extend(mus) or real(levi, mus, tops))
+        real = branching._m_batch
+        monkeypatch.setattr(branching, "_m_batch",
+                            lambda levi, mus, *rest: tested.extend(mus) or real(levi, mus, *rest))
 
         class WriteOnly:
             def __init__(self):
@@ -333,9 +333,28 @@ def test_warm_scan_sorts_no_weyl_elements(monkeypatch):
     assert summary.verdicts == want.verdicts and summary.counterexamples > 0
 
 
-# -- M-functions built for runs of groups -------------------------------------------
+# -- the scan's one M-function stream ------------------------------------------
 
-def _built_by_group(levi, bound):
+def _scan_stream(levi, bound, monkeypatch, threads=1):
+    """A scan's certificate, its ``m_terms`` calls, and each ``_m_batch`` call
+    as its weights and the number of group markers written before it."""
+    sink, calls, batches = io.StringIO(), [], []
+    real_terms, real_batch = equivalence.m_terms, branching._m_batch
+
+    def batch(levi, mus, *rest):
+        batches.append((list(mus), sink.getvalue().count("group_done")))
+        return real_batch(levi, mus, *rest)
+
+    monkeypatch.setattr(equivalence, "m_terms",
+                        lambda *args: calls.append(args) or real_terms(*args))
+    monkeypatch.setattr(branching, "_m_batch", batch)
+    search_box(levi, bound, sink=sink, threads=threads)
+    monkeypatch.setattr(equivalence, "m_terms", real_terms)
+    monkeypatch.setattr(branching, "_m_batch", real_batch)
+    return sink.getvalue(), len(calls), batches
+
+
+def _built_groups(levi, bound):
     """The box's groups in scan order, each as the weights whose M-functions
     the scan builds: every member of a group of two or more."""
     groups: dict = {}
@@ -344,65 +363,49 @@ def _built_by_group(levi, bound):
     return [groups[key] if len(groups[key]) > 1 else [] for key in sorted(groups)]
 
 
-def _scan_runs(levi, bound, monkeypatch):
-    """Each ``m_terms`` call of a scan, as its weights and the groups of its
-    run: (weights, index of the run's first group, number of groups)."""
-    calls, sink = [], io.StringIO()
-    real = equivalence.m_terms
-
-    def spy(levi, mus, tops):
-        calls.append((list(mus), sink.getvalue().count("group_done")))
-        return real(levi, mus, tops)
-
-    monkeypatch.setattr(equivalence, "m_terms", spy)
-    search_box(levi, bound, sink=sink)
-    done = [n for _, n in calls] + [sink.getvalue().count("group_done")]
-    return [(mus, n, end - n) for (mus, n), end in zip(calls, done[1:])]
-
-
-def test_scan_builds_runs_of_groups(levi_c3_gl3, monkeypatch):
-    """The first ``m_terms`` call builds the first group alone, before any
-    line is written; each later call builds every weight of the next run of
-    groups, and a run stops only where the next group's built weights would
-    take it past ``M_BATCH_ROWS`` E-set rows.  At the default cap the whole
-    box after the first group is one run; a cap of 10 weights cuts it."""
-    wbar = len(weylgrp.levi_group(levi_c3_gl3))
-    built = _built_by_group(levi_c3_gl3, 3)
-    for weights in (None, 10):
-        monkeypatch.undo()
-        if weights is not None:
-            monkeypatch.setattr(branching, "M_BATCH_ROWS", weights * wbar)
-        runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
-        assert runs[0] == (built[0], 0, 1)
-        assert sum(size for _, _, size in runs) == len(built)
-        for mus, first, size in runs[1:-1]:
-            assert size >= 1
-            assert (len(mus) + len(built[first + size])) * wbar > branching.M_BATCH_ROWS
-        assert len(runs) == (2 if weights is None else 11)
-        for mus, first, size in runs:
-            assert mus == [mu for group in built[first:first + size] for mu in group]
-        # a later run builds the weights of more than one group in one call
-        assert any(sum(1 for group in built[first:first + size] if group) > 1
-                   for _, first, size in runs[1:])
-
-
 @pytest.mark.parametrize("weights", [None, 1, 3], ids=["default", "cap1", "cap3"])
-def test_scan_runs_stay_under_the_row_cap(levi_c3_gl3, weights, monkeypatch):
-    """A run passes ``M_BATCH_ROWS`` E-set rows, |Wbar| per built weight, only
-    when it is one group; the certificate stays the same."""
-    wbar = len(weylgrp.levi_group(levi_c3_gl3))
-    buf = io.StringIO()
-    search_box(levi_c3_gl3, 3, sink=buf)
+def test_scan_reads_one_lazy_stream(weights, monkeypatch):
+    """One ``m_terms`` call streams every member of each group of two or
+    more, in scan order; every batch but the last holds floor(M_BATCH_ROWS /
+    |Wbar|) weights; the first marker is written before the first batch, and
+    each group's marker before any batch after the one that holds its last
+    weight."""
+    levi = build_levi(build_root_system("D", 5), (1, 2, 4, 5))
+    wbar = len(weylgrp.levi_group(levi))
     if weights is not None:
         monkeypatch.setattr(branching, "M_BATCH_ROWS", weights * wbar)
-    runs = _scan_runs(levi_c3_gl3, 3, monkeypatch)
-    assert all(len(mus) * wbar <= branching.M_BATCH_ROWS or size == 1
-               for mus, _, size in runs)
-    if weights is not None:  # some group alone passes the cap
-        assert any(len(mus) > weights for mus, _, _ in runs)
-    again = io.StringIO()
-    search_box(levi_c3_gl3, 3, sink=again)
-    assert again.getvalue() == buf.getvalue()
+    per = branching.M_BATCH_ROWS // wbar
+    built = _built_groups(levi, 2)
+    _, calls, batches = _scan_stream(levi, 2, monkeypatch)
+    assert calls == 1
+    assert [mu for mus, _ in batches for mu in mus] == [mu for group in built for mu in group]
+    assert len(batches) > 1  # at the default cap too: 434 weights, 170 a batch
+    assert all(len(mus) == per for mus, _ in batches[:-1])
+    assert 0 < len(batches[-1][0]) <= per
+    assert batches[0][1] > 0
+    # batch b starts at weight b * per: every group done by then is written,
+    # and no later group has begun
+    ends = list(itertools.accumulate(map(len, built)))
+    assert [done for _, done in batches] == [
+        sum(end <= b * per for end in ends) for b in range(len(batches))]
+
+
+@pytest.mark.parametrize("family,rank,sbar,label,groups", [
+    ("D", 2, (1, 2), "D2>gl2+gl2", 6), ("GL", 1, (), "GL1>gl1", 3)], ids=["D2-12", "GL1"])
+def test_scan_without_pairs_builds_nothing(family, rank, sbar, label, groups, monkeypatch):
+    """A box whose groups all have one weight makes no E-set row: the stream
+    it opens is never read."""
+    def refuse(levi):
+        raise AssertionError("made the E-set rows of a scan with no pairs")
+
+    monkeypatch.setattr(branching, "_rho_drops", refuse)
+    levi = build_levi(build_root_system(family, rank), sbar)
+    for threads in (1, 2):
+        summary = search_box(levi, 1, threads=threads).to_json()
+        assert {**summary, "wall_clock_s": 0} == {
+            "levi": label, "coord_bound": 1, "box_size": groups, "groups": groups,
+            "pairs_tested": 0, "equal_pairs": 0, "autos_found": 0, "counterexamples": 0,
+            "skipped_groups": 0, "wall_clock_s": 0}
 
 
 @pytest.mark.parametrize("family,rank,sbar,bound", [
@@ -410,24 +413,22 @@ def test_scan_runs_stay_under_the_row_cap(levi_c3_gl3, weights, monkeypatch):
     ids=["C3-12-b3", "B3-13-b3", "D5-1245-b2"])
 def test_scan_certificates_do_not_depend_on_batching(family, rank, sbar, bound,
                                                      monkeypatch):
-    """One weight per M-function batch, or runs of groups at the default cap,
-    with one thread or two: the same certificate bytes."""
+    """One weight or three per M-function batch, or the default cap, with one
+    thread or two: the same certificate bytes.  At one or three weights some
+    batch ends inside a group."""
     levi = build_levi(build_root_system(family, rank), sbar)
-
-    def certificate(threads):
-        buf = io.StringIO()
-        search_box(levi, bound, sink=buf, threads=threads)
-        return buf.getvalue()
-
-    want = certificate(1)
-    assert certificate(2) == want
-    sizes = []
-    real = branching._m_batch
-    monkeypatch.setattr(branching, "_m_batch",
-                        lambda levi, mus, *rest: sizes.append(len(mus)) or real(levi, mus, *rest))
-    monkeypatch.setattr(branching, "M_BATCH_ROWS", len(weylgrp.levi_group(levi)))
-    assert certificate(1) == want and certificate(2) == want
-    assert set(sizes) == {1}
+    want = _scan_stream(levi, bound, monkeypatch)[0]
+    assert _scan_stream(levi, bound, monkeypatch, threads=2)[0] == want
+    wbar = len(weylgrp.levi_group(levi))
+    ends = set(itertools.accumulate(map(len, _built_groups(levi, bound))))
+    for weights in (1, 3):
+        monkeypatch.setattr(branching, "M_BATCH_ROWS", weights * wbar)
+        for threads in (1, 2):
+            cert, _, batches = _scan_stream(levi, bound, monkeypatch, threads)
+            assert cert == want
+            assert {len(mus) for mus, _ in batches[:-1]} == {weights}
+        cuts = set(itertools.accumulate(len(mus) for mus, _ in batches))
+        assert not cuts <= ends
 
 
 # -- the automorphism of a verdict against the object loop -------------------------
