@@ -8,6 +8,9 @@ W, the Levi Weyl groups and the stabilisers are products over factor
 blocks (``LeviDatum.blocks``, one block for W) of classical groups: every
 permutation of a block's coordinates against every admissible sign vector,
 built in element order, each under the constant ``DEFAULT_GROUP_GUARD``.
+eps, the determinant, is multiplicative and a class function, so each
+builder takes it from parts it holds: the blocks' parities and sign
+products, ``signed_search``'s parity, the stabiliser's eps for conjugates.
 ``signed_search`` grows signed permutations position by position under a
 caller's test (the Weyl alternation sets, the transversal); the diagram
 automorphisms filter a conjugate of a stabiliser block group with the
@@ -59,12 +62,13 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Elements of W (a subgroup, or a transversal) as int64 arrays in element order."""
+    """Elements of W (a subgroup, or a transversal) as int64 arrays in element
+    order, with the sign character ``eps`` its builder computed."""
 
-    def __init__(self, perm: np.ndarray, sign: np.ndarray):
+    def __init__(self, perm: np.ndarray, sign: np.ndarray, eps: np.ndarray):
         self.perm = perm
         self.sign = sign
-        self.eps = np.where(_lehmer(perm).sum(axis=1) & 1, -1, 1) * sign.prod(axis=1)
+        self.eps = eps
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -84,27 +88,13 @@ class WeylGroup:
                 for p, s in zip((self.perm + 1).tolist(), self.sign.tolist())]
 
 
-def _lehmer(perm: np.ndarray) -> np.ndarray:
-    """Lehmer code of each row: c[i] = #{j > i : perm[j] < perm[i]}.
-
-    Column by column on a transposed int16 copy (entries are below n), so
-    every comparison reads and writes contiguous memory.
-    """
-    n = perm.shape[1]
-    cols = perm.T.astype(np.int16)
-    code = np.zeros(cols.shape, dtype=np.int16)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            code[i] += cols[j] < cols[i]
-    return code.T
-
-
-def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The group of ``family`` on n coordinates as its permutations and its
-    sign vectors, each in element order.
+    sign vectors, each in element order, and each permutation's parity (+-1).
 
     Every permutation goes with every admissible sign vector: none negative
-    in GL, all in B and C, an even number in D.
+    in GL, all in B and C, an even number in D.  The parity is one
+    inversion count over the n! permutations.
     """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
     signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
@@ -112,10 +102,11 @@ def _signed_perms(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         signs = signs[:1]
     elif family == "D":
         signs = signs[signs.prod(axis=1) == 1]
-    return perms, signs
+    i, j = np.triu_indices(n, 1)
+    parity = 1 - 2 * ((perms[:, i] > perms[:, j]).sum(axis=1) & 1)
+    return perms, signs, parity
 
 
-@lru_cache(maxsize=None)
 def _block_group(n: int, blocks: tuple) -> WeylGroup:
     """The product of the factor blocks' groups on n coordinates, in element order.
 
@@ -128,20 +119,23 @@ def _block_group(n: int, blocks: tuple) -> WeylGroup:
     stay fixed.  Every block's permutation axis comes before any sign axis;
     as the runs go left to right and each block lists its permutations and
     its sign vectors in element order, so does the product, with no sort.
-    The cache has at most 2^rank entries per root system, but no bound on
-    bytes: it keeps every group built, W included, for the whole process.
+    eps is the product of the blocks' parities and sign products, each on
+    its block's axis; a ``flip`` block gives its parity only, as its signs
+    d * d[perm] multiply to 1.
     """
     blocks = [b for b in blocks if b[1] - b[0] > 1 or b[2] != "GL"]
     parts = [_signed_perms(family, hi - lo) for lo, hi, family, _ in blocks]
     k = len(parts)
-    shape = [len(perms) for perms, _ in parts] + [len(signs) for _, signs in parts]
+    shape = [len(perms) for perms, _, _ in parts] + [len(signs) for _, signs, _ in parts]
     perm = np.empty(shape + [n], dtype=np.int64)
     perm[...] = np.arange(n)
     sign = np.ones(shape + [n], dtype=np.int64)
-    for b, ((lo, hi, _, flip), (perms, signs)) in enumerate(zip(blocks, parts)):
+    eps = np.ones(shape, dtype=np.int64)
+    for b, ((lo, hi, _, flip), (perms, signs, parity)) in enumerate(zip(blocks, parts)):
         axes = [1] * 2 * k + [hi - lo]
         axes[b] = len(perms)
         perm[..., lo:hi] = (perms + lo).reshape(axes)
+        eps *= parity.reshape(axes[:-1])
         if flip:
             d = np.ones(hi - lo, dtype=np.int64)
             d[-1] = -1
@@ -149,15 +143,16 @@ def _block_group(n: int, blocks: tuple) -> WeylGroup:
         else:
             axes[b], axes[k + b] = 1, len(signs)
             sign[..., lo:hi] = signs.reshape(axes)
-    return WeylGroup(perm.reshape(-1, n), sign.reshape(-1, n))
+            eps *= signs.prod(axis=1).reshape(axes[:-1])
+    return WeylGroup(perm.reshape(-1, n), sign.reshape(-1, n), eps.reshape(-1))
 
 
-def _in_element_order(perm: np.ndarray, sign: np.ndarray):
-    """The rows (perm, sign) sorted into element order: perm columns, then
-    negative-sign columns, column 0 first.  As int16 (entries below the
-    rank) the keys sort ~4x faster."""
+def _in_element_order(perm: np.ndarray, sign: np.ndarray, eps: np.ndarray) -> WeylGroup:
+    """The group of rows (perm, sign, eps) sorted into element order: perm
+    columns, then negative-sign columns, column 0 first.  As int16 (entries
+    below the rank) the keys sort ~4x faster."""
     order = np.lexsort(np.hstack((perm, sign < 0)).astype(np.int16).T[::-1])
-    return perm[order], sign[order]
+    return WeylGroup(perm[order], sign[order], eps[order])
 
 
 def _levi_cone_mask(levi: LeviDatum, perm: np.ndarray, sign: np.ndarray,
@@ -179,6 +174,7 @@ def check_group_guard(label: str, size: int) -> None:
         raise GroupSizeError(label, size)
 
 
+@lru_cache(maxsize=None)
 def weyl_group(datum: RootDatum) -> WeylGroup:
     check_group_guard(f"W({datum.describe()})", datum.weyl_order())
     return _block_group(datum.rank, ((0, datum.rank, datum.family, False),))
@@ -274,6 +270,7 @@ def transversal(levi: LeviDatum) -> WeylGroup:
     early: z_(n-1) > |z_n|, the one |value| of rho left.  The guard counts
     |W| / |Wbar| first, then each position, but only after the position's
     candidate arrays are made (``signed_search``), so memory can pass it.
+    The search's eps(w) is eps(u), as u = w^-1.
     """
     datum = levi.parent
     expected = datum.weyl_order() // levi.weylbar_order()
@@ -291,13 +288,13 @@ def transversal(levi: LeviDatum) -> WeylGroup:
             ok &= x > np.abs(rho).sum() - np.abs(img).sum(axis=1)[:, None, None] - np.abs(x)
         return ok
 
-    _, z, _ = signed_search(datum.family, rho, admit, f"coset search in W({datum.describe()})")
-    perm, sign = _in_element_order(*kernels.dominant_elements(
-        z, kernels.FAMILY_CODE[datum.family]))
-    if len(perm) != expected:
+    _, z, eps = signed_search(datum.family, rho, admit, f"coset search in W({datum.describe()})")
+    group = _in_element_order(*kernels.dominant_elements(
+        z, kernels.FAMILY_CODE[datum.family]), eps)
+    if len(group) != expected:
         raise RootSystemError(
-            f"transversal size {len(perm)} != |W|/|Wbar| = {expected}")
-    return WeylGroup(perm, sign)
+            f"transversal size {len(group)} != |W|/|Wbar| = {expected}")
+    return group
 
 
 @lru_cache(maxsize=None)
@@ -315,20 +312,21 @@ def diagram_automorphisms(levi: LeviDatum) -> WeylGroup:
 
     Both conditions are the Levi cone test (``_levi_cone_mask``).  Each
     element is checked to map all of Rbar+ into Rbar+, i.e. to act as a
-    Dynkin diagram automorphism of the Levi.
+    Dynkin diagram automorphism of the Levi.  eps is a class function, so a
+    conjugate keeps the stabiliser element's eps.
     """
     w1, dom = dominant_representative(levi.parent, levi.rho_bar)
     check_group_guard(f"Stab_W(rho_bar) of {levi.describe()}",
                       _fixing_levi(levi.parent, dom).weylbar_order())
-    g_perm, g_sign, _ = stabilizer_subgroup(levi.parent, dom).arrays
+    g_perm, g_sign, g_eps = stabilizer_subgroup(levi.parent, dom).arrays
     p1, s1 = np.array(w1.perm, dtype=np.int64), np.array(w1.signs, dtype=np.int64)
     inv = np.argsort(p1)
     # w1^-1 o g o w1 for each g, where a o b has perm b.perm[a.perm] and sign
     # a.sign * b.sign[a.perm]
     perm, sign = p1[g_perm][:, inv], s1[inv] * (g_sign * s1[g_perm])[:, inv]
     keep = _levi_cone_mask(levi, perm, sign, levi.sbar_roots)
-    perm, sign = _in_element_order(perm[keep], sign[keep])
-    if not _levi_cone_mask(levi, perm, sign, levi.rbar_plus).all():
+    group = _in_element_order(perm[keep], sign[keep], g_eps[keep])
+    if not _levi_cone_mask(levi, group.perm, group.sign, levi.rbar_plus).all():
         raise RootSystemError(
             f"an automorphism of {levi.describe()} maps a root of Rbar+ out of Rbar+")
-    return WeylGroup(perm, sign)
+    return group

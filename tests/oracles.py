@@ -4,7 +4,7 @@ The Weyl-group functions walk ``WeylElement`` objects one at a time:
 ``itertools`` for all of W, a breadth-first closure for parabolic
 subgroups, and element-by-element filters for the transversal and the
 diagram automorphisms.  They share no code with the array builders of
-``levibranch.weylgrp`` beyond the element type itself.  ``elements``
+``levibranch.weylgrp`` beyond the element and group types.  ``elements``
 turns a ``WeylGroup``'s arrays into objects, for the tests that walk a
 group; ``levibranch`` itself never does.  ``first_automorphism`` applies
 the automorphisms one ``act`` at a time: the reference route for the
@@ -55,7 +55,10 @@ of rho by ``weylgrp.signed_search`` and sorts each back to rho.
 ``automorphisms_by_transversal`` filters that transversal for the elements
 sending Sbar into the packed Rbar+: the reference route for
 ``weylgrp.diagram_automorphisms``, which filters a conjugate of the
-stabiliser of rho_bar with the Levi cone test.
+stabiliser of rho_bar with the Levi cone test.  Both take eps from
+``sign_character``, one parity pass over the whole group: the reference
+route for the eps each array builder takes from its blocks, its search or
+its stabiliser.
 
 ``levi_components`` classifies the connected components of the Levi's
 Dynkin diagram by the coroot pairings of its simple roots, and
@@ -101,9 +104,9 @@ from levibranch.typea_lr import Partition, SignedSplit, partitions_of
 from levibranch.weightpoly import (PartitionTable, WeightPolynomial, _frame_for,
                                    _rho_drops, dominant_multiplicities, levi_table,
                                    signed_bucket)
-from levibranch.weylgrp import (WeylElement, WeylGroup, _signed_perms,
-                                diagram_automorphisms, dominant_representative,
-                                levi_group, stabilizer_subgroup, weyl_group)
+from levibranch.weylgrp import (WeylElement, WeylGroup, diagram_automorphisms,
+                                dominant_representative, levi_group,
+                                stabilizer_subgroup, weyl_group)
 
 
 # -- Weyl-group elements one at a time -------------------------------------------
@@ -589,15 +592,20 @@ def kostka_matrix_identity(n: int) -> bool:
                for i in range(size) for j in range(size))
 
 
+def _sign_choices(family: str, n: int) -> list[tuple[int, ...]]:
+    """The admissible sign vectors in element order: none negative in GL,
+    all in B and C, an even number in D."""
+    if family == "GL":
+        return [(1,) * n]
+    return [s for s in itertools.product((1, -1), repeat=n)
+            if family != "D" or s.count(-1) % 2 == 0]
+
+
 @lru_cache(maxsize=None)
 def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
     """All of W: every permutation, each against every admissible sign choice."""
     n = datum.rank
-    if datum.family == "GL":
-        sign_choices = [(1,) * n]
-    else:
-        sign_choices = [s for s in itertools.product((1, -1), repeat=n)
-                        if datum.family != "D" or s.count(-1) % 2 == 0]
+    sign_choices = _sign_choices(datum.family, n)
     return tuple(WeylElement(perm, s)
                  for perm in itertools.permutations(range(n)) for s in sign_choices)
 
@@ -650,14 +658,33 @@ FILTER_BLOCK_ROWS = 1 << 14
 def _blocks(datum: RootDatum, rows: int):
     """W in element order as (perm, sign) chunks of about ``rows`` rows.
 
-    Each chunk is a run of whole permutations, each repeated against every
-    admissible sign vector.
+    Each chunk is a run of whole permutations from ``itertools``, each
+    repeated against every admissible sign vector.
     """
-    perms, signs = _signed_perms(datum.family, datum.rank)
+    signs = np.array(_sign_choices(datum.family, datum.rank), dtype=np.int64)
+    perms = itertools.permutations(range(datum.rank))
     step = max(1, rows // len(signs))
-    for lo in range(0, len(perms), step):
-        block = perms[lo:lo + step]
+    while block := list(itertools.islice(perms, step)):
+        block = np.array(block, dtype=np.int64)
         yield np.repeat(block, len(signs), axis=0), np.tile(signs, (len(block), 1))
+
+
+def sign_character(perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """eps of every row (perm, sign): the parity of the permutation's Lehmer
+    code, c[i] = #{j > i : perm[j] < perm[i]}, times the product of the signs.
+
+    One pass over the whole array, column by column on a transposed int16
+    copy (entries are below n): the reference route for the eps that each
+    ``levibranch.weylgrp`` builder takes from its blocks, its search or its
+    stabiliser.
+    """
+    n = perm.shape[1]
+    cols = perm.T.astype(np.int16)
+    code = np.zeros(cols.shape, dtype=np.int16)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            code[i] += cols[j] < cols[i]
+    return np.where(code.sum(axis=0) & 1, -1, 1) * sign.prod(axis=1)
 
 
 def _maps_into(perm: np.ndarray, sign: np.ndarray, roots, targets):
@@ -683,8 +710,9 @@ def transversal_by_filter(levi: LeviDatum) -> WeylGroup:
     datum = levi.parent
     kept = [_maps_into(perm, sign, levi.sbar_roots, datum.positive_roots)
             for perm, sign in _blocks(datum, FILTER_BLOCK_ROWS)]
-    return WeylGroup(np.concatenate([p for p, _ in kept]),
-                     np.concatenate([s for _, s in kept]))
+    perm = np.concatenate([p for p, _ in kept])
+    sign = np.concatenate([s for _, s in kept])
+    return WeylGroup(perm, sign, sign_character(perm, sign))
 
 
 def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
@@ -697,8 +725,8 @@ def automorphisms_by_transversal(levi: LeviDatum) -> tuple[WeylElement, ...]:
     search.
     """
     trans = transversal_by_filter(levi)
-    return elements(WeylGroup(*_maps_into(trans.perm, trans.sign, levi.sbar_roots,
-                                          levi.rbar_plus)))
+    perm, sign = _maps_into(trans.perm, trans.sign, levi.sbar_roots, levi.rbar_plus)
+    return elements(WeylGroup(perm, sign, sign_character(perm, sign)))
 
 
 def dominant_box_by_prefix_roots(levi: LeviDatum, bound: int) -> list[Weight]:

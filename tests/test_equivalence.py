@@ -239,7 +239,8 @@ class TestSearch:
     def test_classification_guard_fires_in_scan(self, levi_gl4_22, monkeypatch):
         # TYPE_A covers every GL4 pair, so an equal pair without automorphism
         # can only come from a broken automorphism lookup
-        identity = WeylGroup(np.arange(4)[None, :], np.ones((1, 4), dtype=np.int64))
+        identity = WeylGroup(np.arange(4)[None, :], np.ones((1, 4), dtype=np.int64),
+                             np.ones(1, dtype=np.int64))
         monkeypatch.setattr(equivalence, "diagram_automorphisms",
                             lambda *a, **k: identity)
         for threads in (1, 2):

@@ -62,7 +62,7 @@ class TestEnumeration:
 
     def test_each_element_once_and_deterministic(self, c2):
         group = weyl_group(c2)
-        fresh = weylgrp._block_group.__wrapped__(2, ((0, 2, "C", False),))  # past the cache
+        fresh = weylgrp._block_group(2, ((0, 2, "C", False),))  # past weyl_group's cache
         run1 = list(zip(elements(group), group.eps.tolist()))
         run2 = list(zip(elements(fresh), fresh.eps.tolist()))
         assert run1 == run2
@@ -88,7 +88,7 @@ class TestEnumeration:
         if family != "GL":
             cases.append((5, ((0, 2, family, False), (2, 5, family, False))))
         for rank, blocks in cases:
-            group = weylgrp._block_group.__wrapped__(rank, blocks)
+            group = weylgrp._block_group(rank, blocks)
             order = np.lexsort(np.hstack((group.perm, group.sign < 0)).T[::-1])
             assert (order == np.arange(len(group))).all(), blocks
 
@@ -335,6 +335,10 @@ class TestStabilizer:
 ORACLE_FAMILIES = [("GL", range(1, 6)), ("B", range(1, 6)), ("C", range(1, 6)),
                    ("D", range(3, 6))]
 
+# the systems every builder's eps is checked over: GL1-6, B1-5, C1-5, D2-5
+EPS_SYSTEMS = [("GL", range(1, 7)), ("B", range(1, 6)), ("C", range(1, 6)),
+               ("D", range(2, 6))]
+
 
 def _all_levis(family, ranks):
     for rank in ranks:
@@ -433,3 +437,21 @@ class TestAgainstObjectOracles:
         for lam in weights:
             _assert_group_matches(stabilizer_subgroup(datum, lam),
                                   oracles.stabilizer_elements(datum, lam))
+
+    @pytest.mark.parametrize("family,ranks", EPS_SYSTEMS, ids=[f for f, _ in EPS_SYSTEMS])
+    def test_every_builder_eps_is_the_sign_character(self, family, ranks):
+        # the builders take eps from the blocks, the search's parity or the
+        # stabiliser; the reference counts inversions over the whole group
+        for rank in ranks:
+            datum = build_root_system(family, rank)
+            groups = [("W", weyl_group(datum))]
+            for levi in oracles.every_levi(datum):
+                _, dom = dominant_representative(datum, levi.rho_bar)
+                groups += [(f"Wbar {levi.sbar}", levi_group(levi)),
+                           (f"Stab {levi.sbar}", stabilizer_subgroup(datum, dom)),
+                           (f"W/Wbar {levi.sbar}", transversal(levi)),
+                           (f"autos {levi.sbar}", diagram_automorphisms(levi))]
+            for label, group in groups:
+                assert group.eps.dtype == np.int64 and group.eps.flags.c_contiguous, label
+                assert np.array_equal(group.eps, oracles.sign_character(group.perm, group.sign)), \
+                    (datum.describe(), label)
